@@ -7,31 +7,42 @@ overlap. Self-overlapping repeats are therefore capped at their period,
 which splits a periodic run into non-overlapping blocks greedily from the
 left.
 
-Detection hashes every window of ``min_tokens`` tokens (polynomial rolling
-hash), verifies candidate window pairs exactly, then merges window matches
-along diagonals into maximal blocks. Both a token ratio and a line ratio
-are reported so the lines-vs-tokens verbosity bias stays visible.
+Detection groups the windows of ``min_tokens`` tokens into classes of equal
+content (after Kamiya, Kusumoto & Inoue's CCFinder): windows are counted by
+a hash, and only windows whose hash repeats are compared exactly, so a hash
+collision never joins two different windows. Inside a class, two members
+start a maximal block only if the tokens before them differ (or one of them
+starts its file); members are grouped by that predecessor token, and only
+pairs drawn from different groups are expanded. Each such left-maximal pair
+is extended to its full match length by galloping over list-slice
+comparisons. The cost is linear in the number of windows plus the number of
+pairs emitted; k copies of one file still emit C(k, 2) pair blocks, so that
+is the only remaining term quadratic in k.
+
+Both a token ratio and a line ratio are reported so the lines-vs-tokens
+verbosity bias stays visible. Coverage is the union of the blocks' token
+intervals per file: each token and each line a covered token spans counts
+once however many blocks cover it, and comment-only lines between covered
+tokens do not count.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, count, islice, product
+from operator import attrgetter
+from typing import NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, LineClassification, Token
 
 EXACT = "exact"
 IDENTIFIER_BLIND = "identifier-blind"
 
-_MOD = (1 << 61) - 1
-_BASE = 1_000_003
-
 _ID_PLACEHOLDER = "\x00id"
 
 
-@dataclass(frozen=True)
-class NormToken:
+class NormToken(NamedTuple):
     kind: str
     text: str
     index: int  # position in the original token sequence
@@ -41,6 +52,10 @@ class NormToken:
     @property
     def key(self) -> tuple[str, str]:
         return (self.kind, self.text)
+
+
+_KEY = attrgetter("kind", "text")  # NormToken.key without a Python-level call
+_END_LINE = attrgetter("end_line")
 
 
 @dataclass(frozen=True)
@@ -84,40 +99,43 @@ def normalize_tokens(
         text = tok.text if case_sensitive else tok.text.upper()
         if mode == IDENTIFIER_BLIND and tok.kind == IDENTIFIER:
             text = _ID_PLACEHOLDER
-        out.append(
-            NormToken(kind=tok.kind, text=text, index=index, line=tok.line, end_line=tok.end_line)
-        )
+        out.append(NormToken(tok.kind, text, index, tok.line, tok.end_line))
     return out
 
 
-def _intern(sequences: dict[str, list[NormToken]]) -> dict[str, list[int]]:
+def _intern(seqs: list[list[NormToken]]) -> list[list[int]]:
+    """Each token's key as an int id, shared across all sequences."""
     table: dict[tuple[str, str], int] = {}
-    ids = {}
-    for name, seq in sequences.items():
-        row = []
-        for tok in seq:
-            key = tok.key
-            if key not in table:
-                table[key] = len(table)
-            row.append(table[key])
-        ids[name] = row
-    return ids
+    return [[table.setdefault(key, len(table)) for key in map(_KEY, seq)] for seq in seqs]
 
 
-def _window_hashes(row: list[int], width: int) -> list[int]:
-    """Rolling polynomial hash of every width-sized window."""
-    n = len(row)
-    if n < width:
-        return []
-    power = pow(_BASE, width - 1, _MOD)
-    h = 0
-    for value in row[:width]:
-        h = (h * _BASE + value + 1) % _MOD
-    hashes = [h]
-    for i in range(width, n):
-        h = ((h - (row[i - width] + 1) * power) * _BASE + row[i] + 1) % _MOD
-        hashes.append(h)
-    return hashes
+def _window_keys(row: list[int], width: int) -> list[int]:
+    """A hash of every width-sized window of ``row``; equal windows get equal
+    keys, unequal windows may collide."""
+    return list(map(hash, zip(*(islice(row, i, None) for i in range(width)))))
+
+
+def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: int) -> int:
+    """Length of the longest common run of row_a[pa:] and row_b[pb:], given
+    that its first ``known`` tokens match: gallop, then bisect."""
+    limit = min(len(row_a) - pa, len(row_b) - pb)
+    length = step = known
+    while length < limit:
+        step = min(step, limit - length)
+        if row_a[pa + length : pa + length + step] != row_b[pb + length : pb + length + step]:
+            break
+        length += step
+        step *= 2
+    else:
+        return length
+    low, high = length, length + step  # a mismatch lies in [low, high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if row_a[pa + low : pa + mid] == row_b[pb + low : pb + mid]:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def find_clone_blocks(
@@ -131,79 +149,70 @@ def find_clone_blocks(
     if min_tokens < 3:
         raise ValueError("min_tokens must be >= 3")
     files = sorted(sequences)
-    ids = _intern(sequences)
+    rows = _intern([sequences[name] for name in files])
 
-    buckets: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for f_idx, name in enumerate(files):
-        for pos, h in enumerate(_window_hashes(ids[name], min_tokens)):
-            buckets[h].append((f_idx, pos))
-
-    # verified window-start pairs, grouped by diagonal
-    diagonals: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for positions in buckets.values():
-        if len(positions) < 2:
-            continue
-        for (fa, pa), (fb, pb) in combinations(positions, 2):
-            ra, rb = ids[files[fa]], ids[files[fb]]
-            if ra[pa : pa + min_tokens] != rb[pb : pb + min_tokens]:
-                continue  # hash collision
-            diagonals[(fa, fb, pb - pa)].append(pa)
+    keys = [_window_keys(row, min_tokens) for row in rows]
+    repeated = {key for key, n in Counter(chain.from_iterable(keys)).items() if n > 1}
+    # keyed by window content, so windows whose keys merely collide land in
+    # different classes
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
+    for f_idx, (row, row_keys) in enumerate(zip(rows, keys)):
+        for pos in compress(count(), map(repeated.__contains__, row_keys)):
+            classes[tuple(row[pos : pos + min_tokens])].append((f_idx, pos))
+    del keys, repeated
 
     blocks: list[CloneBlock] = []
-    for (fa, fb, delta), starts in diagonals.items():
-        starts = sorted(set(starts))
-        run_start = starts[0]
-        previous = starts[0]
-        runs = []
-        for s in starts[1:]:
-            if s == previous + 1:
-                previous = s
-                continue
-            runs.append((run_start, previous))
-            run_start = previous = s
-        runs.append((run_start, previous))
-        for s, e in runs:
-            match_len = e - s + min_tokens
-            if fa != fb:
-                blocks.append(_make_block(sequences, files, fa, s, fb, s + delta, match_len))
-            elif match_len <= delta:
-                blocks.append(_make_block(sequences, files, fa, s, fb, s + delta, match_len))
-            elif delta >= min_tokens:
-                # self-overlapping repeat: greedy split at the period
-                for t in range(0, match_len - delta + 1):
-                    blocks.append(
-                        _make_block(sequences, files, fa, s + t, fb, s + t + delta, delta)
-                    )
+    line_spans: dict[tuple[int, int, int], int] = {}
+
+    def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, NormToken, int]:
+        name = files[f_idx]
+        seq = sequences[name]
+        key = (f_idx, pos, length)
+        if key not in line_spans:  # an occurrence recurs in every pair of its class
+            line_spans[key] = max(map(_END_LINE, seq[pos : pos + length])) - seq[pos].line + 1
+        return name, seq[pos], line_spans[key]
+
+    def add_block(fa: int, pa: int, fb: int, pb: int, length: int) -> None:
+        name_a, first_a, span_a = occurrence(fa, pa, length)
+        name_b, first_b, span_b = occurrence(fb, pb, length)
+        blocks.append(CloneBlock(
+            file_a=name_a,
+            start_token_a=first_a.index,
+            start_line_a=first_a.line,
+            file_b=name_b,
+            start_token_b=first_b.index,
+            start_line_b=first_b.line,
+            length_tokens=length,
+            length_lines_a=span_a,
+            length_lines_b=span_b,
+            norm_start_a=pa,
+            norm_start_b=pb,
+        ))
+
+    for members in classes.values():
+        # A pair extends one token to the left exactly when both members
+        # share their predecessor token, so only pairs across predecessor
+        # groups start a block. A file's first window has no predecessor and
+        # is a group of its own, under a negative key no token id takes.
+        groups: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for f_idx, pos in members:
+            groups[rows[f_idx][pos - 1] if pos else -1 - f_idx].append((f_idx, pos))
+        for group_a, group_b in combinations(groups.values(), 2):
+            for first, second in product(group_a, group_b):
+                (fa, pa), (fb, pb) = sorted((first, second))
+                delta = pb - pa
+                if fa == fb and delta < min_tokens:
+                    continue  # overlapping occurrences, no period to split at
+                match_len = _common_length(rows[fa], pa, rows[fb], pb, min_tokens)
+                if fa != fb or match_len <= delta:
+                    add_block(fa, pa, fb, pb, match_len)
+                else:
+                    # self-overlapping repeat: greedy split at the period
+                    for t in range(0, match_len - delta + 1):
+                        add_block(fa, pa + t, fb, pb + t, delta)
 
     blocks.sort(key=lambda b: (b.file_a, b.norm_start_a, b.file_b, b.norm_start_b))
     return blocks
-
-
-def _occurrence_lines(seq: list[NormToken], start: int, length: int) -> tuple[int, int, int]:
-    toks = seq[start : start + length]
-    first = toks[0].line
-    last = max(t.end_line for t in toks)
-    return first, last, last - first + 1
-
-
-def _make_block(sequences, files, fa, pa, fb, pb, length) -> CloneBlock:
-    name_a, name_b = files[fa], files[fb]
-    seq_a, seq_b = sequences[name_a], sequences[name_b]
-    line_a, _, span_a = _occurrence_lines(seq_a, pa, length)
-    line_b, _, span_b = _occurrence_lines(seq_b, pb, length)
-    return CloneBlock(
-        file_a=name_a,
-        start_token_a=seq_a[pa].index,
-        start_line_a=line_a,
-        file_b=name_b,
-        start_token_b=seq_b[pb].index,
-        start_line_b=line_b,
-        length_tokens=length,
-        length_lines_a=span_a,
-        length_lines_b=span_b,
-        norm_start_a=pa,
-        norm_start_b=pb,
-    )
 
 
 def duplication_ratios(
@@ -214,20 +223,29 @@ def duplication_ratios(
     """Coverage-based ratios: every token/line position counts once no matter
     how many blocks cover it. Returns (token_ratio, line_ratio, dup_tokens,
     dup_lines, total_tokens)."""
-    covered_tokens: set[tuple[str, int]] = set()
-    covered_lines: set[tuple[str, int]] = set()
+    spans: dict[str, list[tuple[int, int]]] = defaultdict(list)
     for block in blocks:
         for name, start in ((block.file_a, block.norm_start_a), (block.file_b, block.norm_start_b)):
-            seq = sequences[name]
-            for pos in range(start, start + block.length_tokens):
-                covered_tokens.add((name, pos))
-                tok = seq[pos]
-                for line in range(tok.line, tok.end_line + 1):
-                    covered_lines.add((name, line))
+            spans[name].append((start, start + block.length_tokens))
+    dup_tokens = dup_lines = 0
+    for name, file_spans in spans.items():
+        seq = sequences[name]
+        lines: set[int] = set()
+        file_spans.sort()
+        covered_to = 0
+        for start, end in file_spans:
+            start = max(start, covered_to)  # skip what an earlier span covered
+            if start >= end:
+                continue
+            dup_tokens += end - start
+            for tok in seq[start:end]:
+                lines.update(range(tok.line, tok.end_line + 1))
+            covered_to = end
+        dup_lines += len(lines)
     total_tokens = sum(len(seq) for seq in sequences.values())
-    token_ratio = len(covered_tokens) / total_tokens if total_tokens else 0.0
-    line_ratio = len(covered_lines) / total_code_lines if total_code_lines else 0.0
-    return token_ratio, line_ratio, len(covered_tokens), len(covered_lines), total_tokens
+    token_ratio = dup_tokens / total_tokens if total_tokens else 0.0
+    line_ratio = dup_lines / total_code_lines if total_code_lines else 0.0
+    return token_ratio, line_ratio, dup_tokens, dup_lines, total_tokens
 
 
 def build_report(

@@ -178,7 +178,12 @@ class SnapshotStore:
 
 
 class _StoreLock:
-    """Advisory single-writer lock: an O_EXCL-created lock file."""
+    """Advisory single-writer lock: an O_EXCL-created lock file holding the
+    writer's pid. A lock whose pid no longer exists was left by a writer that
+    died, and is removed. Two waiters that find the same stale lock at the
+    same moment can race: the slower one may remove the lock the faster one
+    has just taken.
+    """
 
     def __init__(self, path: Path):
         self.path = path
@@ -192,11 +197,27 @@ class _StoreLock:
                 os.close(fd)
                 return self
             except FileExistsError:
+                if self._holder_is_gone():
+                    self.path.unlink(missing_ok=True)
+                    continue
                 if time.monotonic() > deadline:
                     raise StoreUnwritable(f"store locked by another writer: {self.path}")
                 time.sleep(0.05)
             except OSError as exc:
                 raise StoreUnwritable(f"cannot lock store: {exc}") from exc
+
+    def _holder_is_gone(self) -> bool:
+        try:
+            pid = int(self.path.read_text())
+        except (OSError, ValueError):
+            return False  # vanished, unreadable or not yet written: keep waiting
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:
+            pass  # alive, under another user
+        return False
 
     def __exit__(self, *exc_info):
         try:

@@ -9,6 +9,9 @@ occurrences overlap.
 For every ordered start pair this scans the common extension directly and
 emits the one candidate length that can be right-maximal, then applies the
 left-maximality test. No hashing, no diagonal merging.
+
+``oracle_coverage`` is the reference for the duplication ratios: it counts
+covered tokens and lines with one set entry per position, no interval merging.
 """
 
 from __future__ import annotations
@@ -41,3 +44,19 @@ def oracle_blocks(sequences: dict[str, list], min_tokens: int) -> set[tuple]:
                     if left_blocked:
                         found.add((fa, ia, fb, ib, length))
     return found
+
+
+def oracle_coverage(blocks, sequences: dict[str, list]) -> tuple[int, int]:
+    """Return (covered tokens, covered lines), each position counted once:
+    a set of every token position and every line a covered token spans."""
+    covered_tokens: set[tuple[str, int]] = set()
+    covered_lines: set[tuple[str, int]] = set()
+    for block in blocks:
+        for name, start in ((block.file_a, block.norm_start_a), (block.file_b, block.norm_start_b)):
+            seq = sequences[name]
+            for pos in range(start, start + block.length_tokens):
+                covered_tokens.add((name, pos))
+                tok = seq[pos]
+                for line in range(tok.line, tok.end_line + 1):
+                    covered_lines.add((name, line))
+    return len(covered_tokens), len(covered_lines)

@@ -133,10 +133,16 @@ def test_determinism_across_processes_and_hash_seeds(corpus, tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import xmaint
+
+    # the child imports xmaint from the same tree as this test process
+    src = str(Path(xmaint.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = set()
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         env.pop("XMAINT_CONFIG", None)
         result = subprocess.run(
             [sys.executable, "-m", "xmaint.cli", "analyze", str(corpus), "--min-tokens", "10"],

@@ -1,11 +1,14 @@
 import random
+from math import comb
 
 import pytest
 
-from clone_oracle import oracle_blocks
+from clone_oracle import oracle_blocks, oracle_coverage
+from xmaint import duplication
 from xmaint.duplication import (
     EXACT,
     IDENTIFIER_BLIND,
+    CloneBlock,
     build_report,
     duplication_ratios,
     find_clone_blocks,
@@ -131,6 +134,58 @@ def test_oracle_equivalence_randomized():
         assert fast == slow, f"trial {trial}: alphabet={alphabet} min={min_tokens}"
 
 
+def test_oracle_equivalence_when_every_window_collides(monkeypatch):
+    """Every window gets the same hash key, so only the exact comparison of
+    window contents can keep unequal windows apart."""
+    monkeypatch.setattr(
+        duplication, "_window_keys", lambda row, width: [0] * max(0, len(row) - width + 1)
+    )
+    rng = random.Random(99)
+    for trial in range(30):
+        alphabet = rng.choice([2, 3, 8, 32])
+        min_tokens = rng.choice([3, 4, 8])
+        seqs = {
+            f"f{k}": random_stream(rng, rng.randrange(0, 120), alphabet)
+            for k in range(rng.choice([1, 2, 3]))
+        }
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+
+
+def test_oracle_equivalence_multi_file_injected_clones():
+    rng = random.Random(2024)
+    for trial in range(40):
+        min_tokens = rng.choice([3, 5, 8])
+        alphabet = rng.choice([8, 32, 256])
+        texts = {
+            f"f{k}": [f"t{rng.randrange(alphabet)}" for _ in range(rng.randrange(30, 150))]
+            for k in range(rng.choice([3, 4]))
+        }
+        names = sorted(texts)
+        for _ in range(rng.randrange(1, 5)):
+            src, dst = rng.choice(names), rng.choice(names)  # dst == src: same-file clone
+            length = rng.randrange(min_tokens, 25)
+            if min(len(texts[src]), len(texts[dst])) <= length:
+                continue
+            at = rng.randrange(0, len(texts[src]) - length)
+            to = rng.randrange(0, len(texts[dst]) - length)
+            texts[dst][to : to + length] = texts[src][at : at + length]
+        seqs = {name: normalize_tokens(ident_stream(t)) for name, t in texts.items()}
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+
+
+def test_k_identical_copies_pair_up_in_full():
+    k = 12
+    stream = [f"t{i}" for i in range(40)]
+    seqs = {f"f{i:02d}": normalize_tokens(ident_stream(stream)) for i in range(k)}
+    report = build_report(seqs, 10, EXACT)
+    assert len(report.blocks) == comb(k, 2)
+    assert all(b.length_tokens == len(stream) for b in report.blocks)
+    assert {(b.norm_start_a, b.norm_start_b) for b in report.blocks} == {(0, 0)}
+    assert report.duplicated_token_ratio == report.duplicated_line_ratio == 1.0
+
+
 def test_symmetry_under_file_relabeling():
     rng = random.Random(7)
     seq_a = random_stream(rng, 120, 4)
@@ -165,6 +220,65 @@ def test_deterministic_ordering():
     keys = [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b) for b in blocks]
     assert keys == sorted(keys)
     assert blocks == find_clone_blocks(seqs, 3)
+
+
+def gapped_stream(rng, n, alphabet):
+    """Tokens with comment-only lines between them (comments are dropped by
+    normalization) and multi-line tokens that span several lines."""
+    tokens = []
+    line = 1
+    for _ in range(n):
+        line += rng.choice([0, 0, 1, 1, 2])
+        if rng.random() < 0.15:
+            tokens.append(Token(kind="comment", text="// c", line=line, column=1))
+            line += rng.choice([1, 2])
+        text = f"t{rng.randrange(alphabet)}" + "\n" * rng.choice([0, 0, 0, 0, 1, 2])
+        tokens.append(Token(kind="identifier", text=text, line=line, column=1))
+        line = tokens[-1].end_line
+    return normalize_tokens(tokens)
+
+
+def test_ratios_equal_coverage_oracle():
+    rng = random.Random(8080)
+    seen = {"overlap": 0, "periodic": 0, "multi_line": 0, "gap": 0}
+    for trial in range(80):
+        seqs = {
+            f"f{k}": gapped_stream(rng, rng.randrange(0, 160), rng.choice([2, 3, 6]))
+            for k in range(rng.choice([1, 2, 3]))
+        }
+        names = sorted(seqs)
+        blocks = find_clone_blocks(seqs, rng.choice([3, 4, 6]))
+        # plus arbitrary, freely overlapping spans: coverage must not depend
+        # on the blocks being maximal
+        for _ in range(rng.randrange(0, 6)):
+            fa, fb = rng.choice(names), rng.choice(names)
+            length = rng.randrange(1, 20)
+            if min(len(seqs[fa]), len(seqs[fb])) <= length:
+                continue
+            pa = rng.randrange(0, len(seqs[fa]) - length)
+            pb = rng.randrange(0, len(seqs[fb]) - length)
+            blocks.append(CloneBlock(fa, 0, 1, fb, 0, 1, length, 1, 1, pa, pb))
+        _, _, dup_tokens, dup_lines, _ = duplication_ratios(blocks, seqs, 1)
+        assert (dup_tokens, dup_lines) == oracle_coverage(blocks, seqs), f"trial {trial}"
+
+        spans = sorted(
+            (name, start, start + b.length_tokens)
+            for b in blocks
+            for name, start in ((b.file_a, b.norm_start_a), (b.file_b, b.norm_start_b))
+        )
+        seen["overlap"] += any(
+            x[0] == y[0] and y[1] < x[2] for x, y in zip(spans, spans[1:])
+        )
+        keys = as_keys(blocks)
+        seen["periodic"] += any(  # a period split gives blocks at consecutive starts
+            (fa, pa + 1, fb, pb + 1, ln) in keys for fa, pa, fb, pb, ln in keys if fa == fb
+        )
+        tokens = [t for seq in seqs.values() for t in seq]
+        seen["multi_line"] += any(t.end_line > t.line for t in tokens)
+        seen["gap"] += any(
+            b.line > a.end_line + 1 for seq in seqs.values() for a, b in zip(seq, seq[1:])
+        )
+    assert all(seen.values()), seen
 
 
 def test_ratios_in_unit_interval():

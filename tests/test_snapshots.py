@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from xmaint.errors import NoSnapshots, UnknownMetricKey
+from xmaint import snapshots
+from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
 from xmaint.snapshots import SnapshotStore, utc_now_iso
 
 
@@ -113,3 +117,27 @@ def test_lock_released_after_save(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     store.save(snapshot())
     assert not (tmp_path / "store" / ".lock").exists()
+
+
+def _write_lock(store_root, pid):
+    store_root.mkdir(parents=True, exist_ok=True)
+    (store_root / ".lock").write_text(str(pid))
+
+
+def test_lock_left_by_dead_writer_is_taken_over(tmp_path):
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert dead.wait(timeout=30) == 0  # reaped: its pid no longer names a process
+    _write_lock(tmp_path / "store", dead.pid)
+    store = SnapshotStore(tmp_path / "store")
+    store.save(snapshot())
+    assert len(store.load("proj")) == 1
+    assert not (tmp_path / "store" / ".lock").exists()
+
+
+def test_lock_held_by_live_writer_times_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(snapshots, "_LOCK_TIMEOUT_S", 0.2)
+    _write_lock(tmp_path / "store", os.getpid())
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(StoreUnwritable):
+        store.save(snapshot())
+    assert (tmp_path / "store" / ".lock").read_text() == str(os.getpid())
