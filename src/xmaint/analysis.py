@@ -15,7 +15,7 @@ from pathlib import Path
 from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
 from .debt_models import MiResult, SigResult, TdrResult
-from .errors import Diagnostic, EmptyProject, ZeroProductionEffort
+from .errors import Diagnostic, EmptyProject, UnknownLanguage, ZeroProductionEffort
 from .lexing import LineClassification, Token, classify_lines, physical_line_count, tokenize
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
@@ -128,7 +128,7 @@ def discover_files(
         else:
             try:
                 profile = detect_profile(path, registry)
-            except Exception:
+            except UnknownLanguage:
                 continue  # unrecognized extensions are simply not analyzed
         selected.append((path, rel, profile))
     return selected
@@ -177,9 +177,8 @@ def _file_level_means(files: list[FileAnalysis], registry: ProfileRegistry):
     volumes, ccs, locs = [], [], []
     for fa in files:
         profile = registry.get(fa.profile_id)
-        toks = [t for t in fa.tokens]
-        volumes.append(metrics.halstead(toks, profile).volume)
-        ccs.append(metrics.cyclomatic_complexity(toks, profile))
+        volumes.append(metrics.halstead(fa.tokens, profile).volume)
+        ccs.append(metrics.cyclomatic_complexity(fa.tokens, profile))
         locs.append(fa.lines.code + fa.lines.mixed)
     count = len(files)
     if count == 0:

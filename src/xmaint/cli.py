@@ -16,6 +16,7 @@ from .composite import composite_score, sensitivity_analysis
 from .config import (
     apply_flag_overrides,
     composite_mappings,
+    REPORT_FORMATS,
     config_hash,
     load_config,
 )
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     def analysis_flags(p):
         p.add_argument("--profile", default=None, help="force a language profile for all files")
         p.add_argument("--config", default=None, help="config file (or XMAINT_CONFIG env var)")
-        p.add_argument("--format", default=None, choices=["json", "md", "csv"])
+        p.add_argument("--format", default=None, choices=REPORT_FORMATS)
         p.add_argument("--min-tokens", type=int, default=None, help="clone detection threshold")
         p.add_argument("--dup-mode", default=None, choices=["exact", "identifier-blind"])
         p.add_argument("--cost-per-line", type=float, default=None,
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trend.add_argument("--metric", required=True)
     p_trend.add_argument("--force", action="store_true",
                          help="treat snapshots with differing config hashes as comparable")
-    p_trend.add_argument("--format", default="json", choices=["json", "md", "csv"])
+    p_trend.add_argument("--format", default="json", choices=REPORT_FORMATS)
     p_trend.add_argument("--out", default=None)
     p_trend.set_defaults(func=cmd_trend)
 

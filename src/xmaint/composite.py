@@ -1,10 +1,11 @@
 """Weighted composite scoring on a shared 0..100 scale, plus sensitivity analysis.
 
-Indicators are mapped onto 0..100 with simple declared shapes, combined
-with explainable weights, and guarded so each quality attribute counts
-exactly once (either as an indicator or as a debt rule, never both).
-Volumetry is relative to the compared set: the smallest code base scores
-100, anything at or past 1.5x the minimum scores 0.
+Indicators are mapped onto 0..100 with simple declared shapes and combined
+with explainable weights. The guard that each quality attribute counts
+exactly once (either as an indicator or as a debt rule, never both) is
+``config.validate_config``, run on every loaded config. Volumetry is
+relative to the compared set: the smallest code base scores 100, anything
+at or past 1.5x the minimum scores 0.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EstimatorMismatch, RuleSetMismatch, SingleProject
-from .rules import COMMENT_DENSITY, DUPLICATION_BLOCK, RuleSet
 
 RISING_LINEAR = "rising-linear"
 FALLING_LINEAR = "falling-linear"
@@ -21,13 +21,9 @@ RELATIVE_MIN = "relative-min"
 
 INDICATORS = ("commentRatio", "duplicationRatio", "tdr", "volumetry")
 
-# attribute counted as this indicator must not also be an enabled debt rule
-_CONFLICTS = {
-    "duplicationRatio": (DUPLICATION_BLOCK,),
-    "commentRatio": (COMMENT_DENSITY,),
-}
-
 WEIGHT_TOLERANCE = 1e-9
+
+DEFAULT_DELTA_PP = 5.0
 
 
 @dataclass(frozen=True)
@@ -45,12 +41,15 @@ class IndicatorMapping:
             raise ValueError(f"indicator '{self.indicator}': weight must be in [0, 1]")
 
 
+# the source of config.DEFAULT_CONFIG's composite.indicators section
 DEFAULT_MAPPINGS = (
     IndicatorMapping("commentRatio", RISING_THEN_FALLING, 0.15, 0.40, 0.15),
     IndicatorMapping("duplicationRatio", FALLING_LINEAR, 0.05, 0.15, 0.15),
     IndicatorMapping("tdr", FALLING_LINEAR, 0.0, 0.20, 0.45),
     IndicatorMapping("volumetry", RELATIVE_MIN, 1.0, 1.5, 0.25),
 )
+
+_DEFAULT_BY_INDICATOR = {m.indicator: m for m in DEFAULT_MAPPINGS}
 
 
 @dataclass(frozen=True)
@@ -108,12 +107,13 @@ def map_tdr_indicator(tdr: float) -> float:
     ratio of 20% (the C/D grade boundary) and beyond."""
     if tdr < 0:
         raise ValueError("tdr cannot be negative")
-    mapping = next(m for m in DEFAULT_MAPPINGS if m.indicator == "tdr")
-    return map_indicator(tdr, mapping)
+    return map_indicator(tdr, _DEFAULT_BY_INDICATOR["tdr"])
 
 
 def map_volumetry(
-    loc_by_project: dict[str, int], low: float = 1.0, high: float = 1.5
+    loc_by_project: dict[str, int],
+    low: float = _DEFAULT_BY_INDICATOR["volumetry"].low,
+    high: float = _DEFAULT_BY_INDICATOR["volumetry"].high,
 ) -> dict[str, float]:
     """Relative size score: 100 at the minimum LOC, 0 at or beyond high x min."""
     if len(loc_by_project) < 2:
@@ -132,26 +132,6 @@ def validate_weights(mappings: list[IndicatorMapping]) -> None:
     total = sum(m.weight for m in mappings)
     if abs(total - 1.0) > WEIGHT_TOLERANCE:
         raise ValueError(f"indicator weights must sum to 1, got {total}")
-
-
-def validate_single_counting(
-    mappings: list[IndicatorMapping], rule_sets: list[RuleSet]
-) -> list[tuple[str, str]]:
-    """Return (indicator, rule id) pairs that would count an attribute twice."""
-    weighted = {m.indicator for m in mappings if m.weight > 0}
-    conflicts = []
-    for indicator, rule_ids in _CONFLICTS.items():
-        if indicator not in weighted:
-            continue
-        for rule_id in rule_ids:
-            if any(
-                rule.enabled
-                for rs in rule_sets
-                for rule in rs.rules
-                if rule.canonical_id == rule_id
-            ):
-                conflicts.append((indicator, rule_id))
-    return conflicts
 
 
 def _mapped_scores(
@@ -283,7 +263,7 @@ class SensitivityReport:
 def sensitivity_analysis(
     projects: list[ProjectIndicators],
     mappings: list[IndicatorMapping] | None = None,
-    delta_pp: float = 5.0,
+    delta_pp: float = DEFAULT_DELTA_PP,
 ) -> SensitivityReport:
     """Re-rank under +/- delta perturbations of each indicator weight.
 

@@ -15,37 +15,29 @@ import json
 import os
 from pathlib import Path
 
-from .composite import INDICATORS, IndicatorMapping, validate_weights
+from . import debt_models
+from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
 from .errors import InvalidConfig, SingleCountingViolation
 from .rules import CANONICAL_IDS, COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS
 
 ENV_CONFIG = "XMAINT_CONFIG"
+
+REPORT_FORMATS = ("json", "md", "csv")
 
 DEFAULT_CONFIG: dict = {
     "profiles": {"files": [], "definitions": []},
     "rules": {},
     "models": {
         "mi": {"scope": "unit"},
-        "sqale": {"cost_per_line_minutes": 30.0},
+        "sqale": {"cost_per_line_minutes": debt_models.DEFAULT_COST_PER_LINE_MINUTES},
         "sig": {
-            "cc_bands": [10, 20, 50],
-            "unit_size_bands": [30, 60, 120],
-            "volume_ladder": [[20000, 5], [50000, 4], [120000, 3], [300000, 2]],
-            "duplication_ladder": [[0.03, 5], [0.05, 4], [0.10, 3], [0.20, 2]],
-            "coverage_ladder": [[0.95, 5], [0.80, 4], [0.60, 3], [0.20, 2]],
-            "profile_caps": {
-                "5": [0.25, 0.0, 0.0],
-                "4": [0.30, 0.05, 0.0],
-                "3": [0.40, 0.10, 0.0],
-                "2": [0.50, 0.15, 0.05],
-                "1": [1.0, 1.0, 1.0],
-            },
-            "matrix": {
-                "analysability": ["volume", "duplication", "unitSize", "unitTesting"],
-                "changeability": ["complexity", "duplication"],
-                "stability": ["unitTesting"],
-                "testability": ["complexity", "unitSize", "unitTesting"],
-            },
+            "cc_bands": list(debt_models.DEFAULT_CC_BANDS),
+            "unit_size_bands": list(debt_models.DEFAULT_UNIT_SIZE_BANDS),
+            "volume_ladder": [list(step) for step in debt_models.DEFAULT_VOLUME_LADDER],
+            "duplication_ladder": [list(step) for step in debt_models.DEFAULT_DUPLICATION_LADDER],
+            "coverage_ladder": [list(step) for step in debt_models.DEFAULT_COVERAGE_LADDER],
+            "profile_caps": {str(r): list(caps) for r, caps in debt_models.DEFAULT_PROFILE_CAPS.items()},
+            "matrix": {name: list(props) for name, props in debt_models.DEFAULT_SIG_MATRIX.items()},
             "coverage": None,
         },
     },
@@ -53,13 +45,11 @@ DEFAULT_CONFIG: dict = {
     "duplication": {"min_tokens": 50, "mode": "exact"},
     "composite": {
         "indicators": {
-            "commentRatio": {"shape": "rising-then-falling", "low": 0.15, "high": 0.40, "weight": 0.15},
-            "duplicationRatio": {"shape": "falling-linear", "low": 0.05, "high": 0.15, "weight": 0.15},
-            "tdr": {"shape": "falling-linear", "low": 0.0, "high": 0.20, "weight": 0.45},
-            "volumetry": {"shape": "relative-min", "low": 1.0, "high": 1.5, "weight": 0.25},
+            m.indicator: {"shape": m.shape, "low": m.low, "high": m.high, "weight": m.weight}
+            for m in DEFAULT_MAPPINGS
         },
         "duplication_source": "token",
-        "sensitivity": {"delta_pp": 5.0},
+        "sensitivity": {"delta_pp": DEFAULT_DELTA_PP},
     },
     "report": {"format": "json"},
 }
@@ -131,6 +121,16 @@ def _rule_enabled(config: dict, canonical_id: str) -> bool:
     return _DEFAULTS[canonical_id][2]
 
 
+def _number(config: dict, dotted_key: str, kind=float):
+    value = config
+    for key in dotted_key.split("."):
+        value = value[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{dotted_key} must be a number, got {value!r}") from None
+
+
 def validate_config(config: dict) -> None:
     """Structural checks plus the single-counting guard.
 
@@ -149,12 +149,18 @@ def validate_config(config: dict) -> None:
     mode = config["duplication"]["mode"]
     if mode not in ("exact", "identifier-blind"):
         raise InvalidConfig(f"duplication.mode must be 'exact' or 'identifier-blind', got '{mode}'")
-    if int(config["duplication"]["min_tokens"]) < 3:
+    if _number(config, "duplication.min_tokens", int) < 3:
         raise InvalidConfig("duplication.min_tokens must be >= 3")
-    if float(config["models"]["sqale"]["cost_per_line_minutes"]) <= 0:
+    if _number(config, "models.sqale.cost_per_line_minutes") <= 0:
         raise InvalidConfig("models.sqale.cost_per_line_minutes must be > 0")
     if config["models"]["mi"]["scope"] not in ("unit", "file"):
         raise InvalidConfig("models.mi.scope must be 'unit' or 'file'")
+    if config["report"]["format"] not in REPORT_FORMATS:
+        raise InvalidConfig(f"report.format must be one of {list(REPORT_FORMATS)}")
+    if config["composite"]["duplication_source"] not in ("token", "line"):
+        raise InvalidConfig("composite.duplication_source must be 'token' or 'line'")
+    if _number(config, "composite.sensitivity.delta_pp") <= 0:
+        raise InvalidConfig("composite.sensitivity.delta_pp must be > 0")
 
     weighted = {m.indicator for m in mappings if m.weight > 0}
     conflicts = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MissingUnits, NegativeTdr, NoUnits, ZeroProductionEffort
+from .errors import ZeroProductionEffort
 from .rules import Violation
 
 GRADES = ("A", "B", "C", "D", "E")
@@ -20,7 +20,8 @@ RISK_BANDS = ("low", "moderate", "high", "veryHigh")
 SIG_PROPERTIES = ("volume", "complexity", "duplication", "unitSize", "unitTesting")
 SIG_CHARACTERISTICS = ("analysability", "changeability", "stability", "testability")
 
-# Shipped defaults; all overridable through the models.sig config section.
+# Shipped defaults, copied into config.DEFAULT_CONFIG's models.sig section;
+# all overridable there.
 DEFAULT_CC_BANDS = (10, 20, 50)
 DEFAULT_UNIT_SIZE_BANDS = (30, 60, 120)
 
@@ -77,7 +78,7 @@ def maintainability_index(ahv: float, acc: float, aloc: float) -> MiResult:
     result is clamped at 0 and cannot exceed 100 for valid inputs.
     """
     if ahv is None or aloc is None or acc is None:
-        raise MissingUnits("maintainability index needs unit averages")
+        raise ValueError("maintainability index needs unit averages")
     if acc < 0:
         raise ValueError("mean cyclomatic complexity cannot be negative")
     ahv = max(float(ahv), 1.0)
@@ -99,7 +100,7 @@ def production_effort(total_loc: int, cost_per_line_minutes: float = DEFAULT_COS
 
 def tdr_grade(tdr: float) -> str:
     if tdr < 0:
-        raise NegativeTdr(f"technical debt ratio cannot be negative: {tdr}")
+        raise ValueError(f"technical debt ratio cannot be negative: {tdr}")
     for grade, bound in _GRADE_BOUNDS:
         if tdr <= bound:
             return grade
@@ -123,7 +124,7 @@ def technical_debt_ratio(violations: list[Violation], production_minutes: float)
 def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: tuple[float, float, float]) -> dict[str, float]:
     """Share of code volume per risk band; band upper bounds are inclusive."""
     if not values_and_loc:
-        raise NoUnits("risk profile needs at least one unit")
+        raise ValueError("risk profile needs at least one unit")
     low, moderate, high = bands
     if not (low < moderate < high):
         raise ValueError("bands must be strictly increasing")

@@ -17,19 +17,7 @@ class EmptyProject(XmaintError):
     pass
 
 
-class MissingUnits(XmaintError):
-    pass
-
-
-class NoUnits(XmaintError):
-    pass
-
-
 class ZeroProductionEffort(XmaintError):
-    pass
-
-
-class NegativeTdr(XmaintError):
     pass
 
 

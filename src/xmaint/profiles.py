@@ -54,16 +54,7 @@ class LanguageProfile:
         return text if self.case_sensitive else text.upper()
 
     def is_decision(self, text: str) -> bool:
-        return self.fold(text) in self._folded_decisions()
-
-    def is_operator_text(self, text: str) -> bool:
-        return self.fold(text) in self._folded_operators()
-
-    def _folded_decisions(self) -> frozenset[str]:
-        return frozenset(self.fold(t) for t in self.decision_tokens)
-
-    def _folded_operators(self) -> frozenset[str]:
-        return frozenset(self.fold(t) for t in self.operator_tokens)
+        return self.fold(text) in {self.fold(t) for t in self.decision_tokens}
 
     def as_dict(self) -> dict:
         return {
@@ -235,7 +226,7 @@ def detect_profile(path, registry: ProfileRegistry) -> LanguageProfile:
     return profile
 
 
-_FIELD_NAMES = {f.name for f in fields(LanguageProfile)}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(LanguageProfile)}
 
 _REQUIRED_KEYS = ("id", "file_extensions", "unit_detection")
 
@@ -244,7 +235,7 @@ def profile_from_dict(data: dict) -> LanguageProfile:
     """Build a profile from a JSON-style dict, validating keys and shapes."""
     if not isinstance(data, dict):
         raise InvalidProfileConfig("profile definition must be an object")
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - set(_FIELD_DEFAULTS)
     if unknown:
         raise InvalidProfileConfig(f"unknown profile keys: {sorted(unknown)}")
     for key in _REQUIRED_KEYS:
@@ -266,7 +257,7 @@ def profile_from_dict(data: dict) -> LanguageProfile:
             out.append(tuple(str(x) for x in item))
         return tuple(out)
 
-    pattern = data.get("identifier_pattern", r"[A-Za-z_][A-Za-z0-9_]*")
+    pattern = data.get("identifier_pattern", _FIELD_DEFAULTS["identifier_pattern"])
     try:
         re.compile(pattern)
     except re.error as exc:
@@ -286,9 +277,9 @@ def profile_from_dict(data: dict) -> LanguageProfile:
         nesting_keywords=pair_tuple("nesting_keywords", 2),
         keywords=frozenset(str_tuple("keywords")),
         identifier_pattern=pattern,
-        naming_pattern=str(data.get("naming_pattern", r"^[a-z_][a-zA-Z0-9_]*$")),
-        case_sensitive=bool(data.get("case_sensitive", True)),
-        verbosity_factor=float(data.get("verbosity_factor", 1.0)),
+        naming_pattern=str(data.get("naming_pattern", _FIELD_DEFAULTS["naming_pattern"])),
+        case_sensitive=bool(data.get("case_sensitive", _FIELD_DEFAULTS["case_sensitive"])),
+        verbosity_factor=float(data.get("verbosity_factor", _FIELD_DEFAULTS["verbosity_factor"])),
     )
 
 

@@ -297,7 +297,7 @@ def render_csv(report: dict) -> str:
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return render_json(report)
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return render_markdown(report)
     if fmt == "csv":
         return render_csv(report)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conftest import write_tree
+from xmaint import analysis
+from xmaint.analysis import discover_files
 from xmaint.cli import main
 
 C_FILE = """\
@@ -225,6 +227,70 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     assert code == 1
     assert "single-counting" in err
     assert "duplicationRatio" in err and "duplication-block" in err
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("analyze", {"report": {"format": "xml"}}, "report.format"),
+    ("analyze", {"composite": {"duplication_source": "lines"}}, "composite.duplication_source"),
+    ("compare", {"composite": {"sensitivity": {"delta_pp": 0}}}, "composite.sensitivity.delta_pp"),
+    ("compare", {"composite": {"sensitivity": {"delta_pp": "5pp"}}}, "composite.sensitivity.delta_pp"),
+    ("analyze", {"duplication": {"min_tokens": "fifty"}}, "duplication.min_tokens"),
+], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text"])
+def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(override))
+    a = write_tree(tmp_path / "alpha", {"m.c": C_FILE})
+    b = write_tree(tmp_path / "beta", {"m.py": PY_FILE})
+    paths = [str(a)] if command == "analyze" else [str(a), str(b), "--sensitivity"]
+    code, out, err = run(capsys, command, *paths, "--config", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_default_config_hash_is_pinned(corpus, capsys, monkeypatch):
+    # a change here makes every stored snapshot incomparable: change it on purpose only
+    monkeypatch.delenv("XMAINT_CONFIG", raising=False)
+    _, out, _ = run(capsys, "analyze", str(corpus))
+    assert json.loads(out)["config_hash"] == (
+        "ac8b504d5cecb2251f3900b8c4820d371a16de49436c2b5935329127dd8efc77"
+    )
+
+
+# --- discovery ---
+
+
+@pytest.fixture
+def layered(tmp_path):
+    return write_tree(tmp_path / "proj", {
+        rel: C_FILE for rel in (
+            "src/a.c", "src/tests/v.c", "tests/t.c", "tests/deep/u.c", "build/g.c", "src/build/h.c",
+        )
+    })
+
+
+@pytest.mark.parametrize("includes, excludes, expected", [
+    # a bare name matches a file's basename only, so no directory is dropped
+    ((), ("tests",), ["src/a.c", "src/tests/v.c", "tests/deep/u.c", "tests/t.c"]),
+    # '*' crosses '/', so 'tests/*' drops the whole top-level tree
+    ((), ("tests/*",), ["src/a.c", "src/tests/v.c"]),
+    # '*/tests/*' needs a parent directory before 'tests'
+    ((), ("*/tests/*",), ["src/a.c", "tests/deep/u.c", "tests/t.c"]),
+    (("src/*",), (), ["src/a.c", "src/tests/v.c"]),
+], ids=["bare-name", "top-level-dir", "nested-dir", "include-dir"])
+def test_discovery_globs(layered, registry, includes, excludes, expected):
+    # DEFAULT_EXCLUDES prune directory names ('build') at any depth, whatever the globs
+    found = discover_files(layered, registry, includes=includes, excludes=excludes)
+    assert [rel for _, rel, _ in found] == expected
+
+
+def test_discovery_propagates_unexpected_errors(layered, registry, monkeypatch):
+    def broken(path, registry):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(analysis, "detect_profile", broken)
+    with pytest.raises(RuntimeError):
+        discover_files(layered, registry)
 
 
 # --- compare ---

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from xmaint.composite import (
@@ -9,12 +11,11 @@ from xmaint.composite import (
     map_tdr_indicator,
     map_volumetry,
     sensitivity_analysis,
-    validate_single_counting,
     validate_weights,
 )
-from xmaint.errors import EstimatorMismatch, RuleSetMismatch, SingleProject
-from xmaint.profiles import C_FAMILY, PYTHON
-from xmaint.rules import DUPLICATION_BLOCK, COMMENT_DENSITY, load_rule_set
+from xmaint.config import DEFAULT_CONFIG, validate_config
+from xmaint.errors import EstimatorMismatch, RuleSetMismatch, SingleCountingViolation, SingleProject
+from xmaint.rules import DUPLICATION_BLOCK, COMMENT_DENSITY
 
 COMMENT_MAP = next(m for m in DEFAULT_MAPPINGS if m.indicator == "commentRatio")
 DUP_MAP = next(m for m in DEFAULT_MAPPINGS if m.indicator == "duplicationRatio")
@@ -197,31 +198,37 @@ def test_argmax_invariance_under_effort_scaling():
 # --- single counting ---
 
 
+def config_with_rules(rules):
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    config["rules"] = rules
+    return config
+
+
 def test_default_config_passes_single_counting():
-    rule_sets = [load_rule_set({}, C_FAMILY), load_rule_set({}, PYTHON)]
-    assert validate_single_counting(list(DEFAULT_MAPPINGS), rule_sets) == []
+    validate_config(config_with_rules({}))
 
 
 def test_duplication_double_counting_detected():
-    rule_sets = [load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)]
-    conflicts = validate_single_counting(list(DEFAULT_MAPPINGS), rule_sets)
-    assert ("duplicationRatio", DUPLICATION_BLOCK) in conflicts
+    with pytest.raises(SingleCountingViolation) as excinfo:
+        validate_config(config_with_rules({DUPLICATION_BLOCK: {"enabled": True}}))
+    assert excinfo.value.pairs == [("duplicationRatio", DUPLICATION_BLOCK)]
 
 
 def test_comment_double_counting_detected():
-    rule_sets = [load_rule_set({COMMENT_DENSITY: {"enabled": True}}, PYTHON)]
-    conflicts = validate_single_counting(list(DEFAULT_MAPPINGS), rule_sets)
-    assert ("commentRatio", COMMENT_DENSITY) in conflicts
+    with pytest.raises(SingleCountingViolation) as excinfo:
+        validate_config(config_with_rules({COMMENT_DENSITY: {"enabled": True}}))
+    assert excinfo.value.pairs == [("commentRatio", COMMENT_DENSITY)]
 
 
 def test_attribute_counted_once_as_debt_is_fine():
-    # no duplication indicator, rule enabled: counted once, as debt
-    mappings = [
-        IndicatorMapping("commentRatio", "rising-then-falling", 0.15, 0.40, 0.30),
-        IndicatorMapping("tdr", "falling-linear", 0.0, 0.20, 0.70),
-    ]
-    rule_sets = [load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)]
-    assert validate_single_counting(mappings, rule_sets) == []
+    # duplication carries no indicator weight, rule enabled: counted once, as debt
+    config = config_with_rules({DUPLICATION_BLOCK: {"enabled": True}})
+    indicators = config["composite"]["indicators"]
+    indicators["duplicationRatio"]["weight"] = 0.0
+    indicators["tdr"]["weight"] = 0.60
+    validate_config(config)
+    del indicators["duplicationRatio"]
+    validate_config(config)
 
 
 # --- sensitivity ---

@@ -1,7 +1,10 @@
+import copy
 import math
 
 import pytest
 
+from conftest import write_tree
+from xmaint.analysis import analyze_project
 from xmaint.errors import EmptyProject
 from xmaint.lexing import LineClassification, classify_lines, physical_line_count, tokenize
 from xmaint.metrics import (
@@ -12,7 +15,7 @@ from xmaint.metrics import (
     halstead,
     unit_metrics,
 )
-from xmaint.profiles import C_FAMILY, PYTHON
+from xmaint.profiles import C_FAMILY, PYTHON, ProfileRegistry
 from xmaint.units import extract_units
 
 
@@ -240,3 +243,58 @@ def test_weighted_means_variant():
     weighted = aggregate_project([lines], metrics, weighted=True)
     # the larger unit has higher cc, so loc-weighting must pull the mean up
     assert weighted.acc > unweighted.acc
+
+
+# --- analyze_project config variants, on a hand-counted two-file corpus ---
+
+# a.c: one statement outside any unit, then f (1 operator '+', operands
+# f a a 1, cc 1, 3 code lines). The file adds '=' and the operands total 0.
+A_C = "int total = 0;\nint f(int a) {\n    return a + 1;\n}\n"
+# b.c: a comment line, then g (operators > && >, operands g x y x y y 0 x y,
+# cc 3, 6 code lines); g covers every code token of the file.
+B_C = "/* pick */\nint g(int x, int y) {\n    if (x > y && y > 0) {\n        return x;\n    }\n    return y;\n}\n"
+
+F_VOLUME = (1 + 4) * math.log2(1 + 3)  # N1 + N2 = 5, n1 + n2 = 4
+G_VOLUME = (3 + 9) * math.log2(2 + 4)  # N1 + N2 = 12, n1 + n2 = 6
+A_FILE_VOLUME = (2 + 6) * math.log2(2 + 5)  # adds '=' and total 0
+
+
+def mi_of(ahv, acc, aloc):
+    return 100 * (171 - 5.2 * math.log(ahv) - 0.23 * acc - 16.2 * math.log(aloc)) / 171
+
+
+def analyze_two_files(tmp_path, config):
+    root = write_tree(tmp_path / "proj", {"a.c": A_C, "b.c": B_C})
+    return analyze_project(root, config, ProfileRegistry())
+
+
+def test_default_unit_means_on_two_files(tmp_path, default_config):
+    pa = analyze_two_files(tmp_path, default_config)
+    assert pa.metrics.ahv == pytest.approx((F_VOLUME + G_VOLUME) / 2)
+    assert (pa.metrics.acc, pa.metrics.aloc) == (2.0, 4.5)
+    assert pa.mi.mi == pytest.approx(mi_of((F_VOLUME + G_VOLUME) / 2, 2.0, 4.5))
+
+
+def test_weighted_unit_means_on_two_files(tmp_path, default_config):
+    config = copy.deepcopy(default_config)
+    config["metrics"]["weighted_unit_means"] = True
+    pa = analyze_two_files(tmp_path, config)
+    ahv = (F_VOLUME * 3 + G_VOLUME * 6) / 9
+    acc = (1 * 3 + 3 * 6) / 9
+    aloc = (3 * 3 + 6 * 6) / 9
+    assert (pa.metrics.ahv, pa.metrics.acc, pa.metrics.aloc) == pytest.approx((ahv, acc, aloc))
+    assert (pa.mi.ahv, pa.mi.acc, pa.mi.aloc) == pytest.approx((ahv, acc, aloc))
+    assert pa.mi.mi == pytest.approx(mi_of(ahv, acc, aloc))
+
+
+def test_file_scope_mi_on_two_files(tmp_path, default_config):
+    config = copy.deepcopy(default_config)
+    config["models"]["mi"]["scope"] = "file"
+    pa = analyze_two_files(tmp_path, config)
+    ahv = (A_FILE_VOLUME + G_VOLUME) / 2
+    acc = (1 + 3) / 2
+    aloc = (4 + 6) / 2
+    assert (pa.mi.ahv, pa.mi.acc, pa.mi.aloc) == pytest.approx((ahv, acc, aloc))
+    assert pa.mi.mi == pytest.approx(mi_of(ahv, acc, aloc))
+    # the project's unit means are untouched by the MI scope
+    assert (pa.metrics.acc, pa.metrics.aloc) == (2.0, 4.5)

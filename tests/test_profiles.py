@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,11 @@ from xmaint.profiles import (
     build_registry,
     detect_profile,
     load_profiles_file,
+    _REQUIRED_KEYS,
     profile_from_dict,
 )
+
+SCHEMA = Path(__file__).parent.parent / "docs" / "profile-schema.json"
 
 
 def test_detect_by_extension(registry):
@@ -115,3 +120,14 @@ def test_case_insensitive_fold():
     assert cobol.is_decision("if") and cobol.is_decision("IF")
     c = next(p for p in BUILTIN_PROFILES if p.id == "c-family")
     assert c.is_decision("if") and not c.is_decision("IF")
+
+
+def test_schema_matches_profile_fields():
+    schema = json.loads(SCHEMA.read_text(encoding="utf-8"))["$defs"]["profile"]
+    fields = {f.name: f for f in dataclasses.fields(LanguageProfile)}
+    assert set(schema["properties"]) == set(fields)
+    assert schema["required"] == list(_REQUIRED_KEYS)
+    declared = {k: v["default"] for k, v in schema["properties"].items() if "default" in v}
+    assert declared == {k: fields[k].default for k in declared}
+    # every optional scalar field declares its default in the schema
+    assert set(declared) == {"identifier_pattern", "naming_pattern", "case_sensitive", "verbosity_factor"}
