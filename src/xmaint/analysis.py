@@ -158,9 +158,7 @@ def analyze_file(abs_path: Path, rel: str, profile: LanguageProfile) -> FileAnal
     lines = classify_lines(tokens, physical_line_count(text))
     units, unit_diags = extract_units(tokens, profile, file=rel)
     diagnostics.extend(unit_diags)
-    unit_metrics_list = tuple(
-        metrics.unit_metrics(unit, tokens, lines, profile, units) for unit in units
-    )
+    unit_metrics_list = tuple(metrics.file_unit_metrics(units, tokens, lines, profile))
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,

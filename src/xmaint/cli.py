@@ -20,6 +20,7 @@ from .config import (
     config_hash,
     load_config,
 )
+from .duplication import DUPLICATION_MODES
 from .errors import XmaintError
 from .profiles import build_registry
 from .rules import load_rule_set
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="config file (or XMAINT_CONFIG env var)")
         p.add_argument("--format", default=None, choices=REPORT_FORMATS)
         p.add_argument("--min-tokens", type=int, default=None, help="clone detection threshold")
-        p.add_argument("--dup-mode", default=None, choices=["exact", "identifier-blind"])
+        p.add_argument("--dup-mode", default=None, choices=DUPLICATION_MODES)
         p.add_argument("--cost-per-line", type=float, default=None,
                        help="production effort estimate, minutes per LOC")
         p.add_argument("--coverage", type=float, default=None,

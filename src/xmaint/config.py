@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import debt_models
 from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
+from .duplication import DUPLICATION_MODES
 from .errors import InvalidConfig, SingleCountingViolation
 from .rules import CANONICAL_IDS, COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS
 
@@ -131,6 +132,59 @@ def _number(config: dict, dotted_key: str, kind=float):
         raise InvalidConfig(f"{dotted_key} must be a number, got {value!r}") from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer_text(text) -> bool:
+    try:
+        int(text)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _numbers(value, count: int) -> bool:
+    return isinstance(value, list) and len(value) == count and all(map(_is_number, value))
+
+
+def _validate_sig(sig) -> None:
+    """models.sig must have the shapes that analysis and debt_models unpack."""
+    if not isinstance(sig, dict):
+        raise InvalidConfig("models.sig must be an object")
+    for key in ("cc_bands", "unit_size_bands"):
+        bands = sig[key]
+        if not (_numbers(bands, 3) and bands[0] < bands[1] < bands[2]):
+            raise InvalidConfig(f"models.sig.{key} must be three increasing numbers, got {bands!r}")
+    for key in ("volume_ladder", "duplication_ladder", "coverage_ladder"):
+        ladder = sig[key]
+        if not (isinstance(ladder, list) and all(_numbers(step, 2) for step in ladder)):
+            raise InvalidConfig(f"models.sig.{key} must be a list of [bound, rating] number pairs")
+    caps = sig["profile_caps"]
+    if not (isinstance(caps, dict) and all(
+            _is_integer_text(key) and _numbers(value, 3) for key, value in caps.items())):
+        raise InvalidConfig(
+            "models.sig.profile_caps must map integer ratings to three numbers "
+            "(moderate, high, veryHigh caps)"
+        )
+    matrix = sig["matrix"]
+    if not (isinstance(matrix, dict) and all(
+            key in debt_models.SIG_CHARACTERISTICS and isinstance(value, list)
+            and all(p in debt_models.SIG_PROPERTIES for p in value)
+            for key, value in matrix.items())):
+        raise InvalidConfig(
+            f"models.sig.matrix must map characteristics {list(debt_models.SIG_CHARACTERISTICS)} "
+            f"to lists of properties {list(debt_models.SIG_PROPERTIES)}"
+        )
+    coverage = sig["coverage"]
+    values = coverage.values() if isinstance(coverage, dict) else [coverage]
+    if not all(v is None or (_is_number(v) and 0 <= v <= 1) for v in values):
+        raise InvalidConfig(
+            f"models.sig.coverage must be null, a number in [0, 1] or an object of such "
+            f"numbers keyed by project id, got {coverage!r}"
+        )
+
+
 def validate_config(config: dict) -> None:
     """Structural checks plus the single-counting guard.
 
@@ -147,14 +201,17 @@ def validate_config(config: dict) -> None:
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     mode = config["duplication"]["mode"]
-    if mode not in ("exact", "identifier-blind"):
-        raise InvalidConfig(f"duplication.mode must be 'exact' or 'identifier-blind', got '{mode}'")
+    if mode not in DUPLICATION_MODES:
+        raise InvalidConfig(f"duplication.mode must be one of {list(DUPLICATION_MODES)}, got '{mode}'")
     if _number(config, "duplication.min_tokens", int) < 3:
         raise InvalidConfig("duplication.min_tokens must be >= 3")
     if _number(config, "models.sqale.cost_per_line_minutes") <= 0:
         raise InvalidConfig("models.sqale.cost_per_line_minutes must be > 0")
     if config["models"]["mi"]["scope"] not in ("unit", "file"):
         raise InvalidConfig("models.mi.scope must be 'unit' or 'file'")
+    _validate_sig(config["models"]["sig"])
+    if not isinstance(config["metrics"]["weighted_unit_means"], bool):
+        raise InvalidConfig("metrics.weighted_unit_means must be true or false")
     if config["report"]["format"] not in REPORT_FORMATS:
         raise InvalidConfig(f"report.format must be one of {list(REPORT_FORMATS)}")
     if config["composite"]["duplication_source"] not in ("token", "line"):

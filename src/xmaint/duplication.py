@@ -38,6 +38,7 @@ from .lexing import COMMENT, IDENTIFIER, LineClassification, Token
 
 EXACT = "exact"
 IDENTIFIER_BLIND = "identifier-blind"
+DUPLICATION_MODES = (EXACT, IDENTIFIER_BLIND)
 
 _ID_PLACEHOLDER = "\x00id"
 

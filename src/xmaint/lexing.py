@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Diagnostic
-from .profiles import LanguageProfile
+from .profiles import LanguageProfile, folded_tokens
 
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
@@ -109,9 +109,7 @@ def _compile(profile: LanguageProfile):
     add("symbol", r".", None)  # catch-all: any other single char is punctuation
 
     master = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in parts))
-    folded_keywords = frozenset(profile.fold(k) for k in profile.keywords)
-    folded_operators = frozenset(profile.fold(t) for t in profile.operator_tokens)
-    return master, handlers, folded_keywords, folded_operators
+    return master, handlers
 
 
 def _line_starts(text: str) -> list[int]:
@@ -132,7 +130,9 @@ def tokenize(
     of the line (rest of file for multi-line literals), unterminated block
     comments the rest of the file, each with a diagnostic.
     """
-    master, handlers, folded_keywords, folded_operators = _compile(profile)
+    master, handlers = _compile(profile)
+    folded_sets = folded_tokens(profile)
+    folded_keywords, folded_operators = folded_sets.keywords, folded_sets.operators
     starts = _line_starts(text)
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []

@@ -7,6 +7,7 @@ code computes metrics for every registered language profile.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import EmptyProject
@@ -23,8 +24,8 @@ from .lexing import (
     LineClassification,
     Token,
 )
-from .profiles import LanguageProfile
-from .units import Unit
+from .profiles import LanguageProfile, folded_tokens
+from .units import Unit, contained_units, inner_after_start, inner_not_identical, uncovered_spans
 
 _OPERAND_KINDS = (IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL)
 _OPERATOR_CANDIDATE_KINDS = (OPERATOR, KEYWORD, PUNCTUATION)
@@ -78,7 +79,7 @@ class ProjectMetrics:
 
 def cyclomatic_complexity(unit_tokens: list[Token], profile: LanguageProfile) -> int:
     """1 + number of decision tokens (branch/loop/guard keywords, short-circuit ops)."""
-    decisions = {profile.fold(t) for t in profile.decision_tokens}
+    decisions = folded_tokens(profile).decisions
     count = sum(
         1
         for tok in unit_tokens
@@ -90,7 +91,7 @@ def cyclomatic_complexity(unit_tokens: list[Token], profile: LanguageProfile) ->
 def halstead(unit_tokens: list[Token], profile: LanguageProfile) -> HalsteadCounts:
     """Count operators/operands; distinctness is by (kind, text), case-folded
     when the profile is case-insensitive."""
-    operators = {profile.fold(t) for t in profile.operator_tokens}
+    operators = folded_tokens(profile).operators
     distinct_ops: set[tuple[str, str]] = set()
     distinct_operands: set[tuple[str, str]] = set()
     total_ops = 0
@@ -118,24 +119,19 @@ def comment_ratio(lines: LineClassification) -> float:
     return (lines.comment + lines.mixed) / denominator
 
 
-def _own_lines(unit: Unit, inner_units: list[Unit]) -> set[int]:
+def _own_lines(unit: Unit, inner_units: Sequence[Unit]) -> set[int]:
     lines = set(range(unit.start_line, unit.end_line + 1))
     for inner in inner_units:
-        lines -= set(range(inner.start_line, inner.end_line + 1))
+        lines.difference_update(range(inner.start_line, inner.end_line + 1))
     lines.add(unit.start_line)  # the header always belongs to the unit itself
     return lines
 
 
-def _own_tokens(unit: Unit, all_units: list[Unit], file_tokens: list[Token]) -> list[Token]:
+def _own_tokens(
+    unit: Unit, masked_ranges: Sequence[tuple[int, int]], file_tokens: list[Token]
+) -> list[Token]:
     lo, hi = unit.token_range
-    masked = [False] * (hi - lo)
-    for other in all_units:
-        olo, ohi = other.token_range
-        if other is unit or olo < lo or ohi > hi or (olo, ohi) == (lo, hi):
-            continue
-        for i in range(max(olo, lo), min(ohi, hi)):
-            masked[i - lo] = True
-    return [file_tokens[i] for i in range(lo, hi) if not masked[i - lo]]
+    return [tok for a, b in uncovered_spans(lo, hi, masked_ranges) for tok in file_tokens[a:b]]
 
 
 def unit_metrics(
@@ -143,19 +139,17 @@ def unit_metrics(
     file_tokens: list[Token],
     file_lines: LineClassification,
     profile: LanguageProfile,
-    all_units: list[Unit] | None = None,
+    inner_units: Sequence[Unit] = (),
+    masked_ranges: Sequence[tuple[int, int]] = (),
 ) -> UnitMetrics:
-    """Per-unit metrics with nested units' tokens and lines excluded."""
-    all_units = all_units or [unit]
-    inner = [
-        other
-        for other in all_units
-        if other is not unit
-        and unit.token_range[0] < other.token_range[0]
-        and other.token_range[1] <= unit.token_range[1]
-    ]
-    own_tokens = _own_tokens(unit, all_units, file_tokens)
-    own_lines = _own_lines(unit, inner)
+    """Per-unit metrics with nested units' tokens and lines excluded.
+
+    ``inner_units`` give up their lines and ``masked_ranges`` (sorted by
+    start) their tokens; ``file_unit_metrics`` derives both from the file's
+    containment index.
+    """
+    own_tokens = _own_tokens(unit, masked_ranges, file_tokens)
+    own_lines = _own_lines(unit, inner_units)
     loc = sum(
         1
         for line in own_lines
@@ -170,6 +164,24 @@ def unit_metrics(
         halstead=halstead(own_tokens, profile),
         nesting_depth_max=unit.nesting_depth_max,
     )
+
+
+def file_unit_metrics(
+    units: list[Unit],
+    file_tokens: list[Token],
+    file_lines: LineClassification,
+    profile: LanguageProfile,
+) -> list[UnitMetrics]:
+    """``unit_metrics`` for every unit of one file, from one containment index."""
+    ranges = [unit.token_range for unit in units]
+    return [
+        unit_metrics(
+            unit, file_tokens, file_lines, profile,
+            [units[j] for j in inner_after_start(ranges, i, contained)],
+            [ranges[j] for j in inner_not_identical(ranges, i, contained)],
+        )
+        for i, (unit, contained) in enumerate(zip(units, contained_units(ranges)))
+    ]
 
 
 def aggregate_project(

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvalidProfileConfig, UnknownLanguage
 
@@ -54,7 +56,7 @@ class LanguageProfile:
         return text if self.case_sensitive else text.upper()
 
     def is_decision(self, text: str) -> bool:
-        return self.fold(text) in {self.fold(t) for t in self.decision_tokens}
+        return self.fold(text) in folded_tokens(self).decisions
 
     def as_dict(self) -> dict:
         return {
@@ -75,6 +77,29 @@ class LanguageProfile:
             "case_sensitive": self.case_sensitive,
             "verbosity_factor": self.verbosity_factor,
         }
+
+
+class FoldedTokens(NamedTuple):
+    """A profile's token-text sets under its case folding."""
+
+    decisions: frozenset[str]
+    operators: frozenset[str]
+    keywords: frozenset[str]
+    nesting_opens: frozenset[str]
+    nesting_closes: frozenset[str]
+
+
+@lru_cache(maxsize=None)
+def folded_tokens(profile: LanguageProfile) -> FoldedTokens:
+    """Built once per profile: the lexer, unit and metric layers ask per call."""
+    fold = profile.fold
+    return FoldedTokens(
+        decisions=frozenset(map(fold, profile.decision_tokens)),
+        operators=frozenset(map(fold, profile.operator_tokens)),
+        keywords=frozenset(map(fold, profile.keywords)),
+        nesting_opens=frozenset(fold(o) for o, _ in profile.nesting_keywords),
+        nesting_closes=frozenset(fold(c) for _, c in profile.nesting_keywords),
+    )
 
 
 _C_OPERATORS = frozenset(

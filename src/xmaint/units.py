@@ -11,16 +11,18 @@ Three detection modes driven by profile data:
 
 Nested units are extracted as their own units; metric code later excludes
 an inner unit's tokens and lines from its enclosing unit so nothing is
-counted twice.
+counted twice. ``contained_units`` is the one definition of which units lie
+inside which: nesting depth and the metric layer filter its entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import Diagnostic
 from .lexing import COMMENT, IDENTIFIER, KEYWORD, Token
-from .profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile
+from .profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile, folded_tokens
 
 _OPEN_BRACKETS = {"(": ")", "[": "]", "{": "}"}
 _CLOSE_BRACKETS = {v: k for k, v in _OPEN_BRACKETS.items()}
@@ -36,6 +38,50 @@ class Unit:
     token_range: tuple[int, int]  # [start, end) into the file token sequence
     nesting_depth_max: int
     profile_id: str
+
+
+def contained_units(ranges: list[tuple[int, int]]) -> list[list[int]]:
+    """Containment index over one file's non-empty ``[lo, hi)`` unit token ranges.
+
+    Entry i lists, in start order, every j != i with lo_i <= lo_j and
+    hi_j <= hi_i. Starts are sorted once; each unit bisects to the units
+    starting inside it and keeps those that also end inside it, so the cost
+    is O(n log n) plus, per unit, the units that start inside it: linear in
+    units for bounded nesting.
+    """
+    order = sorted(range(len(ranges)), key=lambda k: ranges[k][0])
+    starts = [ranges[k][0] for k in order]
+    index = []
+    for i, (lo, hi) in enumerate(ranges):
+        first = bisect_left(starts, lo)
+        last = bisect_left(starts, hi, first)
+        index.append([k for k in order[first:last] if k != i and ranges[k][1] <= hi])
+    return index
+
+
+def inner_after_start(ranges: list[tuple[int, int]], i: int, contained: list[int]) -> list[int]:
+    """Inner units for nesting depth and own lines: those starting after unit i."""
+    lo = ranges[i][0]
+    return [j for j in contained if ranges[j][0] > lo]
+
+
+def inner_not_identical(ranges: list[tuple[int, int]], i: int, contained: list[int]) -> list[int]:
+    """Inner units for own tokens: any contained range other than unit i's own."""
+    own = ranges[i]
+    return [j for j in contained if ranges[j] != own]
+
+
+def uncovered_spans(lo: int, hi: int, covered: list[tuple[int, int]]):
+    """The parts of ``[lo, hi)`` outside every range of ``covered`` (sorted by start)."""
+    pos = lo
+    for clo, chi in covered:
+        if clo >= hi:
+            break
+        if clo > pos:
+            yield pos, clo
+        pos = max(pos, chi)
+    if pos < hi:
+        yield pos, hi
 
 
 def _next_code(tokens: list[Token], i: int) -> int:
@@ -80,15 +126,10 @@ def extract_units(
     else:
         raw, diagnostics = _extract_keyword_pair(tokens, profile, file)
 
+    ranges = [entry["token_range"] for entry in raw]
     units = []
-    for entry in raw:
-        inner_ranges = [
-            other["token_range"]
-            for other in raw
-            if other is not entry
-            and entry["token_range"][0] < other["token_range"][0]
-            and other["token_range"][1] <= entry["token_range"][1]
-        ]
+    for i, (entry, contained) in enumerate(zip(raw, contained_units(ranges))):
+        inner_ranges = [ranges[j] for j in inner_after_start(ranges, i, contained)]
         depth = _nesting_depth(tokens, profile, entry, inner_ranges)
         units.append(
             Unit(
@@ -212,6 +253,7 @@ def _line_table(tokens):
 def _extract_indent(tokens, profile, file):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
+    token_lines = [tok.line for tok in tokens]
     raw = []
     diagnostics = []
     n = len(tokens)
@@ -268,11 +310,7 @@ def _extract_indent(tokens, profile, file):
         start_idx = i
         while start_idx > 0 and tokens[start_idx - 1].line == header_line:
             start_idx -= 1  # pull in 'async' etc. on the header line
-        end_idx = n
-        for j in range(i, n):
-            if tokens[j].line > end_line:
-                end_idx = j
-                break
+        end_idx = bisect_right(token_lines, end_line, i)
         raw.append({
             "name": tokens[name_idx].text,
             "start_line": header_line,
@@ -334,36 +372,36 @@ def _extract_keyword_pair(tokens, profile, file):
 
 
 def _nesting_depth(tokens, profile, entry, inner_ranges):
-    def excluded(idx):
-        return any(lo <= idx < hi for lo, hi in inner_ranges)
-
+    """Deepest block nesting of the unit's own tokens; ``inner_ranges`` are the
+    nested units' token ranges in start order, skipped as whole spans."""
     if profile.unit_detection == BRACE_BLOCK:
         lo, hi = entry["body_range"]
         depth = max_depth = 0
-        for i in range(lo, hi):
-            if excluded(i) or tokens[i].kind == COMMENT:
-                continue
-            if tokens[i].text == "{":
-                depth += 1
-                max_depth = max(max_depth, depth)
-            elif tokens[i].text == "}":
-                depth = max(0, depth - 1)
+        for a, b in uncovered_spans(lo, hi, inner_ranges):
+            for tok in tokens[a:b]:
+                if tok.kind == COMMENT:
+                    continue
+                if tok.text == "{":
+                    depth += 1
+                    max_depth = max(max_depth, depth)
+                elif tok.text == "}":
+                    depth = max(0, depth - 1)
         return max_depth
 
     if profile.unit_detection == KEYWORD_PAIR:
-        opens = {profile.fold(o) for o, _ in profile.nesting_keywords}
-        closes = {profile.fold(c) for _, c in profile.nesting_keywords}
+        folded = folded_tokens(profile)
         lo, hi = entry["body_range"]
         depth = max_depth = 0
-        for i in range(lo, hi):
-            if excluded(i) or tokens[i].kind != KEYWORD:
-                continue
-            folded = profile.fold(tokens[i].text)
-            if folded in opens:
-                depth += 1
-                max_depth = max(max_depth, depth)
-            elif folded in closes:
-                depth = max(0, depth - 1)
+        for a, b in uncovered_spans(lo, hi, inner_ranges):
+            for tok in tokens[a:b]:
+                if tok.kind != KEYWORD:
+                    continue
+                text = profile.fold(tok.text)
+                if text in folded.nesting_opens:
+                    depth += 1
+                    max_depth = max(max_depth, depth)
+                elif text in folded.nesting_closes:
+                    depth = max(0, depth - 1)
         return max_depth
 
     # indent-block: column stack over the body's (non-continuation) code lines
@@ -371,20 +409,21 @@ def _nesting_depth(tokens, profile, entry, inner_ranges):
     header_end = entry["header_end_line"]
     continuation = entry["continuation"]
     inner_lines = set()
+    reach = -1
     for ilo, ihi in inner_ranges:
-        for line in range(tokens[ilo].line + 1, tokens[ihi - 1].end_line + 1):
-            inner_lines.add(line)
+        if ihi <= reach:
+            continue  # inside an earlier inner range, so are its lines
+        reach = ihi
+        inner_lines.update(range(tokens[ilo].line + 1, tokens[ihi - 1].end_line + 1))
     cols = []
     seen = set()
-    for i in range(lo, hi):
-        tok = tokens[i]
-        if (tok.kind == COMMENT or tok.line <= header_end or tok.line in seen
-                or tok.line in inner_lines or tok.line in continuation):
-            continue
-        if excluded(i):
-            continue
-        seen.add(tok.line)
-        cols.append(tok.column)
+    for a, b in uncovered_spans(lo, hi, inner_ranges):
+        for tok in tokens[a:b]:
+            if (tok.kind == COMMENT or tok.line <= header_end or tok.line in seen
+                    or tok.line in inner_lines or tok.line in continuation):
+                continue
+            seen.add(tok.line)
+            cols.append(tok.column)
     stack: list[int] = []
     max_depth = 0
     for col in cols:

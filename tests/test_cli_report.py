@@ -235,7 +235,20 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("compare", {"composite": {"sensitivity": {"delta_pp": 0}}}, "composite.sensitivity.delta_pp"),
     ("compare", {"composite": {"sensitivity": {"delta_pp": "5pp"}}}, "composite.sensitivity.delta_pp"),
     ("analyze", {"duplication": {"min_tokens": "fifty"}}, "duplication.min_tokens"),
-], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text"])
+    ("analyze", {"duplication": {"mode": "fuzzy"}}, "duplication.mode"),
+    ("analyze", {"metrics": {"weighted_unit_means": "no"}}, "metrics.weighted_unit_means"),
+    ("analyze", {"models": {"sig": {"cc_bands": [10, 20]}}}, "models.sig.cc_bands"),
+    ("analyze", {"models": {"sig": {"unit_size_bands": [30, 30, 120]}}}, "models.sig.unit_size_bands"),
+    ("analyze", {"models": {"sig": {"coverage": "high"}}}, "models.sig.coverage"),
+    ("compare", {"models": {"sig": {"coverage": {"alpha": 0.5, "beta": 1.5}}}}, "models.sig.coverage"),
+    ("analyze", {"models": {"sig": {"volume_ladder": [[20000, 5], [50000]]}}}, "models.sig.volume_ladder"),
+    ("analyze", {"models": {"sig": {"profile_caps": {"five": [0.25, 0, 0]}}}}, "models.sig.profile_caps"),
+    ("analyze", {"models": {"sig": {"profile_caps": {"5": [0.25, 0]}}}}, "models.sig.profile_caps"),
+    ("analyze", {"models": {"sig": {"matrix": {"stability": "unitTesting"}}}}, "models.sig.matrix"),
+], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
+        "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
+        "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
+        "sig-caps-value", "sig-matrix-row"])
 def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(override))

@@ -12,8 +12,8 @@ from xmaint.metrics import (
     aggregate_project,
     comment_ratio,
     cyclomatic_complexity,
+    file_unit_metrics,
     halstead,
-    unit_metrics,
 )
 from xmaint.profiles import C_FAMILY, PYTHON, ProfileRegistry
 from xmaint.units import extract_units
@@ -23,7 +23,7 @@ def analyze(src, profile, file="f"):
     tokens, _ = tokenize(src, profile)
     lines = classify_lines(tokens, physical_line_count(src))
     units, _ = extract_units(tokens, profile, file)
-    metrics = [unit_metrics(u, tokens, lines, profile, units) for u in units]
+    metrics = file_unit_metrics(units, tokens, lines, profile)
     return tokens, lines, units, metrics
 
 

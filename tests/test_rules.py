@@ -2,7 +2,7 @@ import pytest
 
 from xmaint.errors import InvalidRuleConfig
 from xmaint.lexing import classify_lines, physical_line_count, tokenize
-from xmaint.metrics import unit_metrics
+from xmaint.metrics import file_unit_metrics
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
 from xmaint.rules import (
     COMPLEXITY,
@@ -22,7 +22,7 @@ def metrics_for(src, profile, file="f"):
     tokens, _ = tokenize(src, profile)
     lines = classify_lines(tokens, physical_line_count(src))
     units, _ = extract_units(tokens, profile, file)
-    return [unit_metrics(u, tokens, lines, profile, units) for u in units]
+    return file_unit_metrics(units, tokens, lines, profile)
 
 
 # --- loading ---
