@@ -1,14 +1,13 @@
 """End-to-end project analysis: discovery, lexing, metrics, clones, rules, models.
 
-Per-file work is pure, so it can fan out across workers; every merge is an
-order-independent fold followed by a deterministic sort, which keeps the
-1-worker and K-worker reports identical.
+Files are analyzed one after another in one loop. The per-file results are
+sorted by relative path before any project-level stage, so every report
+depends on the file set alone, never on discovery order.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -152,6 +151,9 @@ def analyze_file(abs_path: Path, rel: str, profile: LanguageProfile) -> FileAnal
             units=(), unit_metrics=(),
             diagnostics=(Diagnostic("not-utf8", f"not valid UTF-8: {exc}", file=rel),),
         )
+    # one line-break model: "\r\n" and a lone "\r" end a line like "\n";
+    # no other character does
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
 
     tokens, lex_diags = tokenize(text, profile, file=rel)
     diagnostics.extend(lex_diags)
@@ -282,8 +284,6 @@ def analyze_project(
     forced_profile: str | None = None,
     includes: tuple[str, ...] = (),
     excludes: tuple[str, ...] = (),
-    workers: int = 1,
-    rule_sets_override: dict[str, RuleSet] | None = None,
 ) -> ProjectAnalysis:
     """Full pipeline for one code base."""
     root = Path(root)
@@ -292,11 +292,7 @@ def analyze_project(
     if not found:
         raise EmptyProject(f"no analyzable files under {root}")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            files = list(pool.map(lambda item: analyze_file(*item), found))
-    else:
-        files = [analyze_file(*item) for item in found]
+    files = [analyze_file(*item) for item in found]
     files.sort(key=lambda fa: fa.path)
 
     diagnostics = [d for fa in files for d in fa.diagnostics]
@@ -325,12 +321,9 @@ def analyze_project(
     )
 
     profile_ids = sorted({fa.profile_id for fa in files})
-    if rule_sets_override is not None:
-        rule_sets = {pid: rule_sets_override[pid] for pid in profile_ids}
-    else:
-        rule_sets = {
-            pid: rules.load_rule_set(config["rules"], registry.get(pid)) for pid in profile_ids
-        }
+    rule_sets = {
+        pid: rules.load_rule_set(config["rules"], registry.get(pid)) for pid in profile_ids
+    }
     shared_rule_ids = tuple(sorted(
         frozenset.intersection(*(rs.enabled_ids() for rs in rule_sets.values()))
     )) if rule_sets else ()

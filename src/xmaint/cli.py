@@ -1,7 +1,7 @@
 """The ``xmaint`` command line: analyze, compare, snapshot, trend, rules, profiles.
 
-Exit codes: 0 clean success, 2 success with diagnostics, 1 fatal error,
-fixed so CI pipelines can gate on them.
+Exit codes: 0 clean success, 2 success with diagnostics, 1 fatal error
+(usage errors included), fixed so CI pipelines can gate on them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,18 @@ from .rules import load_rule_set
 from .snapshots import SnapshotStore, utc_now_iso
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is the success-with-diagnostics
+    code here; a usage error is fatal, so it exits 1. Subparsers inherit this
+    class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xmaint",
         description="Measure and compare source-code maintainability across languages.",
     )
@@ -47,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="externally measured test coverage in [0,1]")
         p.add_argument("--include", action="append", default=[], metavar="GLOB")
         p.add_argument("--exclude", action="append", default=[], metavar="GLOB")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p_analyze = sub.add_parser("analyze", help="analyze one project")
@@ -122,13 +131,28 @@ def _prepare(args):
         "excludes": sorted(args.exclude),
     }
     digest = config_hash(config, [p.as_dict() for p in registry.profiles()], discovery)
-    return config, registry, discovery, digest
+    return config, registry, digest
+
+
+def _analyze(args, path, project_id, config, registry):
+    return analyze_project(
+        path, config, registry,
+        project_id=project_id,
+        forced_profile=args.profile,
+        includes=tuple(args.include),
+        excludes=tuple(args.exclude),
+    )
+
+
+def _single_score(analysis, config):
+    """The composite of one project alone, as analyze and snapshot save report it."""
+    return composite_score(
+        [analysis.indicators(config["composite"]["duplication_source"])],
+        composite_mappings(config),
+    )
 
 
 def _flags_block(args, extra=None) -> dict:
-    # workers is deliberately not echoed: it cannot change any measured value
-    # (parallel runs must be byte-identical), so it is execution detail, not
-    # configuration state.
     flags = {
         "profile": args.profile,
         "config": args.config,
@@ -157,19 +181,9 @@ def _fmt(args, config) -> str:
 
 
 def cmd_analyze(args) -> int:
-    config, registry, discovery, digest = _prepare(args)
-    analysis = analyze_project(
-        args.path, config, registry,
-        project_id=args.project_id,
-        forced_profile=args.profile,
-        includes=tuple(args.include),
-        excludes=tuple(args.exclude),
-        workers=args.workers,
-    )
-    mappings = composite_mappings(config)
-    scores = composite_score(
-        [analysis.indicators(config["composite"]["duplication_source"])], mappings
-    )
+    config, registry, digest = _prepare(args)
+    analysis = _analyze(args, args.path, args.project_id, config, registry)
+    scores = _single_score(analysis, config)
     report = report_mod.build_report(
         [analysis],
         tool_version=__version__,
@@ -185,22 +199,14 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.paths) < 2:
         raise XmaintError("compare needs at least two project paths")
-    config, registry, discovery, digest = _prepare(args)
+    config, registry, digest = _prepare(args)
 
     ids = [Path(p).name for p in args.paths]
     if len(set(ids)) != len(ids):
         ids = [str(Path(p)) for p in args.paths]  # disambiguate same-named roots
 
     analyses = [
-        analyze_project(
-            path, config, registry,
-            project_id=pid,
-            forced_profile=args.profile,
-            includes=tuple(args.include),
-            excludes=tuple(args.exclude),
-            workers=args.workers,
-        )
-        for path, pid in zip(args.paths, ids)
+        _analyze(args, path, pid, config, registry) for path, pid in zip(args.paths, ids)
     ]
     analyses, shared_rules, warning = intersect_and_reevaluate(analyses)
 
@@ -231,19 +237,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_snapshot_save(args) -> int:
-    config, registry, discovery, digest = _prepare(args)
-    analysis = analyze_project(
-        args.path, config, registry,
-        project_id=args.project_id,
-        forced_profile=args.profile,
-        includes=tuple(args.include),
-        excludes=tuple(args.exclude),
-        workers=args.workers,
-    )
-    mappings = composite_mappings(config)
-    scores = composite_score(
-        [analysis.indicators(config["composite"]["duplication_source"])], mappings
-    )
+    config, registry, digest = _prepare(args)
+    analysis = _analyze(args, args.path, args.project_id, config, registry)
+    scores = _single_score(analysis, config)
     snapshot = {
         "project_id": analysis.project_id,
         "label": args.label,

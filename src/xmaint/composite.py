@@ -182,7 +182,6 @@ def _renormalize(weights: dict[str, float]) -> dict[str, float]:
 def composite_score(
     projects: list[ProjectIndicators],
     mappings: list[IndicatorMapping] | None = None,
-    enforce_guards: bool = True,
 ) -> list[CompositeScore]:
     """Rank projects by weighted mapped scores.
 
@@ -194,7 +193,7 @@ def composite_score(
     validate_weights(mappings)
     if not projects:
         return []
-    if enforce_guards and len(projects) > 1:
+    if len(projects) > 1:
         costs = {p.cost_per_line for p in projects}
         if len(costs) > 1:
             raise EstimatorMismatch(

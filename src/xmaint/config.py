@@ -55,6 +55,10 @@ DEFAULT_CONFIG: dict = {
     "report": {"format": "json"},
 }
 
+# Maps keyed by data rather than by field names; every other object in
+# DEFAULT_CONFIG lists all the keys it accepts.
+_OPEN_MAPS = ("rules", "models.sig.profile_caps")
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
@@ -64,6 +68,20 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _check_keys(data: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject any key that DEFAULT_CONFIG lacks, and any non-object where it
+    has an object, naming the dotted path."""
+    for key, value in data.items():
+        dotted = prefix + key
+        if key not in defaults:
+            raise InvalidConfig(f"unknown config key '{dotted}'")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise InvalidConfig(f"{dotted} must be an object")
+            if dotted not in _OPEN_MAPS:
+                _check_keys(value, defaults[key], dotted + ".")
 
 
 def load_config(path: str | os.PathLike | None = None) -> dict:
@@ -82,9 +100,7 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
             raise InvalidConfig(f"cannot load config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidConfig("config root must be a JSON object")
-    unknown = set(data) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise InvalidConfig(f"unknown config sections: {sorted(unknown)}")
+    _check_keys(data, DEFAULT_CONFIG)
     merged = _merge(DEFAULT_CONFIG, data)
     validate_config(merged)
     return merged
@@ -92,9 +108,6 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
 
 def composite_mappings(config: dict) -> list[IndicatorMapping]:
     indicators = config["composite"]["indicators"]
-    unknown = set(indicators) - set(INDICATORS)
-    if unknown:
-        raise InvalidConfig(f"unknown composite indicators: {sorted(unknown)}")
     mappings = []
     for name in INDICATORS:
         if name not in indicators:
@@ -150,8 +163,6 @@ def _numbers(value, count: int) -> bool:
 
 def _validate_sig(sig) -> None:
     """models.sig must have the shapes that analysis and debt_models unpack."""
-    if not isinstance(sig, dict):
-        raise InvalidConfig("models.sig must be an object")
     for key in ("cc_bands", "unit_size_bands"):
         bands = sig[key]
         if not (_numbers(bands, 3) and bands[0] < bands[1] < bands[2]):
@@ -248,8 +259,8 @@ def apply_flag_overrides(config: dict, *, min_tokens=None, dup_mode=None,
 def config_hash(config: dict, profiles: list[dict], discovery: dict) -> str:
     """Digest of everything that affects measured values.
 
-    Output format, worker count, and store options are deliberately
-    excluded: they change presentation, not results.
+    Output format and store options are deliberately excluded: they change
+    presentation, not results.
     """
     payload = {
         "config": {k: v for k, v in config.items() if k != "report"},

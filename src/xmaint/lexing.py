@@ -168,7 +168,9 @@ def tokenize(
 
 
 def physical_line_count(text: str) -> int:
-    return len(text.splitlines())
+    """Lines end at "\n" only, as token lines do; a last line without a
+    break still counts."""
+    return text.count("\n") + bool(text and not text.endswith("\n"))
 
 
 def classify_lines(tokens: list[Token], physical_lines: int) -> LineClassification:

@@ -26,6 +26,7 @@ from .profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile, 
 
 _OPEN_BRACKETS = {"(": ")", "[": "]", "{": "}"}
 _CLOSE_BRACKETS = {v: k for k, v in _OPEN_BRACKETS.items()}
+_BRACKETS_AND_COMMA = {*_OPEN_BRACKETS, *_CLOSE_BRACKETS, ","}
 
 
 @dataclass(frozen=True)
@@ -91,23 +92,37 @@ def _next_code(tokens: list[Token], i: int) -> int:
     return i
 
 
-def _match_paren(tokens: list[Token], open_idx: int) -> tuple[int, int] | None:
-    """Given index of '(', return (index of matching ')', top-level comma count)."""
-    depth = 0
-    commas = 0
-    for i in range(open_idx, len(tokens)):
-        text = tokens[i].text
-        if tokens[i].kind == COMMENT:
+def _bracket_partners(tokens: list[Token]) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
+    """Match one file's brackets in one pass over its non-comment tokens.
+
+    Returns ``(params, bodies)``. ``params`` maps each matched opening bracket
+    to (its closer, its top-level comma count); any closer closes the
+    innermost open bracket, whatever its kind (parameter lists). ``bodies``
+    maps each matched ``{`` to its ``}``, counting braces only (unit bodies).
+    An opener without a partner is absent, so an unclosed unit costs a lookup,
+    not a scan to the end of the file.
+    """
+    params: dict[int, tuple[int, int]] = {}
+    bodies: dict[int, int] = {}
+    open_brackets: list[list[int]] = []  # [index, top-level commas so far]
+    open_braces: list[int] = []
+    for i, tok in enumerate(tokens):
+        text = tok.text
+        if text not in _BRACKETS_AND_COMMA or tok.kind == COMMENT:
             continue
         if text in _OPEN_BRACKETS:
-            depth += 1
+            open_brackets.append([i, 0])
+            if text == "{":
+                open_braces.append(i)
         elif text in _CLOSE_BRACKETS:
-            depth -= 1
-            if depth == 0:
-                return i, commas
-        elif text == "," and depth == 1:
-            commas += 1
-    return None
+            if open_brackets:
+                opener, commas = open_brackets.pop()
+                params[opener] = (i, commas)
+            if text == "}" and open_braces:
+                bodies[open_braces.pop()] = i
+        elif open_brackets:  # a comma
+            open_brackets[-1][1] += 1
+    return params, bodies
 
 
 def _param_count(tokens: list[Token], open_idx: int, close_idx: int, commas: int) -> int:
@@ -149,6 +164,7 @@ def extract_units(
 
 def _extract_brace(tokens, profile, file):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
+    params, bodies = _bracket_partners(tokens)
     raw = []
     diagnostics = []
     i = 0
@@ -166,7 +182,7 @@ def _extract_brace(tokens, profile, file):
         if paren_idx >= n or tokens[paren_idx].text != "(":
             i += 1
             continue
-        matched = _match_paren(tokens, paren_idx)
+        matched = params.get(paren_idx)
         if matched is None:
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
@@ -182,7 +198,7 @@ def _extract_brace(tokens, profile, file):
         if j >= n or tokens[j].text != "{":
             i = close_paren + 1  # declaration or mismatch, keep scanning
             continue
-        body = _match_brace(tokens, j)
+        body = bodies.get(j)
         if body is None:
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
@@ -200,20 +216,6 @@ def _extract_brace(tokens, profile, file):
         })
         i = j + 1  # scan inside the body for nested units
     return raw, diagnostics
-
-
-def _match_brace(tokens, open_idx):
-    depth = 0
-    for i in range(open_idx, len(tokens)):
-        if tokens[i].kind == COMMENT:
-            continue
-        if tokens[i].text == "{":
-            depth += 1
-        elif tokens[i].text == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
 
 
 def _line_table(tokens):
@@ -253,6 +255,7 @@ def _line_table(tokens):
 def _extract_indent(tokens, profile, file):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
+    params, _ = _bracket_partners(tokens)
     token_lines = [tok.line for tok in tokens]
     raw = []
     diagnostics = []
@@ -268,7 +271,7 @@ def _extract_indent(tokens, profile, file):
         paren_idx = _next_code(tokens, name_idx + 1)
         if paren_idx >= n or tokens[paren_idx].text != "(":
             continue
-        matched = _match_paren(tokens, paren_idx)
+        matched = params.get(paren_idx)
         if matched is None:
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
@@ -327,6 +330,8 @@ def _extract_indent(tokens, profile, file):
 def _extract_keyword_pair(tokens, profile, file):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     end_kw = {profile.fold(k) for k in profile.unit_end_keywords}
+    params, _ = _bracket_partners(tokens)
+    ends = [j for j, tok in enumerate(tokens) if tok.kind == KEYWORD and profile.fold(tok.text) in end_kw]
     raw = []
     diagnostics = []
     i = 0
@@ -343,22 +348,19 @@ def _extract_keyword_pair(tokens, profile, file):
         param_count = 0
         after = _next_code(tokens, name_idx + 1)
         if after < n and tokens[after].text == "(":
-            matched = _match_paren(tokens, after)
+            matched = params.get(after)
             if matched is not None:
                 close_paren, commas = matched
                 param_count = _param_count(tokens, after, close_paren, commas)
-        close_idx = None
-        for j in range(name_idx + 1, n):
-            if tokens[j].kind == KEYWORD and profile.fold(tokens[j].text) in end_kw:
-                close_idx = j
-                break
-        if close_idx is None:
+        k = bisect_left(ends, name_idx + 1)
+        if k == len(ends):
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
                 message=f"missing end keyword for '{tokens[name_idx].text}'",
                 file=file, line=tok.line))
             i += 1
             continue
+        close_idx = ends[k]
         raw.append({
             "name": tokens[name_idx].text,
             "start_line": tok.line,

@@ -122,10 +122,25 @@ def test_analyze_deterministic_bytes(corpus, capsys):
     assert strip_generated(first) == strip_generated(second)
 
 
-def test_analyze_workers_equivalence(corpus, capsys):
-    _, one, _ = run(capsys, "analyze", str(corpus), "--workers", "1")
-    _, four, _ = run(capsys, "analyze", str(corpus), "--workers", "4")
-    assert strip_generated(one) == strip_generated(four)
+@pytest.mark.parametrize("flags", [
+    ("--format", "xml"), ("--bogus",), ("--workers", "4"),
+], ids=["bad-choice", "unknown-flag", "removed-workers"])
+def test_usage_error_exits_1(corpus, capsys, flags):
+    # exit 2 means success with diagnostics, so a usage error must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(corpus), *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: xmaint") and "\nxmaint" in captured.err
+    assert ": error: " in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
 
 
 def test_determinism_across_processes_and_hash_seeds(corpus, tmp_path):
@@ -245,10 +260,15 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("analyze", {"models": {"sig": {"profile_caps": {"five": [0.25, 0, 0]}}}}, "models.sig.profile_caps"),
     ("analyze", {"models": {"sig": {"profile_caps": {"5": [0.25, 0]}}}}, "models.sig.profile_caps"),
     ("analyze", {"models": {"sig": {"matrix": {"stability": "unitTesting"}}}}, "models.sig.matrix"),
+    ("analyze", {"models": {"sig": {"cc_band": [1, 2, 3]}}}, "models.sig.cc_band"),
+    ("analyze", {"duplication": {"min_token": 10}}, "duplication.min_token"),
+    ("compare", {"composite": {"indicators": {"tdr": {"wieght": 0.9}}}}, "composite.indicators.tdr.wieght"),
+    ("analyze", {"metrics": {"weighted_unit_mean": True}}, "metrics.weighted_unit_mean"),
 ], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
         "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
-        "sig-caps-value", "sig-matrix-row"])
+        "sig-caps-value", "sig-matrix-row", "sig-key-typo", "duplication-key-typo",
+        "indicator-field-typo", "metrics-key-typo"])
 def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(override))

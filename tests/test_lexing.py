@@ -1,5 +1,6 @@
 import random
 
+from xmaint.analysis import analyze_file
 from xmaint.lexing import (
     COMMENT,
     IDENTIFIER,
@@ -194,3 +195,44 @@ def test_line_conservation_random():
         tokens, _ = tokenize(src, C_FAMILY)
         lc = classify_lines(tokens, physical_line_count(src))
         assert lc.code + lc.comment + lc.blank + lc.mixed == lc.physical_lines
+
+
+# --- one line-break model: only "\n" ends a line once CR and CRLF are mapped to it ---
+
+
+def test_form_feed_is_not_a_line_break():
+    src = "x = 1\n\f\ny = 2\n"
+    tokens, _ = tokenize(src, PYTHON)
+    lc = classify_lines(tokens, physical_line_count(src))
+    assert physical_line_count(src) == 3
+    assert lc.classes == ("code", "blank", "code")
+
+
+def test_physical_line_count_counts_a_last_line_without_break():
+    assert [physical_line_count(s) for s in ("", "a", "a\n", "a\nb", "\n\n")] == [0, 1, 1, 2, 2]
+
+
+def _analyze_bytes(tmp_path, name, data, profile):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return analyze_file(path, name, profile)
+
+
+def test_cr_only_file_counts_every_line(tmp_path):
+    fa = _analyze_bytes(tmp_path, "cr.c", b"int a = 1;\rint b = 2;\rint c = 3;\r", C_FAMILY)
+    assert (fa.lines.code, fa.lines.physical_lines) == (3, 3)
+    assert [t.line for t in fa.tokens if t.text == ";"] == [1, 2, 3]
+
+
+def test_crlf_and_lf_give_the_same_analysis(tmp_path):
+    src = "int f(int a) {\n    /* two\n       lines */\n    return a;\n}\n"
+    lf = _analyze_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
+    crlf = _analyze_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
+    assert crlf == lf and lf.lines.physical_lines == 5
+
+
+def test_unicode_line_separator_in_string_adds_no_line(tmp_path):
+    src = 's = "a\u2028b"\nt = 1\n'
+    assert physical_line_count(src) == 2
+    fa = _analyze_bytes(tmp_path, "u.py", src.encode(), PYTHON)
+    assert (fa.lines.code, fa.lines.physical_lines) == (2, 2)

@@ -1,13 +1,16 @@
-"""The containment index against the quadratic definitions in unit_oracle.py.
+"""The containment index and the unit scanners against unit_oracle.py.
 
 ``units.contained_units`` plus its two filters must give the same inner sets,
 nesting depths, own tokens and own lines as the old all-units scans: on
 random range families, on generated sources for every detection mode, and
-on hand-written nesting cases.
+on hand-written nesting cases. The scanners, which match brackets and end
+keywords from one-pass tables, must find the same raw units and diagnostics
+as the old forward scans, also when closers are missing.
 """
 
 import random
 
+import unit_oracle
 from unit_oracle import (
     oracle_extract_inner,
     oracle_extract_units,
@@ -29,7 +32,15 @@ from xmaint.lexing import (
     tokenize,
 )
 from xmaint.metrics import file_unit_metrics
-from xmaint.profiles import BUILTIN_PROFILES, C_FAMILY, COBOL_LIKE, INDENT_BLOCK, PYTHON
+from xmaint.profiles import (
+    BRACE_BLOCK,
+    BUILTIN_PROFILES,
+    C_FAMILY,
+    COBOL_LIKE,
+    INDENT_BLOCK,
+    KEYWORD_PAIR,
+    PYTHON,
+)
 from xmaint.units import (
     Unit,
     contained_units,
@@ -124,16 +135,16 @@ def test_index_matches_oracle_on_random_range_families():
 _C_FRAGMENTS = (
     "int f(int a) {", "void g() {", "long h(int a, int b) const {", "int p(int a);",
     "{", "}", "}", "if (a && b) {", "x = a + 1;", "while (x) { x--; }", "/* } */",
-    "// c", "\n", " ", "\n",
+    "// c", "\n", " ", "\n", "int q(int a, int (*cb)(int, int)) {",
 )
 _PY_LINES = (
     "def f(a):", "def g(): pass", "def a(): pass; def b(): pass", "async def h(x, y):",
     "if a:", "x = 1", "return x", "# c", "", "y = (1,", "2)", '"""doc', 'end"""',
-    "for i in x:", "class C:",
+    "for i in x:", "class C:", "def k(a, b=(1, 2)):",
 )
 _COBOL_LINES = (
     "PARAGRAPH P-1.", "PARAGRAPH Q-2 (A, B).", "END-PARAGRAPH.", "IF A > 0", "END-IF.",
-    "PERFORM X", "END-PERFORM.", "MOVE A TO B.", "*> c", "",
+    "PERFORM X", "END-PERFORM.", "MOVE A TO B.", "*> c", "", "PARAGRAPH R-3 (A, (B, C)).",
 )
 
 
@@ -177,6 +188,39 @@ if given is not None:
     @given(src=_cobol_sources)
     def test_keyword_pair_sources_match_oracle(src):
         _check_against_oracle(src, COBOL_LIKE)
+
+    _SCANNERS = {
+        BRACE_BLOCK: (units_mod._extract_brace, unit_oracle._extract_brace),
+        INDENT_BLOCK: (units_mod._extract_indent, unit_oracle._extract_indent),
+        KEYWORD_PAIR: (units_mod._extract_keyword_pair, unit_oracle._extract_keyword_pair),
+    }
+
+    def _check_with_dropped_closers(src, profile, rng):
+        # dropping tokens leaves every other token at its position, as blanks would
+        end_kw = {profile.fold(k) for k in profile.unit_end_keywords}
+        tokens = [
+            tok for tok in tokenize(src, profile)[0]
+            if not ((tok.text in (")", "]", "}") or profile.fold(tok.text) in end_kw)
+                    and rng.random() < 0.4)
+        ]
+        scan, oracle_scan = _SCANNERS[profile.unit_detection]
+        assert scan(tokens, profile, "f") == oracle_scan(tokens, profile, "f")
+        assert extract_units(tokens, profile, "f") == oracle_extract_units(tokens, profile, "f")
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=_c_sources, rng=st.randoms(use_true_random=False))
+    def test_brace_scanner_matches_oracle_with_dropped_closers(src, rng):
+        _check_with_dropped_closers(src, C_FAMILY, rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=_py_sources, rng=st.randoms(use_true_random=False))
+    def test_indent_scanner_matches_oracle_with_dropped_closers(src, rng):
+        _check_with_dropped_closers(src, PYTHON, rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=_cobol_sources, rng=st.randoms(use_true_random=False))
+    def test_keyword_pair_scanner_matches_oracle_with_dropped_closers(src, rng):
+        _check_with_dropped_closers(src, COBOL_LIKE, rng)
 
 
 # --- hand cases ---

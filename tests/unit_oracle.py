@@ -12,15 +12,283 @@ comprehensions moved into functions of their own. Two rules live here:
 
 Each outer unit scans every unit of the file, so this is quadratic in units
 per file; only tests use it.
+
+The unit scanners (``_extract_brace``, ``_extract_indent``,
+``_extract_keyword_pair`` and their helpers) are copied verbatim from
+``units`` as they were before the one-pass bracket and end-keyword tables:
+each open bracket or unit keyword scans forward for its partner, to the end
+of the file when there is none.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from xmaint.errors import Diagnostic
-from xmaint.lexing import CODE_LINE, COMMENT, KEYWORD, MIXED_LINE, LineClassification, Token
+from xmaint.lexing import (
+    CODE_LINE, COMMENT, IDENTIFIER, KEYWORD, MIXED_LINE, LineClassification, Token,
+)
 from xmaint.metrics import UnitMetrics, cyclomatic_complexity, halstead
 from xmaint.profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile
-from xmaint.units import Unit, _extract_brace, _extract_indent, _extract_keyword_pair
+from xmaint.units import Unit
+
+_OPEN_BRACKETS = {"(": ")", "[": "]", "{": "}"}
+_CLOSE_BRACKETS = {v: k for k, v in _OPEN_BRACKETS.items()}
+
+
+def _next_code(tokens: list[Token], i: int) -> int:
+    """Index of the next non-comment token at or after i, or len(tokens)."""
+    while i < len(tokens) and tokens[i].kind == COMMENT:
+        i += 1
+    return i
+
+
+def _match_paren(tokens: list[Token], open_idx: int) -> tuple[int, int] | None:
+    """Given index of '(', return (index of matching ')', top-level comma count)."""
+    depth = 0
+    commas = 0
+    for i in range(open_idx, len(tokens)):
+        text = tokens[i].text
+        if tokens[i].kind == COMMENT:
+            continue
+        if text in _OPEN_BRACKETS:
+            depth += 1
+        elif text in _CLOSE_BRACKETS:
+            depth -= 1
+            if depth == 0:
+                return i, commas
+        elif text == "," and depth == 1:
+            commas += 1
+    return None
+
+
+def _param_count(tokens: list[Token], open_idx: int, close_idx: int, commas: int) -> int:
+    has_content = _next_code(tokens, open_idx + 1) < close_idx
+    return commas + 1 if has_content else 0
+
+
+def _extract_brace(tokens, profile, file):
+    unit_kw = {profile.fold(k) for k in profile.unit_keywords}
+    raw = []
+    diagnostics = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        tok = tokens[i]
+        if tok.kind != KEYWORD or profile.fold(tok.text) not in unit_kw:
+            i += 1
+            continue
+        name_idx = _next_code(tokens, i + 1)
+        if name_idx >= n or tokens[name_idx].kind != IDENTIFIER:
+            i += 1
+            continue
+        paren_idx = _next_code(tokens, name_idx + 1)
+        if paren_idx >= n or tokens[paren_idx].text != "(":
+            i += 1
+            continue
+        matched = _match_paren(tokens, paren_idx)
+        if matched is None:
+            diagnostics.append(Diagnostic(
+                code="unbalanced-delimiters",
+                message=f"unclosed parameter list for '{tokens[name_idx].text}'",
+                file=file, line=tokens[paren_idx].line))
+            i = paren_idx + 1
+            continue
+        close_paren, commas = matched
+        # Skip trailing signature tokens (const, throws X, ...) up to body or ';'.
+        j = _next_code(tokens, close_paren + 1)
+        while j < n and tokens[j].text not in ("{", ";") and tokens[j].kind in (IDENTIFIER, KEYWORD, COMMENT):
+            j = _next_code(tokens, j + 1)
+        if j >= n or tokens[j].text != "{":
+            i = close_paren + 1  # declaration or mismatch, keep scanning
+            continue
+        body = _match_brace(tokens, j)
+        if body is None:
+            diagnostics.append(Diagnostic(
+                code="unbalanced-delimiters",
+                message=f"unclosed body for '{tokens[name_idx].text}'",
+                file=file, line=tokens[j].line))
+            i = j + 1
+            continue
+        raw.append({
+            "name": tokens[name_idx].text,
+            "start_line": tok.line,
+            "end_line": tokens[body].end_line,
+            "param_count": _param_count(tokens, paren_idx, close_paren, commas),
+            "token_range": (i, body + 1),
+            "body_range": (j + 1, body),
+        })
+        i = j + 1  # scan inside the body for nested units
+    return raw, diagnostics
+
+
+def _match_brace(tokens, open_idx):
+    depth = 0
+    for i in range(open_idx, len(tokens)):
+        if tokens[i].kind == COMMENT:
+            continue
+        if tokens[i].text == "{":
+            depth += 1
+        elif tokens[i].text == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+def _line_table(tokens):
+    """Per-line lexical facts used by indent-block extraction.
+
+    Returns (first_col, first_code_col, code_lines, continuation) where
+    continuation marks lines starting inside brackets or inside a
+    multi-line token.
+    """
+    max_line = 0
+    for tok in tokens:
+        max_line = max(max_line, tok.end_line)
+    first_col = {}
+    first_code_col = {}
+    code_lines = set()
+    continuation = set()
+    depth = 0
+    for tok in tokens:
+        if tok.line not in first_col:
+            first_col[tok.line] = tok.column
+            if depth > 0:
+                continuation.add(tok.line)
+        if tok.kind != COMMENT:
+            if tok.line not in first_code_col:
+                first_code_col[tok.line] = tok.column
+            for line in range(tok.line, tok.end_line + 1):
+                code_lines.add(line)
+            for line in range(tok.line + 1, tok.end_line + 1):
+                continuation.add(line)
+        if tok.text in _OPEN_BRACKETS:
+            depth += 1
+        elif tok.text in _CLOSE_BRACKETS:
+            depth = max(0, depth - 1)
+    return first_col, first_code_col, code_lines, continuation, max_line
+
+
+def _extract_indent(tokens, profile, file):
+    unit_kw = {profile.fold(k) for k in profile.unit_keywords}
+    first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
+    token_lines = [tok.line for tok in tokens]
+    raw = []
+    diagnostics = []
+    n = len(tokens)
+    for i, tok in enumerate(tokens):
+        if tok.kind != KEYWORD or profile.fold(tok.text) not in unit_kw:
+            continue
+        header_line = tok.line
+        header_col = first_col.get(header_line, tok.column)
+        name_idx = _next_code(tokens, i + 1)
+        if name_idx >= n or tokens[name_idx].kind != IDENTIFIER:
+            continue
+        paren_idx = _next_code(tokens, name_idx + 1)
+        if paren_idx >= n or tokens[paren_idx].text != "(":
+            continue
+        matched = _match_paren(tokens, paren_idx)
+        if matched is None:
+            diagnostics.append(Diagnostic(
+                code="unbalanced-delimiters",
+                message=f"unclosed parameter list for '{tokens[name_idx].text}'",
+                file=file, line=tokens[paren_idx].line))
+            continue
+        close_paren, commas = matched
+        colon_idx = _next_code(tokens, close_paren + 1)
+        while colon_idx < n and tokens[colon_idx].text != ":":
+            if tokens[colon_idx].text == ";" or tokens[colon_idx].line > tokens[close_paren].end_line + 2:
+                colon_idx = n
+                break
+            colon_idx = _next_code(tokens, colon_idx + 1)
+        if colon_idx >= n:
+            continue
+        header_end_line = tokens[colon_idx].end_line
+
+        end_line = header_end_line  # inline bodies keep the unit on the header line
+        line = header_end_line + 1
+        while line <= max_line:
+            if line in continuation:
+                if line in code_lines:
+                    end_line = line
+                line += 1
+                continue
+            col = first_code_col.get(line)
+            if col is None:
+                line += 1  # blank or comment-only line: block may continue below
+                continue
+            if col > header_col:
+                end_line = line
+                line += 1
+                continue
+            break
+        # extend over trailing interior lines of a multi-line token
+        while end_line + 1 <= max_line and end_line + 1 in continuation and end_line + 1 in code_lines:
+            end_line += 1
+
+        start_idx = i
+        while start_idx > 0 and tokens[start_idx - 1].line == header_line:
+            start_idx -= 1  # pull in 'async' etc. on the header line
+        end_idx = bisect_right(token_lines, end_line, i)
+        raw.append({
+            "name": tokens[name_idx].text,
+            "start_line": header_line,
+            "end_line": end_line,
+            "param_count": _param_count(tokens, paren_idx, close_paren, commas),
+            "token_range": (start_idx, end_idx),
+            "header_end_line": header_end_line,
+            "header_col": header_col,
+            "continuation": continuation,
+        })
+    return raw, diagnostics
+
+
+def _extract_keyword_pair(tokens, profile, file):
+    unit_kw = {profile.fold(k) for k in profile.unit_keywords}
+    end_kw = {profile.fold(k) for k in profile.unit_end_keywords}
+    raw = []
+    diagnostics = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        tok = tokens[i]
+        if tok.kind != KEYWORD or profile.fold(tok.text) not in unit_kw:
+            i += 1
+            continue
+        name_idx = _next_code(tokens, i + 1)
+        if name_idx >= n or tokens[name_idx].kind != IDENTIFIER:
+            i += 1
+            continue
+        param_count = 0
+        after = _next_code(tokens, name_idx + 1)
+        if after < n and tokens[after].text == "(":
+            matched = _match_paren(tokens, after)
+            if matched is not None:
+                close_paren, commas = matched
+                param_count = _param_count(tokens, after, close_paren, commas)
+        close_idx = None
+        for j in range(name_idx + 1, n):
+            if tokens[j].kind == KEYWORD and profile.fold(tokens[j].text) in end_kw:
+                close_idx = j
+                break
+        if close_idx is None:
+            diagnostics.append(Diagnostic(
+                code="unbalanced-delimiters",
+                message=f"missing end keyword for '{tokens[name_idx].text}'",
+                file=file, line=tok.line))
+            i += 1
+            continue
+        raw.append({
+            "name": tokens[name_idx].text,
+            "start_line": tok.line,
+            "end_line": tokens[close_idx].end_line,
+            "param_count": param_count,
+            "token_range": (i, close_idx + 1),
+            "body_range": (name_idx + 1, close_idx),
+        })
+        i = close_idx + 1
+    return raw, diagnostics
 
 
 def oracle_extract_inner(raw, entry):
