@@ -50,6 +50,7 @@ class LanguageProfile:
             raise InvalidProfileConfig(
                 f"profile '{self.id}': unit_detection must be one of {_UNIT_DETECTIONS}"
             )
+        _check_lexemes(self)
 
     def fold(self, text: str) -> str:
         """Canonical casing for token-text comparisons."""
@@ -77,6 +78,48 @@ class LanguageProfile:
             "case_sensitive": self.case_sensitive,
             "verbosity_factor": self.verbosity_factor,
         }
+
+
+# every character str.isspace() accepts; none lies above U+3000
+_WHITESPACE = tuple(ch for ch in map(chr, range(0x3001)) if ch.isspace())
+
+
+def _check_lexemes(profile: LanguageProfile) -> None:
+    """The lexer skips whitespace before each token, so a token starts at a
+    non-whitespace character: comment markers and openers, string openers
+    and operator and decision tokens must be non-empty and must not begin
+    with whitespace, closers must be non-empty, and the identifier pattern
+    must match neither the empty string nor a whitespace character."""
+    def fail(message):
+        raise InvalidProfileConfig(f"profile '{profile.id}': {message}")
+
+    starts = {
+        "line_comment_markers": profile.line_comment_markers,
+        "block_comment_delimiters": [o for o, _ in profile.block_comment_delimiters],
+        "string_delimiters": [o for o, _, _ in profile.string_delimiters],
+        "operator_tokens": sorted(profile.operator_tokens),
+        "decision_tokens": sorted(profile.decision_tokens),
+    }
+    for key, lexemes in starts.items():
+        for lexeme in lexemes:
+            if not lexeme:
+                fail(f"{key} has an empty entry")
+            if lexeme[0].isspace():
+                fail(f"{key} entry {lexeme!r} begins with whitespace")
+    closers = [c for _, c in profile.block_comment_delimiters]
+    closers += [c for _, c, _ in profile.string_delimiters]
+    if "" in closers:
+        fail("a block comment or string delimiter has an empty closer")
+
+    try:
+        identifier = re.compile(profile.identifier_pattern)
+    except re.error as exc:
+        fail(f"bad identifier_pattern: {exc}")
+    if identifier.fullmatch(""):
+        fail("identifier_pattern matches the empty string")
+    for ch in _WHITESPACE:
+        if identifier.fullmatch(ch):
+            fail(f"identifier_pattern matches the whitespace character {ch!r}")
 
 
 class FoldedTokens(NamedTuple):
@@ -282,12 +325,6 @@ def profile_from_dict(data: dict) -> LanguageProfile:
             out.append(tuple(str(x) for x in item))
         return tuple(out)
 
-    pattern = data.get("identifier_pattern", _FIELD_DEFAULTS["identifier_pattern"])
-    try:
-        re.compile(pattern)
-    except re.error as exc:
-        raise InvalidProfileConfig(f"bad identifier_pattern: {exc}") from exc
-
     return LanguageProfile(
         id=str(data["id"]),
         file_extensions=str_tuple("file_extensions"),
@@ -301,7 +338,7 @@ def profile_from_dict(data: dict) -> LanguageProfile:
         unit_end_keywords=str_tuple("unit_end_keywords"),
         nesting_keywords=pair_tuple("nesting_keywords", 2),
         keywords=frozenset(str_tuple("keywords")),
-        identifier_pattern=pattern,
+        identifier_pattern=data.get("identifier_pattern", _FIELD_DEFAULTS["identifier_pattern"]),
         naming_pattern=str(data.get("naming_pattern", _FIELD_DEFAULTS["naming_pattern"])),
         case_sensitive=bool(data.get("case_sensitive", _FIELD_DEFAULTS["case_sensitive"])),
         verbosity_factor=float(data.get("verbosity_factor", _FIELD_DEFAULTS["verbosity_factor"])),

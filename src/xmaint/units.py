@@ -225,26 +225,25 @@ def _line_table(tokens):
     continuation marks lines starting inside brackets or inside a
     multi-line token.
     """
-    max_line = 0
-    for tok in tokens:
-        max_line = max(max_line, tok.end_line)
+    max_line = max((tok.end_line for tok in tokens), default=0)
     first_col = {}
     first_code_col = {}
     code_lines = set()
     continuation = set()
     depth = 0
     for tok in tokens:
-        if tok.line not in first_col:
-            first_col[tok.line] = tok.column
+        line, end_line = tok.line, tok.end_line
+        if line not in first_col:
+            first_col[line] = tok.column
             if depth > 0:
-                continuation.add(tok.line)
-        if tok.kind != COMMENT:
-            if tok.line not in first_code_col:
-                first_code_col[tok.line] = tok.column
-            for line in range(tok.line, tok.end_line + 1):
-                code_lines.add(line)
-            for line in range(tok.line + 1, tok.end_line + 1):
                 continuation.add(line)
+        if tok.kind != COMMENT:
+            if line not in first_code_col:
+                first_code_col[line] = tok.column
+            code_lines.add(line)
+            if end_line != line:
+                code_lines.update(range(line + 1, end_line + 1))
+                continuation.update(range(line + 1, end_line + 1))
         if tok.text in _OPEN_BRACKETS:
             depth += 1
         elif tok.text in _CLOSE_BRACKETS:

@@ -7,6 +7,7 @@ from xmaint.lexing import (
     NUMBER_LITERAL,
     OPERATOR,
     STRING_LITERAL,
+    Token,
     classify_lines,
     physical_line_count,
     tokenize,
@@ -71,6 +72,29 @@ def test_python_triple_quoted_string_spans_lines():
     tokens, _ = tokenize(src, PYTHON)
     lits = [t for t in tokens if t.kind == STRING_LITERAL]
     assert len(lits) == 1 and lits[0].end_line == 2
+
+
+def test_token_stores_the_end_line_of_multi_line_text():
+    assert Token(STRING_LITERAL, '"""a\nb\n\nc"""', 3, 5).end_line == 6
+    assert Token(kind=COMMENT, text="/* x */", line=2, column=1).end_line == 2
+    tokens, _ = tokenize('x = 1\n  s = """a\n\nb"""\ny', PYTHON)
+    assert [(t.text, t.line, t.end_line) for t in tokens if t.end_line != t.line] == [
+        ('"""a\n\nb"""', 2, 4)]
+    tokens, _ = tokenize("a /* c\nd */ y\n", C_FAMILY)
+    assert [(t.line, t.column, t.end_line) for t in tokens] == [(1, 1, 1), (1, 3, 2), (2, 6, 2)]
+
+
+def test_token_equality_and_hash_cover_kind_text_line_and_column():
+    token = Token(IDENTIFIER, "ab", 2, 3)
+    assert token == Token(IDENTIFIER, "ab", 2, 3) and hash(token) == hash(Token(IDENTIFIER, "ab", 2, 3))
+    for other in (Token(OPERATOR, "ab", 2, 3), Token(IDENTIFIER, "abc", 2, 3),
+                  Token(IDENTIFIER, "ab", 1, 3), Token(IDENTIFIER, "ab", 2, 4)):
+        assert token != other
+    # the stored end line is derived, so it takes no part in equality or hash
+    assert Token(IDENTIFIER, "ab", 2, 3, 9) == token and hash(Token(IDENTIFIER, "ab", 2, 3, 9)) == hash(token)
+    assert token != (IDENTIFIER, "ab", 2, 3)
+    assert len({token, Token(IDENTIFIER, "ab", 2, 3), Token(IDENTIFIER, "ab", 2, 4)}) == 2
+    assert repr(token) == "Token(kind='identifier', text='ab', line=2, column=3)"
 
 
 def test_escaped_quote_stays_inside_string():
@@ -229,6 +253,7 @@ def test_crlf_and_lf_give_the_same_analysis(tmp_path):
     lf = _analyze_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
     crlf = _analyze_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
     assert crlf == lf and lf.lines.physical_lines == 5
+    assert [t.end_line for t in crlf.tokens] == [t.end_line for t in lf.tokens]
 
 
 def test_unicode_line_separator_in_string_adds_no_line(tmp_path):

@@ -131,3 +131,60 @@ def test_schema_matches_profile_fields():
     assert declared == {k: fields[k].default for k in declared}
     # every optional scalar field declares its default in the schema
     assert set(declared) == {"identifier_pattern", "naming_pattern", "case_sensitive", "verbosity_factor"}
+
+
+def _definition(**extra):
+    return {"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block", **extra}
+
+
+@pytest.mark.parametrize("pattern", ["[a-z]*", r"\w*", "(?:ab)?", "x|"])
+def test_profile_rejects_identifier_pattern_matching_empty(pattern):
+    # "ab + 1" used to lex into 7 tokens, 4 of them empty identifiers
+    with pytest.raises(InvalidProfileConfig, match="empty"):
+        profile_from_dict(_definition(identifier_pattern=pattern))
+
+
+# Tokens start at non-whitespace characters: a lexeme that begins with
+# whitespace would change meaning ("a --x" a comment under marker " --"),
+# so such a profile fails to load.
+@pytest.mark.parametrize("extra", [
+    {"line_comment_markers": ["#", " --"]},
+    {"line_comment_markers": ["\t#"]},
+    {"block_comment_delimiters": [[" /*", "*/"]]},
+    {"string_delimiters": [["\n'", "'", ""]]},
+    {"operator_tokens": ["+", " +"]},
+    {"decision_tokens": [" ?"]},
+    {"identifier_pattern": "[a-z ]+"},
+    {"identifier_pattern": r"\s|[a-z]+"},
+    {"identifier_pattern": "[a-z\n]+"},
+], ids=["marker-space", "marker-tab", "block-opener", "string-opener", "operator", "decision",
+        "identifier-space", "identifier-class", "identifier-newline"])
+def test_profile_rejects_whitespace_leading_lexemes(extra):
+    with pytest.raises(InvalidProfileConfig, match="whitespace"):
+        profile_from_dict(_definition(**extra))
+
+
+@pytest.mark.parametrize("extra", [
+    {"line_comment_markers": [""]},
+    {"block_comment_delimiters": [["", "*/"]]},
+    {"block_comment_delimiters": [["/*", ""]]},
+    {"string_delimiters": [["", "'", ""]]},
+    {"string_delimiters": [["'", "", ""]]},
+    {"operator_tokens": [""]},
+], ids=["marker", "block-opener", "block-closer", "string-opener", "string-closer", "operator"])
+def test_profile_rejects_empty_lexemes(extra):
+    with pytest.raises(InvalidProfileConfig, match="empty"):
+        profile_from_dict(_definition(**extra))
+
+
+def test_profile_accepts_inner_whitespace_and_builtin_patterns():
+    profile = profile_from_dict(_definition(
+        operator_tokens=["not in", "+"], line_comment_markers=["REM "],
+        identifier_pattern=r"[A-Za-z](?:[A-Za-z0-9]|-(?=[A-Za-z0-9]))*",
+    ))
+    assert "not in" in profile.operator_tokens
+
+
+def test_directly_built_profile_is_checked_too():
+    with pytest.raises(InvalidProfileConfig, match="empty"):
+        dataclasses.replace(BUILTIN_PROFILES[0], identifier_pattern="[a-z]*")
