@@ -307,7 +307,7 @@ def analyze_project(
     dup_cfg = config["duplication"]
     sequences = {
         fa.path: duplication.normalize_tokens(
-            list(fa.tokens),
+            fa.tokens,
             mode=dup_cfg["mode"],
             case_sensitive=registry.get(fa.profile_id).case_sensitive,
         )
@@ -317,7 +317,7 @@ def analyze_project(
         sequences,
         int(dup_cfg["min_tokens"]),
         dup_cfg["mode"],
-        {fa.path: fa.lines for fa in files},
+        project_metrics.total_loc,
     )
 
     profile_ids = sorted({fa.profile_id for fa in files})

@@ -19,7 +19,7 @@ from . import debt_models
 from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
 from .duplication import DUPLICATION_MODES
 from .errors import InvalidConfig, SingleCountingViolation
-from .rules import CANONICAL_IDS, COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS
+from .rules import COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS, _is_number, check_rule_config
 
 ENV_CONFIG = "XMAINT_CONFIG"
 
@@ -129,10 +129,7 @@ def composite_mappings(config: dict) -> list[IndicatorMapping]:
 
 
 def _rule_enabled(config: dict, canonical_id: str) -> bool:
-    entry = config["rules"].get(canonical_id, {})
-    if isinstance(entry, dict) and "enabled" in entry:
-        return bool(entry["enabled"])
-    return _DEFAULTS[canonical_id][2]
+    return config["rules"].get(canonical_id, {}).get("enabled", _DEFAULTS[canonical_id][2])
 
 
 def _number(config: dict, dotted_key: str, kind=float):
@@ -143,10 +140,6 @@ def _number(config: dict, dotted_key: str, kind=float):
         return kind(value)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{dotted_key} must be a number, got {value!r}") from None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_integer_text(text) -> bool:
@@ -203,9 +196,7 @@ def validate_config(config: dict) -> None:
     enabled debt rule; such configs are rejected outright with the
     conflicting pair named.
     """
-    unknown_rules = set(config["rules"]) - set(CANONICAL_IDS)
-    if unknown_rules:
-        raise InvalidConfig(f"unknown rule ids in config: {sorted(unknown_rules)}")
+    check_rule_config(config["rules"])
     mappings = composite_mappings(config)
     try:
         validate_weights(mappings)

@@ -32,9 +32,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, islice, product
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable
 
-from .lexing import COMMENT, IDENTIFIER, LineClassification, Token
+from .lexing import COMMENT, IDENTIFIER, Token
 
 EXACT = "exact"
 IDENTIFIER_BLIND = "identifier-blind"
@@ -43,29 +43,15 @@ DUPLICATION_MODES = (EXACT, IDENTIFIER_BLIND)
 _ID_PLACEHOLDER = "\x00id"
 
 
-class NormToken(NamedTuple):
-    kind: str
-    text: str
-    index: int  # position in the original token sequence
-    line: int
-    end_line: int
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.kind, self.text)
-
-
-_KEY = attrgetter("kind", "text")  # NormToken.key without a Python-level call
+_KEY = attrgetter("kind", "text")  # what two tokens compare by
 _END_LINE = attrgetter("end_line")
 
 
 @dataclass(frozen=True)
 class CloneBlock:
     file_a: str
-    start_token_a: int  # original token index of the first occurrence
     start_line_a: int
     file_b: str
-    start_token_b: int
     start_line_b: int
     length_tokens: int
     length_lines_a: int
@@ -88,24 +74,34 @@ class DuplicationReport:
 
 
 def normalize_tokens(
-    tokens: list[Token], mode: str = EXACT, case_sensitive: bool = True
-) -> list[NormToken]:
-    """Drop comments; in identifier-blind mode all identifiers compare equal."""
-    if mode not in (EXACT, IDENTIFIER_BLIND):
+    tokens: Iterable[Token], mode: str = EXACT, case_sensitive: bool = True
+) -> list[Token]:
+    """The code tokens as the clone stage compares them: comments dropped,
+    texts upper-cased under a case-insensitive profile and, in
+    identifier-blind mode, all identifiers equal. A token whose compared text
+    differs from its own is replaced by one at the same position; all others
+    are the input's own objects."""
+    if mode not in DUPLICATION_MODES:
         raise ValueError(f"unknown normalization mode '{mode}'")
+    blind = mode == IDENTIFIER_BLIND
+    if case_sensitive and not blind:
+        return [tok for tok in tokens if tok.kind != COMMENT]
     out = []
-    for index, tok in enumerate(tokens):
+    for tok in tokens:
         if tok.kind == COMMENT:
             continue
-        text = tok.text if case_sensitive else tok.text.upper()
-        if mode == IDENTIFIER_BLIND and tok.kind == IDENTIFIER:
+        if blind and tok.kind == IDENTIFIER:
             text = _ID_PLACEHOLDER
-        out.append(NormToken(tok.kind, text, index, tok.line, tok.end_line))
+        else:
+            text = tok.text if case_sensitive else tok.text.upper()
+        if text != tok.text:
+            tok = Token(tok.kind, text, tok.line, tok.column, tok.end_line)
+        out.append(tok)
     return out
 
 
-def _intern(seqs: list[list[NormToken]]) -> list[list[int]]:
-    """Each token's key as an int id, shared across all sequences."""
+def _intern(seqs: list[list[Token]]) -> list[list[int]]:
+    """Each token's (kind, text) as an int id, shared across all sequences."""
     table: dict[tuple[str, str], int] = {}
     return [[table.setdefault(key, len(table)) for key in map(_KEY, seq)] for seq in seqs]
 
@@ -139,9 +135,7 @@ def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: 
     return low
 
 
-def find_clone_blocks(
-    sequences: dict[str, list[NormToken]], min_tokens: int
-) -> list[CloneBlock]:
+def find_clone_blocks(sequences: dict[str, list[Token]], min_tokens: int) -> list[CloneBlock]:
     """All maximal clone blocks of at least ``min_tokens`` normalized tokens.
 
     Output is sorted by (file_a, start_a, file_b, start_b); the pair of
@@ -165,24 +159,22 @@ def find_clone_blocks(
     blocks: list[CloneBlock] = []
     line_spans: dict[tuple[int, int, int], int] = {}
 
-    def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, NormToken, int]:
+    def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, int, int]:
         name = files[f_idx]
         seq = sequences[name]
         key = (f_idx, pos, length)
         if key not in line_spans:  # an occurrence recurs in every pair of its class
             line_spans[key] = max(map(_END_LINE, seq[pos : pos + length])) - seq[pos].line + 1
-        return name, seq[pos], line_spans[key]
+        return name, seq[pos].line, line_spans[key]
 
     def add_block(fa: int, pa: int, fb: int, pb: int, length: int) -> None:
-        name_a, first_a, span_a = occurrence(fa, pa, length)
-        name_b, first_b, span_b = occurrence(fb, pb, length)
+        name_a, line_a, span_a = occurrence(fa, pa, length)
+        name_b, line_b, span_b = occurrence(fb, pb, length)
         blocks.append(CloneBlock(
             file_a=name_a,
-            start_token_a=first_a.index,
-            start_line_a=first_a.line,
+            start_line_a=line_a,
             file_b=name_b,
-            start_token_b=first_b.index,
-            start_line_b=first_b.line,
+            start_line_b=line_b,
             length_tokens=length,
             length_lines_a=span_a,
             length_lines_b=span_b,
@@ -218,7 +210,7 @@ def find_clone_blocks(
 
 def duplication_ratios(
     blocks: list[CloneBlock],
-    sequences: dict[str, list[NormToken]],
+    sequences: dict[str, list[Token]],
     total_code_lines: int,
 ) -> tuple[float, float, int, int, int]:
     """Coverage-based ratios: every token/line position counts once no matter
@@ -250,19 +242,9 @@ def duplication_ratios(
 
 
 def build_report(
-    sequences: dict[str, list[NormToken]],
-    min_tokens: int,
-    mode: str,
-    line_classes: dict[str, LineClassification] | None = None,
+    sequences: dict[str, list[Token]], min_tokens: int, mode: str, total_code_lines: int
 ) -> DuplicationReport:
     blocks = find_clone_blocks(sequences, min_tokens)
-    if line_classes is not None:
-        total_code_lines = sum(lc.code + lc.mixed for lc in line_classes.values())
-    else:
-        total_code_lines = sum(
-            len({line for t in seq for line in range(t.line, t.end_line + 1)})
-            for seq in sequences.values()
-        )
     token_ratio, line_ratio, dup_tokens, dup_lines, total_tokens = duplication_ratios(
         blocks, sequences, total_code_lines
     )

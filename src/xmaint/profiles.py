@@ -50,6 +50,10 @@ class LanguageProfile:
             raise InvalidProfileConfig(
                 f"profile '{self.id}': unit_detection must be one of {_UNIT_DETECTIONS}"
             )
+        try:
+            re.compile(self.naming_pattern)
+        except re.error as exc:
+            raise InvalidProfileConfig(f"profile '{self.id}': bad naming_pattern: {exc}") from None
         _check_lexemes(self)
 
     def fold(self, text: str) -> str:
@@ -89,7 +93,10 @@ def _check_lexemes(profile: LanguageProfile) -> None:
     non-whitespace character: comment markers and openers, string openers
     and operator and decision tokens must be non-empty and must not begin
     with whitespace, closers must be non-empty, and the identifier pattern
-    must match neither the empty string nor a whitespace character."""
+    must match neither the empty string nor a whitespace character. The
+    pattern is one alternative of the master regex, so it may hold neither a
+    capturing group (its number or name would point into the master's
+    groups) nor global inline flags such as ``(?i)``."""
     def fail(message):
         raise InvalidProfileConfig(f"profile '{profile.id}': {message}")
 
@@ -115,6 +122,12 @@ def _check_lexemes(profile: LanguageProfile) -> None:
         identifier = re.compile(profile.identifier_pattern)
     except re.error as exc:
         fail(f"bad identifier_pattern: {exc}")
+    if identifier.groups:
+        fail("identifier_pattern has a capturing group; use (?:...)")
+    try:
+        re.compile(f"(?:{profile.identifier_pattern})")
+    except re.error:
+        fail("identifier_pattern sets global inline flags; scope them as (?i:...)")
     if identifier.fullmatch(""):
         fail("identifier_pattern matches the empty string")
     for ch in _WHITESPACE:

@@ -42,6 +42,7 @@ _DEFAULTS = {
     DUPLICATION_BLOCK: (None, 15.0, False),  # disabled: duplication is an indicator by default
     COMMENT_DENSITY: (0.10, 30.0, False),  # disabled: comment ratio is an indicator by default
 }
+_ENTRY_KEYS = frozenset({"threshold", "pattern", "effort_minutes", "enabled"})
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class Rule:
     pattern: str | None
     effort_minutes: float
     enabled: bool
-
-    def __post_init__(self):
-        if self.effort_minutes <= 0:
-            raise InvalidRuleConfig(f"rule '{self.canonical_id}': effort_minutes must be > 0")
-        if self.canonical_id == NAMING and self.pattern:
-            try:
-                re.compile(self.pattern)
-            except re.error as exc:
-                raise InvalidRuleConfig(f"rule '{self.canonical_id}': bad pattern: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -89,6 +81,41 @@ class RuleSet:
         return frozenset(r.canonical_id for r in self.rules if r.enabled)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_rule_config(config: dict) -> None:
+    """Reject a ``rules`` config section entry by entry: an unknown rule id
+    or key, an entry that is not an object, a threshold that is not a
+    number, effort_minutes that is not a number > 0, enabled that is not a
+    boolean, or a pattern that is not a string holding a valid regex."""
+    unknown = set(config) - set(CANONICAL_IDS)
+    if unknown:
+        raise InvalidRuleConfig(f"unknown rule ids in config: {sorted(unknown)}")
+    for canonical_id, entry in config.items():
+        name = f"rules.{canonical_id}"
+        if not isinstance(entry, dict):
+            raise InvalidRuleConfig(f"{name} must be an object")
+        extra = set(entry) - _ENTRY_KEYS
+        if extra:
+            raise InvalidRuleConfig(f"{name}: unknown keys {sorted(extra)}")
+        if "threshold" in entry and not _is_number(entry["threshold"]):
+            raise InvalidRuleConfig(f"{name}.threshold must be a number, got {entry['threshold']!r}")
+        effort = entry.get("effort_minutes", 1)
+        if not (_is_number(effort) and effort > 0):
+            raise InvalidRuleConfig(f"{name}.effort_minutes must be a number > 0, got {effort!r}")
+        if not isinstance(entry.get("enabled", True), bool):
+            raise InvalidRuleConfig(f"{name}.enabled must be true or false, got {entry['enabled']!r}")
+        if "pattern" in entry:
+            if not isinstance(entry["pattern"], str):
+                raise InvalidRuleConfig(f"{name}.pattern must be a string, got {entry['pattern']!r}")
+            try:
+                re.compile(entry["pattern"])
+            except re.error as exc:
+                raise InvalidRuleConfig(f"{name}.pattern is not a valid regex: {exc}") from None
+
+
 def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
     """Defaults overlaid with the config's ``rules`` section.
 
@@ -96,30 +123,17 @@ def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
     "too long" means comparable logic volume across languages.
     """
     config = config or {}
-    unknown = set(config) - set(CANONICAL_IDS)
-    if unknown:
-        raise InvalidRuleConfig(f"unknown rule ids in config: {sorted(unknown)}")
+    check_rule_config(config)
 
     rules = []
     for canonical_id in CANONICAL_IDS:
         threshold, effort, enabled = _DEFAULTS[canonical_id]
         pattern = profile.naming_pattern if canonical_id == NAMING else None
         entry = config.get(canonical_id, {})
-        if not isinstance(entry, dict):
-            raise InvalidRuleConfig(f"rule '{canonical_id}' config must be an object")
-        extra = set(entry) - {"threshold", "pattern", "effort_minutes", "enabled"}
-        if extra:
-            raise InvalidRuleConfig(f"rule '{canonical_id}': unknown keys {sorted(extra)}")
-        if "threshold" in entry:
-            threshold = entry["threshold"]
-            if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-                raise InvalidRuleConfig(f"rule '{canonical_id}': threshold must be a number")
-        if "pattern" in entry:
-            pattern = str(entry["pattern"])
-        if "effort_minutes" in entry:
-            effort = float(entry["effort_minutes"])
-        if "enabled" in entry:
-            enabled = bool(entry["enabled"])
+        threshold = entry.get("threshold", threshold)
+        pattern = entry.get("pattern", pattern)
+        effort = float(entry.get("effort_minutes", effort))
+        enabled = entry.get("enabled", enabled)
         if canonical_id == UNIT_SIZE and threshold is not None:
             threshold = int(round(threshold * profile.verbosity_factor))
         rules.append(

@@ -20,7 +20,7 @@ from __future__ import annotations
 def oracle_blocks(sequences: dict[str, list], min_tokens: int) -> set[tuple]:
     """Return {(file_a, norm_start_a, file_b, norm_start_b, length), ...}."""
     files = sorted(sequences)
-    keyed = {name: [t.key for t in sequences[name]] for name in files}
+    keyed = {name: [(t.kind, t.text) for t in sequences[name]] for name in files}
     found = set()
     for i, fa in enumerate(files):
         for fb in files[i:]:

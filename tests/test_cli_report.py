@@ -1,8 +1,11 @@
+import hashlib
 import json
+import shutil
 
 import pytest
 
-from conftest import write_tree
+from conftest import FIXTURES, write_tree
+from test_acceptance import _mixed_corpus
 from xmaint import analysis
 from xmaint.analysis import discover_files
 from xmaint.cli import main
@@ -264,11 +267,15 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("analyze", {"duplication": {"min_token": 10}}, "duplication.min_token"),
     ("compare", {"composite": {"indicators": {"tdr": {"wieght": 0.9}}}}, "composite.indicators.tdr.wieght"),
     ("analyze", {"metrics": {"weighted_unit_mean": True}}, "metrics.weighted_unit_mean"),
+    ("analyze", {"rules": {"complexity-threshold": {"effort_minutes": "abc"}}},
+     "rules.complexity-threshold.effort_minutes"),
+    ("compare", {"rules": {"complexity-threshold": {"enabled": "no"}}},
+     "rules.complexity-threshold.enabled"),
 ], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
         "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
         "sig-caps-value", "sig-matrix-row", "sig-key-typo", "duplication-key-typo",
-        "indicator-field-typo", "metrics-key-typo"])
+        "indicator-field-typo", "metrics-key-typo", "rule-effort-text", "rule-enabled-text"])
 def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(override))
@@ -288,6 +295,26 @@ def test_default_config_hash_is_pinned(corpus, capsys, monkeypatch):
     assert json.loads(out)["config_hash"] == (
         "ac8b504d5cecb2251f3900b8c4820d371a16de49436c2b5935329127dd8efc77"
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("analyze", "mixed", "--min-tokens", "10"),
+     "5726b4d9dd7ed833fb0039be36289eba2ab70458be175bb392f3d2b022fa7e88"),
+    (("analyze", "mixed", "--min-tokens", "10", "--dup-mode", "identifier-blind"),
+     "a5c4b8e3e3619beef1e93e3ab9ca60fbbbff98bd6dcfd1d926280f41a0af6697"),
+    (("compare", "parity/cfam", "parity/py", "--sensitivity"),
+     "5ab7bb8ec8943381cc5f161059c6b7b3e4967301df8762a6f77161c08f58ab41"),
+], ids=["mixed-exact", "mixed-identifier-blind", "parity-compare-sensitivity"])
+def test_report_digest_is_pinned(tmp_path, capsys, monkeypatch, argv, digest):
+    # SHA-256 of the canonical JSON report: a refactor must leave every value,
+    # field and path in it unchanged; change a digest on purpose only
+    monkeypatch.delenv("XMAINT_CONFIG", raising=False)
+    _mixed_corpus(tmp_path / "mixed", lines_target=600)
+    shutil.copytree(FIXTURES / "parity", tmp_path / "parity")
+    monkeypatch.chdir(tmp_path)  # roots and path flags stay relative
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(strip_generated(out).encode()).hexdigest() == digest
 
 
 # --- discovery ---

@@ -15,7 +15,7 @@ from xmaint.duplication import (
     normalize_tokens,
 )
 from xmaint.lexing import Token, tokenize
-from xmaint.profiles import C_FAMILY
+from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
 
 
 def ident_stream(texts, line_per_token=True):
@@ -40,18 +40,51 @@ def test_normalize_drops_comments():
 def test_identifier_blind_equates_renamed_code():
     a, _ = tokenize("a = b + c", C_FAMILY)
     x, _ = tokenize("x = y + z", C_FAMILY)
-    blind_a = [t.key for t in normalize_tokens(a, IDENTIFIER_BLIND)]
-    blind_x = [t.key for t in normalize_tokens(x, IDENTIFIER_BLIND)]
+    blind_a = [(t.kind, t.text) for t in normalize_tokens(a, IDENTIFIER_BLIND)]
+    blind_x = [(t.kind, t.text) for t in normalize_tokens(x, IDENTIFIER_BLIND)]
     assert blind_a == blind_x
-    exact_a = [t.key for t in normalize_tokens(a, EXACT)]
-    exact_x = [t.key for t in normalize_tokens(x, EXACT)]
+    exact_a = [(t.kind, t.text) for t in normalize_tokens(a, EXACT)]
+    exact_x = [(t.kind, t.text) for t in normalize_tokens(x, EXACT)]
     assert exact_a != exact_x
 
 
 def test_normalize_keeps_backreferences():
     tokens, _ = tokenize("a = 1 // c\nb = 2", C_FAMILY)
-    norm = normalize_tokens(tokens)
-    assert [t.index for t in norm] == [0, 1, 2, 4, 5, 6]
+    assert tokens[3].kind == "comment"
+    assert normalize_tokens(tokens) == tokens[:3] + tokens[4:]
+
+
+def test_exact_case_sensitive_normalization_keeps_the_lexer_tokens():
+    tokens, _ = tokenize("int a = b; /* note */\nreturn a;", C_FAMILY)
+    norm = normalize_tokens(tokens, EXACT, C_FAMILY.case_sensitive)
+    code = [t for t in tokens if t.kind != "comment"]
+    assert len(norm) == len(code) == len(tokens) - 1
+    assert all(n is t for n, t in zip(norm, code))
+
+
+@pytest.mark.parametrize("profile, equal", [(COBOL_LIKE, True), (C_FAMILY, False)])
+def test_case_insensitive_profile_compares_upper_cased(profile, equal):
+    def stream(text):
+        tokens, _ = tokenize(text, profile)
+        return [(t.kind, t.text) for t in normalize_tokens(tokens, EXACT, profile.case_sensitive)]
+
+    assert (stream("move a to b") == stream("MOVE A TO B")) is equal
+
+
+def test_replaced_token_keeps_its_position():
+    tokens, _ = tokenize('x = """two\nlines"""\ny = x', PYTHON)
+    for mode, case_sensitive, replaced_texts in (
+        (EXACT, False, ["x", '"""two\nlines"""', "y", "x"]),
+        (IDENTIFIER_BLIND, True, ["x", "y", "x"]),
+    ):
+        norm = normalize_tokens(tokens, mode, case_sensitive)
+        assert len(norm) == len(tokens)
+        replaced = [(old, new) for old, new in zip(tokens, norm) if new is not old]
+        assert [old.text for old, _ in replaced] == replaced_texts
+        for old, new in replaced:
+            assert new.text != old.text
+            assert (new.kind, new.line, new.column, new.end_line) == (
+                old.kind, old.line, old.column, old.end_line)
 
 
 # --- block finding: worked examples ---
@@ -69,7 +102,7 @@ def test_xyx_stream_single_block():
     blocks = find_clone_blocks({"f": seq}, 5)
     assert len(blocks) == 1
     block = blocks[0]
-    assert (block.start_token_a, block.start_token_b, block.length_tokens) == (0, 10, 5)
+    assert (block.norm_start_a, block.norm_start_b, block.length_tokens) == (0, 10, 5)
 
 
 def test_xyx_token_ratio():
@@ -179,7 +212,7 @@ def test_k_identical_copies_pair_up_in_full():
     k = 12
     stream = [f"t{i}" for i in range(40)]
     seqs = {f"f{i:02d}": normalize_tokens(ident_stream(stream)) for i in range(k)}
-    report = build_report(seqs, 10, EXACT)
+    report = build_report(seqs, 10, EXACT, k * len(stream))
     assert len(report.blocks) == comb(k, 2)
     assert all(b.length_tokens == len(stream) for b in report.blocks)
     assert {(b.norm_start_a, b.norm_start_b) for b in report.blocks} == {(0, 0)}
@@ -257,7 +290,7 @@ def test_ratios_equal_coverage_oracle():
                 continue
             pa = rng.randrange(0, len(seqs[fa]) - length)
             pb = rng.randrange(0, len(seqs[fb]) - length)
-            blocks.append(CloneBlock(fa, 0, 1, fb, 0, 1, length, 1, 1, pa, pb))
+            blocks.append(CloneBlock(fa, 1, fb, 1, length, 1, 1, pa, pb))
         _, _, dup_tokens, dup_lines, _ = duplication_ratios(blocks, seqs, 1)
         assert (dup_tokens, dup_lines) == oracle_coverage(blocks, seqs), f"trial {trial}"
 
@@ -285,7 +318,7 @@ def test_ratios_in_unit_interval():
     rng = random.Random(5)
     for _ in range(20):
         seq = random_stream(rng, rng.randrange(0, 150), 2)
-        report = build_report({"f": seq}, 3, EXACT)
+        report = build_report({"f": seq}, 3, EXACT, len(seq))
         assert 0.0 <= report.duplicated_token_ratio <= 1.0
         assert 0.0 <= report.duplicated_line_ratio <= 1.0
 

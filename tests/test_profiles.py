@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from xmaint.errors import InvalidProfileConfig, UnknownLanguage
+from xmaint.lexing import tokenize
 from xmaint.profiles import (
     BUILTIN_PROFILES,
     LanguageProfile,
@@ -175,6 +176,32 @@ def test_profile_rejects_whitespace_leading_lexemes(extra):
 def test_profile_rejects_empty_lexemes(extra):
     with pytest.raises(InvalidProfileConfig, match="empty"):
         profile_from_dict(_definition(**extra))
+
+
+# The identifier pattern is one alternative of the lexer's master regex:
+# global flags there are a re.error, and group names and numbers point into
+# the master's own groups ("([a-z])\1*" used to lex "aa" as "a", "a").
+@pytest.mark.parametrize("pattern, message", [
+    ("(?i)[a-z]+", "global inline flags"),
+    ("(?P<g0>[a-z]+)", "capturing group"),
+    (r"([a-z])\1*", "capturing group"),
+], ids=["global-flags", "named-group", "backreference"])
+def test_profile_rejects_identifier_pattern_that_breaks_the_master_regex(pattern, message):
+    with pytest.raises(InvalidProfileConfig, match=message):
+        profile_from_dict(_definition(identifier_pattern=pattern))
+
+
+def test_profile_accepts_scoped_flags_in_identifier_pattern():
+    profile = profile_from_dict(_definition(identifier_pattern="(?i:[a-z])[a-z0-9]*"))
+    tokens, _ = tokenize("Ab c", profile)
+    assert [t.text for t in tokens] == ["Ab", "c"]
+
+
+def test_profile_rejects_bad_naming_pattern():
+    # the naming-convention rule compiles it; a bad one used to surface only
+    # after every file had been analyzed
+    with pytest.raises(InvalidProfileConfig, match="naming_pattern"):
+        profile_from_dict(_definition(naming_pattern="[a-z"))
 
 
 def test_profile_accepts_inner_whitespace_and_builtin_patterns():

@@ -11,6 +11,7 @@ from xmaint.rules import (
     NESTING_DEPTH,
     TOO_MANY_PARAMS,
     UNIT_SIZE,
+    check_rule_config,
     check_rules,
     intersect_rule_sets,
     load_rule_set,
@@ -62,6 +63,25 @@ def test_bad_effort_rejected():
 def test_unknown_rule_key_rejected():
     with pytest.raises(InvalidRuleConfig):
         load_rule_set({COMPLEXITY: {"treshold": 10}}, C_FAMILY)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("on", "must be an object"),
+    ({"threshold": "15"}, "threshold must be a number"),
+    ({"threshold": True}, "threshold must be a number"),
+    ({"effort_minutes": "abc"}, "effort_minutes must be a number > 0"),
+    ({"effort_minutes": -5}, "effort_minutes must be a number > 0"),
+    ({"enabled": "no"}, "enabled must be true or false"),
+    ({"enabled": 0}, "enabled must be true or false"),
+    ({"pattern": 7}, "pattern must be a string"),
+    ({"pattern": "[a-z"}, "pattern is not a valid regex"),
+])
+def test_rule_entry_checked_before_use(entry, message):
+    # "enabled": "no" used to be read as bool("no"), which is True
+    with pytest.raises(InvalidRuleConfig, match=message):
+        check_rule_config({NAMING: entry})
+    with pytest.raises(InvalidRuleConfig, match=message):
+        load_rule_set({NAMING: entry}, C_FAMILY)
 
 
 # --- checking ---
