@@ -15,7 +15,7 @@ from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
 from .debt_models import MiResult, SigResult, TdrResult
 from .errors import Diagnostic, EmptyProject, UnknownLanguage, ZeroProductionEffort
-from .lexing import LineClassification, Token, classify_lines, physical_line_count, tokenize
+from .lexing import LineClassification, classify_lines, physical_line_count, tokenize
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
 from .rules import RuleSet, Violation
@@ -31,11 +31,14 @@ DEFAULT_EXCLUDES = (
 class FileAnalysis:
     path: str  # POSIX-style path relative to the project root
     profile_id: str
-    tokens: tuple[Token, ...]
     lines: LineClassification
     units: tuple[Unit, ...]
     unit_metrics: tuple[UnitMetrics, ...]
     diagnostics: tuple[Diagnostic, ...]
+    clone_row: duplication.CloneRow
+    # the whole file's Halstead volume and McCabe count, kept under mi.scope "file" only
+    halstead_volume: float | None = None
+    cyclomatic: int | None = None
 
 
 @dataclass(frozen=True)
@@ -133,57 +136,65 @@ def discover_files(
     return selected
 
 
-def analyze_file(abs_path: Path, rel: str, profile: LanguageProfile) -> FileAnalysis:
-    diagnostics: list[Diagnostic] = []
-    try:
-        raw = abs_path.read_bytes()
-    except OSError as exc:
-        return FileAnalysis(
-            path=rel, profile_id=profile.id, tokens=(), lines=classify_lines([], 0),
-            units=(), unit_metrics=(),
-            diagnostics=(Diagnostic("unreadable-file", str(exc), file=rel),),
-        )
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        return FileAnalysis(
-            path=rel, profile_id=profile.id, tokens=(), lines=classify_lines([], 0),
-            units=(), unit_metrics=(),
-            diagnostics=(Diagnostic("not-utf8", f"not valid UTF-8: {exc}", file=rel),),
-        )
-    # one line-break model: "\r\n" and a lone "\r" end a line like "\n";
-    # no other character does
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+def read_source(abs_path: Path) -> str:
+    """A file's text under the one line-break model: "\r\n" and a lone "\r"
+    end a line like "\n"; no other character does. Raises OSError or
+    UnicodeDecodeError."""
+    text = abs_path.read_bytes().decode("utf-8-sig")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    tokens, lex_diags = tokenize(text, profile, file=rel)
-    diagnostics.extend(lex_diags)
-    lines = classify_lines(tokens, physical_line_count(text))
-    units, unit_diags = extract_units(tokens, profile, file=rel)
-    diagnostics.extend(unit_diags)
-    unit_metrics_list = tuple(metrics.file_unit_metrics(units, tokens, lines, profile))
+
+def analyze_file(
+    abs_path: Path,
+    rel: str,
+    profile: LanguageProfile,
+    dup_mode: str = duplication.EXACT,
+    ids: duplication.TokenIds | None = None,
+    file_scope: bool = False,
+) -> FileAnalysis:
+    """Everything the project stages need of one file; its tokens are dropped
+    on return. The clone row's ids come from ``ids``, the project's table (a
+    fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
+    and McCabe count for file-level MI."""
+    tokens = []
+    units = unit_metrics = ()
+    try:
+        text = read_source(abs_path)
+    except OSError as exc:
+        lines = classify_lines([], 0)
+        diagnostics = [Diagnostic("unreadable-file", str(exc), file=rel)]
+    except UnicodeDecodeError as exc:
+        lines = classify_lines([], 0)
+        diagnostics = [Diagnostic("not-utf8", f"not valid UTF-8: {exc}", file=rel)]
+    else:
+        tokens, diagnostics = tokenize(text, profile, file=rel)
+        lines = classify_lines(tokens, physical_line_count(text))
+        units, unit_diags = extract_units(tokens, profile, file=rel)
+        diagnostics.extend(unit_diags)
+        unit_metrics = metrics.file_unit_metrics(units, tokens, lines, profile)
+    norm = duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive)
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,
-        tokens=tuple(tokens),
         lines=lines,
         units=tuple(units),
-        unit_metrics=unit_metrics_list,
+        unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
+        clone_row=duplication.clone_row(norm, duplication.token_ids() if ids is None else ids),
+        halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
+        cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
     )
 
 
-def _file_level_means(files: list[FileAnalysis], registry: ProfileRegistry):
+def _file_level_means(files: list[FileAnalysis]):
     """aHV/aCC/aLOC with module = file instead of unit (config variant)."""
-    volumes, ccs, locs = [], [], []
-    for fa in files:
-        profile = registry.get(fa.profile_id)
-        volumes.append(metrics.halstead(fa.tokens, profile).volume)
-        ccs.append(metrics.cyclomatic_complexity(fa.tokens, profile))
-        locs.append(fa.lines.code + fa.lines.mixed)
     count = len(files)
     if count == 0:
         return None, None, None
-    return sum(volumes) / count, sum(ccs) / count, sum(locs) / count
+    volumes = sum(fa.halstead_volume for fa in files)
+    ccs = sum(fa.cyclomatic for fa in files)
+    locs = sum(fa.lines.code + fa.lines.mixed for fa in files)
+    return volumes / count, ccs / count, locs / count
 
 
 def _evaluate_sig(
@@ -292,7 +303,11 @@ def analyze_project(
     if not found:
         raise EmptyProject(f"no analyzable files under {root}")
 
-    files = [analyze_file(*item) for item in found]
+    dup_cfg = config["duplication"]
+    ids = duplication.token_ids()
+    file_scope = config["models"]["mi"]["scope"] == "file"
+    files = [analyze_file(*item, dup_cfg["mode"], ids, file_scope) for item in found]
+    del ids  # the rows keep their ids; the texts behind them can go
     files.sort(key=lambda fa: fa.path)
 
     diagnostics = [d for fa in files for d in fa.diagnostics]
@@ -304,17 +319,8 @@ def analyze_project(
         weighted=bool(config["metrics"]["weighted_unit_means"]),
     )
 
-    dup_cfg = config["duplication"]
-    sequences = {
-        fa.path: duplication.normalize_tokens(
-            fa.tokens,
-            mode=dup_cfg["mode"],
-            case_sensitive=registry.get(fa.profile_id).case_sensitive,
-        )
-        for fa in files
-    }
     dup_report = duplication.build_report(
-        sequences,
+        {fa.path: fa.clone_row for fa in files},
         int(dup_cfg["min_tokens"]),
         dup_cfg["mode"],
         project_metrics.total_loc,
@@ -335,8 +341,8 @@ def analyze_project(
     diagnostics.extend(debt_diags)
 
     mi_result: MiResult | None = None
-    if config["models"]["mi"]["scope"] == "file":
-        ahv, acc, aloc = _file_level_means(files, registry)
+    if file_scope:
+        ahv, acc, aloc = _file_level_means(files)
     else:
         ahv, acc, aloc = project_metrics.ahv, project_metrics.acc, project_metrics.aloc
     if ahv is not None:

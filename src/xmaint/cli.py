@@ -171,7 +171,10 @@ def _flags_block(args, extra=None) -> dict:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise XmaintError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -199,11 +202,13 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.paths) < 2:
         raise XmaintError("compare needs at least two project paths")
-    config, registry, digest = _prepare(args)
-
     ids = [Path(p).name for p in args.paths]
     if len(set(ids)) != len(ids):
         ids = [str(Path(p)) for p in args.paths]  # disambiguate same-named roots
+        repeated = sorted({pid for pid in ids if ids.count(pid) > 1})
+        if repeated:
+            raise XmaintError(f"compare: project path given twice: {', '.join(repeated)}")
+    config, registry, digest = _prepare(args)
 
     analyses = [
         _analyze(args, path, pid, config, registry) for path, pid in zip(args.paths, ids)

@@ -7,17 +7,23 @@ overlap. Self-overlapping repeats are therefore capped at their period,
 which splits a periodic run into non-overlapping blocks greedily from the
 left.
 
+The clone stage reads each file as a ``CloneRow``: one int id per
+normalized token, equal ids for equal (kind, compared text) across the
+project, and the tokens' start and end lines. Rows are built file by file,
+so no token outlives its file's analysis.
+
 Detection groups the windows of ``min_tokens`` tokens into classes of equal
-content (after Kamiya, Kusumoto & Inoue's CCFinder): windows are counted by
-a hash, and only windows whose hash repeats are compared exactly, so a hash
-collision never joins two different windows. Inside a class, two members
-start a maximal block only if the tokens before them differ (or one of them
-starts its file); members are grouped by that predecessor token, and only
-pairs drawn from different groups are expanded. Each such left-maximal pair
-is extended to its full match length by galloping over list-slice
-comparisons. The cost is linear in the number of windows plus the number of
-pairs emitted; k copies of one file still emit C(k, 2) pair blocks, so that
-is the only remaining term quadratic in k.
+content (after Kamiya, Kusumoto & Inoue's CCFinder): window hashes are
+counted file by file, then recomputed per file to pick out the windows whose
+hash repeats, and only those are compared exactly. So a hash collision never
+joins two different windows, and no more than one file's hashes are held at
+a time. Inside a class, two members start a maximal block only if the tokens
+before them differ (or one of them starts its file); members are grouped by
+that predecessor token, and only pairs drawn from different groups are
+expanded. Each such left-maximal pair is extended to its full match length
+by galloping over list-slice comparisons. The cost is linear in the number
+of windows plus the number of pairs emitted; k copies of one file still emit
+C(k, 2) pair blocks, so that is the only remaining term quadratic in k.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token
@@ -28,11 +34,11 @@ tokens do not count.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice, product
-from operator import attrgetter
-from typing import Iterable
+from itertools import combinations, compress, count, islice, product
+from typing import Iterable, Iterator
 
 from .lexing import COMMENT, IDENTIFIER, Token
 
@@ -43,8 +49,27 @@ DUPLICATION_MODES = (EXACT, IDENTIFIER_BLIND)
 _ID_PLACEHOLDER = "\x00id"
 
 
-_KEY = attrgetter("kind", "text")  # what two tokens compare by
-_END_LINE = attrgetter("end_line")
+_SUB_WINDOW = 10  # tokens per sub-window hash in _window_keys
+
+TokenIds = dict[tuple[str, str], int]
+
+
+def token_ids() -> TokenIds:
+    """A new id table: a (kind, compared text) key missing from it gets the
+    next int id from 0 on. One table serves every row of a project."""
+    return defaultdict(count().__next__)  # a new key costs no Python call
+
+
+@dataclass(frozen=True)
+class CloneRow:
+    """One file's normalized token stream as the clone stage reads it."""
+
+    ids: list[int]  # equal ids, equal (kind, compared text)
+    lines: array  # array('i') of each token's start line
+    end_lines: array  # array('i') of each token's end line
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -100,16 +125,27 @@ def normalize_tokens(
     return out
 
 
-def _intern(seqs: list[list[Token]]) -> list[list[int]]:
-    """Each token's (kind, text) as an int id, shared across all sequences."""
-    table: dict[tuple[str, str], int] = {}
-    return [[table.setdefault(key, len(table)) for key in map(_KEY, seq)] for seq in seqs]
+def clone_row(tokens: list[Token], ids: TokenIds) -> CloneRow:
+    """The row of a normalized token list, its ids drawn from ``ids``, a
+    table made by ``token_ids``."""
+    id_of = ids.__getitem__
+    return CloneRow(
+        [id_of((tok.kind, tok.text)) for tok in tokens],
+        array("i", [tok.line for tok in tokens]),
+        array("i", [tok.end_line for tok in tokens]),
+    )
 
 
-def _window_keys(row: list[int], width: int) -> list[int]:
+def _window_keys(row: list[int], width: int) -> Iterator[int]:
     """A hash of every width-sized window of ``row``; equal windows get equal
-    keys, unequal windows may collide."""
-    return list(map(hash, zip(*(islice(row, i, None) for i in range(width)))))
+    keys, unequal windows may collide. A window's key combines the hashes of
+    sub-windows that tile it, the last one flush with its end, so each token
+    goes through about _SUB_WINDOW + width / _SUB_WINDOW tuple slots, not
+    width."""
+    sub = min(width, _SUB_WINDOW)
+    sub_keys = list(map(hash, zip(*(islice(row, i, None) for i in range(sub)))))
+    offsets = [*range(0, width - sub, sub), width - sub]
+    return map(hash, zip(*(islice(sub_keys, offset, None) for offset in offsets)))
 
 
 def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: int) -> int:
@@ -135,7 +171,7 @@ def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: 
     return low
 
 
-def find_clone_blocks(sequences: dict[str, list[Token]], min_tokens: int) -> list[CloneBlock]:
+def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[CloneBlock]:
     """All maximal clone blocks of at least ``min_tokens`` normalized tokens.
 
     Output is sorted by (file_a, start_a, file_b, start_b); the pair of
@@ -144,28 +180,31 @@ def find_clone_blocks(sequences: dict[str, list[Token]], min_tokens: int) -> lis
     if min_tokens < 3:
         raise ValueError("min_tokens must be >= 3")
     files = sorted(sequences)
-    rows = _intern([sequences[name] for name in files])
+    rows = [sequences[name].ids for name in files]
 
-    keys = [_window_keys(row, min_tokens) for row in rows]
-    repeated = {key for key, n in Counter(chain.from_iterable(keys)).items() if n > 1}
+    counts: Counter[int] = Counter()
+    for row in rows:
+        counts.update(_window_keys(row, min_tokens))
+    repeated = {key for key, n in counts.items() if n > 1}
+    del counts
     # keyed by window content, so windows whose keys merely collide land in
     # different classes
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
-    for f_idx, (row, row_keys) in enumerate(zip(rows, keys)):
-        for pos in compress(count(), map(repeated.__contains__, row_keys)):
+    for f_idx, row in enumerate(rows):
+        for pos in compress(count(), map(repeated.__contains__, _window_keys(row, min_tokens))):
             classes[tuple(row[pos : pos + min_tokens])].append((f_idx, pos))
-    del keys, repeated
+    del repeated
 
     blocks: list[CloneBlock] = []
     line_spans: dict[tuple[int, int, int], int] = {}
 
     def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, int, int]:
         name = files[f_idx]
-        seq = sequences[name]
+        row = sequences[name]
         key = (f_idx, pos, length)
         if key not in line_spans:  # an occurrence recurs in every pair of its class
-            line_spans[key] = max(map(_END_LINE, seq[pos : pos + length])) - seq[pos].line + 1
-        return name, seq[pos].line, line_spans[key]
+            line_spans[key] = max(row.end_lines[pos : pos + length]) - row.lines[pos] + 1
+        return name, row.lines[pos], line_spans[key]
 
     def add_block(fa: int, pa: int, fb: int, pb: int, length: int) -> None:
         name_a, line_a, span_a = occurrence(fa, pa, length)
@@ -210,7 +249,7 @@ def find_clone_blocks(sequences: dict[str, list[Token]], min_tokens: int) -> lis
 
 def duplication_ratios(
     blocks: list[CloneBlock],
-    sequences: dict[str, list[Token]],
+    sequences: dict[str, CloneRow],
     total_code_lines: int,
 ) -> tuple[float, float, int, int, int]:
     """Coverage-based ratios: every token/line position counts once no matter
@@ -222,7 +261,7 @@ def duplication_ratios(
             spans[name].append((start, start + block.length_tokens))
     dup_tokens = dup_lines = 0
     for name, file_spans in spans.items():
-        seq = sequences[name]
+        row = sequences[name]
         lines: set[int] = set()
         file_spans.sort()
         covered_to = 0
@@ -231,18 +270,18 @@ def duplication_ratios(
             if start >= end:
                 continue
             dup_tokens += end - start
-            for tok in seq[start:end]:
-                lines.update(range(tok.line, tok.end_line + 1))
+            for line, end_line in zip(row.lines[start:end], row.end_lines[start:end]):
+                lines.update(range(line, end_line + 1))
             covered_to = end
         dup_lines += len(lines)
-    total_tokens = sum(len(seq) for seq in sequences.values())
+    total_tokens = sum(map(len, sequences.values()))
     token_ratio = dup_tokens / total_tokens if total_tokens else 0.0
     line_ratio = dup_lines / total_code_lines if total_code_lines else 0.0
     return token_ratio, line_ratio, dup_tokens, dup_lines, total_tokens
 
 
 def build_report(
-    sequences: dict[str, list[Token]], min_tokens: int, mode: str, total_code_lines: int
+    sequences: dict[str, CloneRow], min_tokens: int, mode: str, total_code_lines: int
 ) -> DuplicationReport:
     blocks = find_clone_blocks(sequences, min_tokens)
     token_ratio, line_ratio, dup_tokens, dup_lines, total_tokens = duplication_ratios(

@@ -178,52 +178,39 @@ class SnapshotStore:
 
 
 class _StoreLock:
-    """Advisory single-writer lock: an O_EXCL-created lock file holding the
-    writer's pid. A lock whose pid no longer exists was left by a writer that
-    died, and is removed. Two waiters that find the same stale lock at the
-    same moment can race: the slower one may remove the lock the faster one
-    has just taken.
+    """Advisory single-writer lock: ``flock`` on the store's lock file. The
+    kernel releases it when its holder closes the file or dies, so a lock
+    never outlives its writer. The file stays; its content means nothing.
+    ``fcntl`` is POSIX-only, so it is imported here: analysis runs without it.
     """
 
     def __init__(self, path: Path):
         self.path = path
+        self.fd = -1
 
     def __enter__(self):
+        import fcntl
+
+        try:
+            self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+        except OSError as exc:
+            raise StoreUnwritable(f"cannot lock store: {exc}") from exc
         deadline = time.monotonic() + _LOCK_TIMEOUT_S
         while True:
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
+                fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 return self
-            except FileExistsError:
-                if self._holder_is_gone():
-                    self.path.unlink(missing_ok=True)
-                    continue
+            except BlockingIOError:
                 if time.monotonic() > deadline:
+                    os.close(self.fd)
                     raise StoreUnwritable(f"store locked by another writer: {self.path}")
                 time.sleep(0.05)
             except OSError as exc:
+                os.close(self.fd)
                 raise StoreUnwritable(f"cannot lock store: {exc}") from exc
 
-    def _holder_is_gone(self) -> bool:
-        try:
-            pid = int(self.path.read_text())
-        except (OSError, ValueError):
-            return False  # vanished, unreadable or not yet written: keep waiting
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            pass  # alive, under another user
-        return False
-
     def __exit__(self, *exc_info):
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        os.close(self.fd)  # releases the lock
         return False
 
 

@@ -12,15 +12,17 @@ left-maximality test. No hashing, no diagonal merging.
 
 ``oracle_coverage`` is the reference for the duplication ratios: it counts
 covered tokens and lines with one set entry per position, no interval merging.
+
+Both read clone rows: equal token ids mean equal (kind, compared text).
 """
 
 from __future__ import annotations
 
 
-def oracle_blocks(sequences: dict[str, list], min_tokens: int) -> set[tuple]:
+def oracle_blocks(sequences: dict, min_tokens: int) -> set[tuple]:
     """Return {(file_a, norm_start_a, file_b, norm_start_b, length), ...}."""
     files = sorted(sequences)
-    keyed = {name: [(t.kind, t.text) for t in sequences[name]] for name in files}
+    keyed = {name: list(sequences[name].ids) for name in files}
     found = set()
     for i, fa in enumerate(files):
         for fb in files[i:]:
@@ -46,17 +48,16 @@ def oracle_blocks(sequences: dict[str, list], min_tokens: int) -> set[tuple]:
     return found
 
 
-def oracle_coverage(blocks, sequences: dict[str, list]) -> tuple[int, int]:
+def oracle_coverage(blocks, sequences: dict) -> tuple[int, int]:
     """Return (covered tokens, covered lines), each position counted once:
     a set of every token position and every line a covered token spans."""
     covered_tokens: set[tuple[str, int]] = set()
     covered_lines: set[tuple[str, int]] = set()
     for block in blocks:
         for name, start in ((block.file_a, block.norm_start_a), (block.file_b, block.norm_start_b)):
-            seq = sequences[name]
+            row = sequences[name]
             for pos in range(start, start + block.length_tokens):
                 covered_tokens.add((name, pos))
-                tok = seq[pos]
-                for line in range(tok.line, tok.end_line + 1):
+                for line in range(row.lines[pos], row.end_lines[pos] + 1):
                     covered_lines.add((name, line))
     return len(covered_tokens), len(covered_lines)

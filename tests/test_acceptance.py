@@ -4,9 +4,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; each criterion also asserts, so a plain pytest run gates on them.
 """
 
+import dataclasses
+import gc
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,7 +19,7 @@ from xmaint.cli import main
 from xmaint.composite import composite_score, sensitivity_analysis, ProjectIndicators
 from xmaint.config import load_config
 from xmaint.debt_models import maintainability_index, tdr_grade
-from xmaint.duplication import find_clone_blocks, normalize_tokens
+from xmaint.duplication import clone_row, find_clone_blocks, normalize_tokens, token_ids
 from xmaint.errors import SingleCountingViolation
 from xmaint.lexing import Token
 from xmaint.profiles import ProfileRegistry
@@ -88,6 +91,7 @@ def test_criterion_4_clone_oracle_equivalence():
         min_tokens = thresholds[trial % 4]
         n_files = 2 if trial % 5 == 0 else 1
         seqs = {}
+        ids = token_ids()
         for k in range(n_files):
             n = rng.randrange(0, 501 // n_files)
             texts = [f"t{rng.randrange(alphabet)}" for _ in range(n)]
@@ -97,7 +101,7 @@ def test_criterion_4_clone_oracle_equivalence():
                 length = rng.randrange(min_tokens, 40)
                 texts[dst:dst + length] = texts[src:src + length]
             tokens = [Token("identifier", t, i + 1, 1) for i, t in enumerate(texts)]
-            seqs[f"f{k}"] = normalize_tokens(tokens)
+            seqs[f"f{k}"] = clone_row(normalize_tokens(tokens), ids)
         fast = {(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
                 for b in find_clone_blocks(seqs, min_tokens)}
         slow = oracle_blocks(seqs, min_tokens)
@@ -243,3 +247,30 @@ def test_criterion_9_performance_10kloc(tmp_path):
     report_line(9, elapsed < 5.0 and analysis.metrics.physical_lines >= 10000,
                 f"analyze of {analysis.metrics.physical_lines} physical lines "
                 f"({len(analysis.files)} files) took {elapsed:.2f}s (< 5s)")
+
+
+def test_analysis_retains_few_bytes_per_token(tmp_path):
+    # a per-file result keeps its clone row, never its tokens, so what the
+    # analysis holds once analyze_project returns is bounded per token
+    corpus = _mixed_corpus(tmp_path / "mixed", 3000)
+    config = load_config()
+    registry = ProfileRegistry()
+    analyze_project(corpus, config, registry)  # warm the lexer and profile caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        analysis = analyze_project(corpus, config, registry)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    tokens = analysis.duplication.total_tokens
+    assert tokens > 10_000
+    assert retained <= 64 * tokens, f"{retained / tokens:.1f} B per token retained"
+    for fa in analysis.files:
+        assert fa.halstead_volume is None and fa.cyclomatic is None  # mi.scope "unit"
+        for field in dataclasses.fields(fa):
+            value = getattr(fa, field.name)
+            held = value if isinstance(value, (tuple, list)) else (value,)
+            assert not any(isinstance(item, Token) for item in held), field.name

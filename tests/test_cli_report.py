@@ -304,12 +304,19 @@ def test_default_config_hash_is_pinned(corpus, capsys, monkeypatch):
      "a5c4b8e3e3619beef1e93e3ab9ca60fbbbff98bd6dcfd1d926280f41a0af6697"),
     (("compare", "parity/cfam", "parity/py", "--sensitivity"),
      "5ab7bb8ec8943381cc5f161059c6b7b3e4967301df8762a6f77161c08f58ab41"),
-], ids=["mixed-exact", "mixed-identifier-blind", "parity-compare-sensitivity"])
+    (("analyze", "mixed", "--min-tokens", "10", "--config", "mi_file.json"),
+     "a67bb27a405ee6e846acb83433202e85780aa721190d63e6a19ad3cdd560ca11"),
+    (("analyze", "mixed", "--min-tokens", "10", "--dup-mode", "identifier-blind",
+      "--config", "mi_file.json"),
+     "e48dff0557186bd05ce1a6308f4ace26c713b5b946cf030785997b4a80f84f63"),
+], ids=["mixed-exact", "mixed-identifier-blind", "parity-compare-sensitivity",
+        "mixed-exact-mi-file", "mixed-identifier-blind-mi-file"])
 def test_report_digest_is_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     # SHA-256 of the canonical JSON report: a refactor must leave every value,
     # field and path in it unchanged; change a digest on purpose only
     monkeypatch.delenv("XMAINT_CONFIG", raising=False)
     _mixed_corpus(tmp_path / "mixed", lines_target=600)
+    (tmp_path / "mi_file.json").write_text(json.dumps({"models": {"mi": {"scope": "file"}}}))
     shutil.copytree(FIXTURES / "parity", tmp_path / "parity")
     monkeypatch.chdir(tmp_path)  # roots and path flags stay relative
     code, out, _ = run(capsys, *argv)
@@ -413,6 +420,21 @@ def test_compare_volumetry_scores(tmp_path, capsys):
 def test_compare_requires_two_paths(corpus, capsys):
     code, _, err = run(capsys, "compare", str(corpus))
     assert code == 1 and "two" in err
+
+
+@pytest.mark.parametrize("twice", [
+    lambda p: [str(p), str(p)],
+    lambda p: [str(p), str(p) + "/"],
+    lambda p: [str(p), f"{p.parent}/./{p.name}"],
+], ids=["same", "trailing-slash", "dot-segment"])
+def test_compare_rejects_one_project_given_twice(corpus, capsys, monkeypatch, twice):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a project was analyzed")
+
+    monkeypatch.setattr("xmaint.cli.analyze_project", no_analysis)
+    code, out, err = run(capsys, "compare", *twice(corpus))
+    assert code == 1 and out == ""
+    assert err == f"error: compare: project path given twice: {corpus}\n"
 
 
 def test_compare_with_sensitivity(pair, capsys):
@@ -523,3 +545,23 @@ def test_profiles_list(capsys):
     assert code == 0
     for name in ("c-family", "python", "cobol-like"):
         assert name in out
+
+
+# --- unwritable --out ---
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "trend"])
+def test_unwritable_out_is_an_error_line(corpus, pair, capsys, tmp_path, command):
+    out_path = str(tmp_path / "missing" / "r.json")
+    if command == "analyze":
+        argv = ["analyze", str(corpus)]
+    elif command == "compare":
+        argv = ["compare", *map(str, pair)]
+    else:
+        store = str(tmp_path / "store")
+        assert run(capsys, "snapshot", "save", str(corpus), "--store", store)[0] == 0
+        argv = ["trend", corpus.name, "--store", store, "--metric", "tdr"]
+    code, out, err = run(capsys, *argv, "--out", out_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report: ") and out_path in err
+    assert "Traceback" not in err

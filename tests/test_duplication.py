@@ -4,18 +4,23 @@ from math import comb
 import pytest
 
 from clone_oracle import oracle_blocks, oracle_coverage
+from conftest import write_tree
 from xmaint import duplication
 from xmaint.duplication import (
     EXACT,
     IDENTIFIER_BLIND,
     CloneBlock,
     build_report,
+    clone_row,
     duplication_ratios,
     find_clone_blocks,
     normalize_tokens,
+    token_ids,
 )
+from xmaint.analysis import analyze_project
+from xmaint.config import load_config
 from xmaint.lexing import Token, tokenize
-from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
+from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON, ProfileRegistry
 
 
 def ident_stream(texts, line_per_token=True):
@@ -23,6 +28,14 @@ def ident_stream(texts, line_per_token=True):
         Token(kind="identifier", text=t, line=(i + 1) if line_per_token else 1, column=1)
         for i, t in enumerate(texts)
     ]
+
+
+_IDS = token_ids()  # one id table for every row of this module, as for one project
+
+
+def row(tokens):
+    """The clone row of normalized tokens, built as analyze_file builds it."""
+    return clone_row(tokens, _IDS)
 
 
 def as_keys(blocks):
@@ -71,6 +84,17 @@ def test_case_insensitive_profile_compares_upper_cased(profile, equal):
     assert (stream("move a to b") == stream("MOVE A TO B")) is equal
 
 
+@pytest.mark.parametrize("mode", [EXACT, IDENTIFIER_BLIND])
+def test_analysis_compares_case_insensitive_profiles_upper_cased(tmp_path, mode):
+    body = "PARAGRAPH P.\n    MOVE AMOUNT TO TOTAL.\n    ADD RATE TO TOTAL.\nEND-PARAGRAPH.\n"
+    write_tree(tmp_path / "proj", {"upper.cob": body, "lower.cob": body.lower()})
+    config = load_config()
+    config["duplication"].update(min_tokens=10, mode=mode)
+    report = analyze_project(tmp_path / "proj", config, ProfileRegistry()).duplication
+    assert [(b.file_a, b.file_b, b.length_tokens) for b in report.blocks] == [
+        ("lower.cob", "upper.cob", report.total_tokens // 2)]
+
+
 def test_replaced_token_keeps_its_position():
     tokens, _ = tokenize('x = """two\nlines"""\ny = x', PYTHON)
     for mode, case_sensitive, replaced_texts in (
@@ -91,14 +115,14 @@ def test_replaced_token_keeps_its_position():
 
 
 def test_no_repeat_no_blocks():
-    seq = normalize_tokens(ident_stream([f"t{i}" for i in range(40)]))
+    seq = row(normalize_tokens(ident_stream([f"t{i}" for i in range(40)])))
     assert find_clone_blocks({"f": seq}, 5) == []
 
 
 def test_xyx_stream_single_block():
     xs = [f"X{i}" for i in range(1, 6)]
     ys = [f"Y{i}" for i in range(1, 6)]
-    seq = normalize_tokens(ident_stream(xs + ys + xs))
+    seq = row(normalize_tokens(ident_stream(xs + ys + xs)))
     blocks = find_clone_blocks({"f": seq}, 5)
     assert len(blocks) == 1
     block = blocks[0]
@@ -108,7 +132,7 @@ def test_xyx_stream_single_block():
 def test_xyx_token_ratio():
     xs = [f"X{i}" for i in range(1, 6)]
     ys = [f"Y{i}" for i in range(1, 6)]
-    seq = normalize_tokens(ident_stream(xs + ys + xs))
+    seq = row(normalize_tokens(ident_stream(xs + ys + xs)))
     blocks = find_clone_blocks({"f": seq}, 5)
     token_ratio, _, dup, _, total = duplication_ratios(blocks, {"f": seq}, 15)
     assert dup == 10 and total == 15
@@ -122,8 +146,8 @@ def test_min_tokens_validation():
 
 def test_cross_file_clone():
     shared = [f"s{i}" for i in range(8)]
-    fa = normalize_tokens(ident_stream(["a1", "a2"] + shared))
-    fb = normalize_tokens(ident_stream(shared + ["b1"]))
+    fa = row(normalize_tokens(ident_stream(["a1", "a2"] + shared)))
+    fb = row(normalize_tokens(ident_stream(shared + ["b1"])))
     blocks = find_clone_blocks({"a": fa, "b": fb}, 5)
     assert len(blocks) == 1
     block = blocks[0]
@@ -134,14 +158,14 @@ def test_cross_file_clone():
 
 def test_periodic_run_greedy_split():
     # 6 identical tokens, min 3: exactly one non-overlapping pair [0,3) vs [3,6)
-    seq = normalize_tokens(ident_stream(["a"] * 6))
+    seq = row(normalize_tokens(ident_stream(["a"] * 6)))
     blocks = find_clone_blocks({"f": seq}, 3)
     assert as_keys(blocks) == {("f", 0, "f", 3, 3)}
 
 
 def test_overlapping_occurrences_rejected():
     # 5 identical tokens cannot host two non-overlapping 3-grams
-    seq = normalize_tokens(ident_stream(["a"] * 5))
+    seq = row(normalize_tokens(ident_stream(["a"] * 5)))
     assert find_clone_blocks({"f": seq}, 3) == []
 
 
@@ -149,7 +173,7 @@ def test_overlapping_occurrences_rejected():
 
 
 def random_stream(rng, n, alphabet):
-    return normalize_tokens(ident_stream([f"t{rng.randrange(alphabet)}" for _ in range(n)]))
+    return row(normalize_tokens(ident_stream([f"t{rng.randrange(alphabet)}" for _ in range(n)])))
 
 
 def test_oracle_equivalence_randomized():
@@ -165,6 +189,22 @@ def test_oracle_equivalence_randomized():
         fast = as_keys(find_clone_blocks(seqs, min_tokens))
         slow = oracle_blocks(seqs, min_tokens)
         assert fast == slow, f"trial {trial}: alphabet={alphabet} min={min_tokens}"
+
+
+@pytest.mark.parametrize("width", [3, 9, 10, 11, 15, 20, 23, 50])
+def test_window_keys_give_equal_windows_equal_keys(width):
+    # a key combines sub-window hashes, the last one overlapping its
+    # neighbour unless the width is a multiple of the sub-window
+    rng = random.Random(width)
+    copy = [rng.randrange(3) for _ in range(60)]
+    row = copy + [5] + copy + [6] + copy  # equal windows, unequal neighbours
+    keys = list(duplication._window_keys(row, width))
+    assert len(keys) == len(row) - width + 1
+    by_window = {}
+    for pos, key in enumerate(keys):
+        assert by_window.setdefault(tuple(row[pos : pos + width]), key) == key
+    assert len(by_window) < len(keys)
+    assert list(duplication._window_keys(row[: width - 1], width)) == []
 
 
 def test_oracle_equivalence_when_every_window_collides(monkeypatch):
@@ -203,7 +243,7 @@ def test_oracle_equivalence_multi_file_injected_clones():
             at = rng.randrange(0, len(texts[src]) - length)
             to = rng.randrange(0, len(texts[dst]) - length)
             texts[dst][to : to + length] = texts[src][at : at + length]
-        seqs = {name: normalize_tokens(ident_stream(t)) for name, t in texts.items()}
+        seqs = {name: row(normalize_tokens(ident_stream(t))) for name, t in texts.items()}
         fast = as_keys(find_clone_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
 
@@ -211,7 +251,7 @@ def test_oracle_equivalence_multi_file_injected_clones():
 def test_k_identical_copies_pair_up_in_full():
     k = 12
     stream = [f"t{i}" for i in range(40)]
-    seqs = {f"f{i:02d}": normalize_tokens(ident_stream(stream)) for i in range(k)}
+    seqs = {f"f{i:02d}": row(normalize_tokens(ident_stream(stream))) for i in range(k)}
     report = build_report(seqs, 10, EXACT, k * len(stream))
     assert len(report.blocks) == comb(k, 2)
     assert all(b.length_tokens == len(stream) for b in report.blocks)
@@ -268,7 +308,7 @@ def gapped_stream(rng, n, alphabet):
         text = f"t{rng.randrange(alphabet)}" + "\n" * rng.choice([0, 0, 0, 0, 1, 2])
         tokens.append(Token(kind="identifier", text=text, line=line, column=1))
         line = tokens[-1].end_line
-    return normalize_tokens(tokens)
+    return row(normalize_tokens(tokens))
 
 
 def test_ratios_equal_coverage_oracle():
@@ -306,10 +346,11 @@ def test_ratios_equal_coverage_oracle():
         seen["periodic"] += any(  # a period split gives blocks at consecutive starts
             (fa, pa + 1, fb, pb + 1, ln) in keys for fa, pa, fb, pb, ln in keys if fa == fb
         )
-        tokens = [t for seq in seqs.values() for t in seq]
-        seen["multi_line"] += any(t.end_line > t.line for t in tokens)
+        seen["multi_line"] += any(
+            end > start for r in seqs.values() for start, end in zip(r.lines, r.end_lines)
+        )
         seen["gap"] += any(
-            b.line > a.end_line + 1 for seq in seqs.values() for a, b in zip(seq, seq[1:])
+            start > end + 1 for r in seqs.values() for end, start in zip(r.end_lines, r.lines[1:])
         )
     assert all(seen.values()), seen
 
@@ -342,12 +383,13 @@ def test_verbose_layout_inflates_line_ratio_not_token_ratio():
                 out.append(Token(kind="identifier", text=t, line=line, column=(i % per_line) + 1))
         return out
 
-    dense = normalize_tokens(lay_out([(filler_a, 6), (body, 6), (filler_b, 6), (body, 6)]))
-    spread = normalize_tokens(lay_out([(filler_a, 6), (body, 1), (filler_b, 6), (body, 1)]))
+    dense_tokens = normalize_tokens(lay_out([(filler_a, 6), (body, 6), (filler_b, 6), (body, 6)]))
+    spread_tokens = normalize_tokens(lay_out([(filler_a, 6), (body, 1), (filler_b, 6), (body, 1)]))
+    dense, spread = row(dense_tokens), row(spread_tokens)
     dense_blocks = find_clone_blocks({"f": dense}, 10)
     spread_blocks = find_clone_blocks({"f": spread}, 10)
-    dense_lines = len({l for t in dense for l in range(t.line, t.end_line + 1)})
-    spread_lines = len({l for t in spread for l in range(t.line, t.end_line + 1)})
+    dense_lines = len({l for t in dense_tokens for l in range(t.line, t.end_line + 1)})
+    spread_lines = len({l for t in spread_tokens for l in range(t.line, t.end_line + 1)})
     tr_dense, lr_dense, *_ = duplication_ratios(dense_blocks, {"f": dense}, dense_lines)
     tr_spread, lr_spread, *_ = duplication_ratios(spread_blocks, {"f": spread}, spread_lines)
     assert tr_dense == pytest.approx(tr_spread)

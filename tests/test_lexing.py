@@ -1,6 +1,6 @@
 import random
 
-from xmaint.analysis import analyze_file
+from xmaint.analysis import analyze_file, read_source
 from xmaint.lexing import (
     COMMENT,
     IDENTIFIER,
@@ -242,10 +242,19 @@ def _analyze_bytes(tmp_path, name, data, profile):
     return analyze_file(path, name, profile)
 
 
+def _lex_bytes(tmp_path, name, data, profile):
+    """The tokens analyze_file lexes from these bytes."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    return tokenize(read_source(path), profile)[0]
+
+
 def test_cr_only_file_counts_every_line(tmp_path):
-    fa = _analyze_bytes(tmp_path, "cr.c", b"int a = 1;\rint b = 2;\rint c = 3;\r", C_FAMILY)
+    data = b"int a = 1;\rint b = 2;\rint c = 3;\r"
+    fa = _analyze_bytes(tmp_path, "cr.c", data, C_FAMILY)
     assert (fa.lines.code, fa.lines.physical_lines) == (3, 3)
-    assert [t.line for t in fa.tokens if t.text == ";"] == [1, 2, 3]
+    tokens = _lex_bytes(tmp_path, "cr.c", data, C_FAMILY)
+    assert [t.line for t in tokens if t.text == ";"] == [1, 2, 3]
 
 
 def test_crlf_and_lf_give_the_same_analysis(tmp_path):
@@ -253,7 +262,9 @@ def test_crlf_and_lf_give_the_same_analysis(tmp_path):
     lf = _analyze_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
     crlf = _analyze_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
     assert crlf == lf and lf.lines.physical_lines == 5
-    assert [t.end_line for t in crlf.tokens] == [t.end_line for t in lf.tokens]
+    lf_tokens = _lex_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
+    crlf_tokens = _lex_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
+    assert [t.end_line for t in crlf_tokens] == [t.end_line for t in lf_tokens]
 
 
 def test_unicode_line_separator_in_string_adds_no_line(tmp_path):

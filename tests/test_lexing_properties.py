@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from xmaint.analysis import analyze_file  # noqa: E402
+from xmaint.analysis import analyze_file, read_source  # noqa: E402
 from xmaint.lexing import tokenize  # noqa: E402
 from xmaint.profiles import BUILTIN_PROFILES  # noqa: E402
 
@@ -72,31 +72,32 @@ def workdir(tmp_path_factory):
 
 
 def _analyze(workdir, text, profile):
+    """The analysis of ``text`` as a file, and the tokens analyze_file lexes from it."""
     path = workdir / "src.txt"
     path.write_bytes(text.encode("utf-8"))
-    return analyze_file(path, "src.txt", profile)
+    return analyze_file(path, "src.txt", profile), tokenize(read_source(path), profile)[0]
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES, ids=lambda p: p.id)
 @settings(max_examples=200, deadline=None)
 @given(text=mixed_texts)
 def test_line_classes_sum_to_the_physical_count(workdir, profile, text):
-    fa = _analyze(workdir, text, profile)
+    fa, tokens = _analyze(workdir, text, profile)
     lines = fa.lines
     assert lines.code + lines.comment + lines.blank + lines.mixed == lines.physical_lines
     # the line of each token's last character (a token may swallow the final break)
-    assert all(1 <= t.line + t.text[:-1].count("\n") <= lines.physical_lines for t in fa.tokens)
-    if fa.tokens and not text[-1].isspace():
-        assert fa.tokens[-1].end_line == lines.physical_lines  # no phantom last line
+    assert all(1 <= t.line + t.text[:-1].count("\n") <= lines.physical_lines for t in tokens)
+    if tokens and not text[-1].isspace():
+        assert tokens[-1].end_line == lines.physical_lines  # no phantom last line
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES, ids=lambda p: p.id)
 @settings(max_examples=150, deadline=None)
 @given(text=lf_sources)
 def test_lf_crlf_and_cr_sources_analyze_alike(workdir, profile, text):
-    lf = _analyze(workdir, text, profile)
-    end_lines = [t.end_line for t in lf.tokens]
+    lf, lf_tokens = _analyze(workdir, text, profile)
+    end_lines = [t.end_line for t in lf_tokens]
     for other in (text.replace("\n", "\r\n"), text.replace("\n", "\r")):
-        fa = _analyze(workdir, other, profile)
+        fa, tokens = _analyze(workdir, other, profile)
         assert fa == lf
-        assert [t.end_line for t in fa.tokens] == end_lines
+        assert [t.end_line for t in tokens] == end_lines

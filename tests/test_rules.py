@@ -159,12 +159,12 @@ def test_threshold_monotonicity():
 
 
 def test_duplication_block_rule_fires_when_enabled():
-    from xmaint.duplication import find_clone_blocks, normalize_tokens
+    from xmaint.duplication import clone_row, find_clone_blocks, normalize_tokens, token_ids
     from xmaint.lexing import Token
 
     run = [f"s{i}" for i in range(6)]
     toks = [Token("identifier", t, i + 1, 1) for i, t in enumerate(run + ["gap"] + run)]
-    seq = normalize_tokens(toks)
+    seq = clone_row(normalize_tokens(toks), token_ids())
     blocks = find_clone_blocks({"f": seq}, 5)
     assert blocks
     rs = load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)

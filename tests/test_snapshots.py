@@ -9,6 +9,8 @@ from xmaint import snapshots
 from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
 from xmaint.snapshots import SnapshotStore, utc_now_iso
 
+fcntl = pytest.importorskip("fcntl")  # the store lock is POSIX flock
+
 
 def snapshot(project="proj", tdr=0.3, config_hash="cafe" * 16, label=""):
     return {
@@ -113,31 +115,66 @@ def test_trend_unknown_metric(tmp_path):
         store.trend("proj", "bogus_metric")
 
 
+def _try_lock(store_root):
+    """Take the store's lock on a descriptor of our own without waiting;
+    returns the descriptor, or None while another descriptor holds it."""
+    store_root.mkdir(parents=True, exist_ok=True)
+    fd = os.open(store_root / ".lock", os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
 def test_lock_released_after_save(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     store.save(snapshot())
-    assert not (tmp_path / "store" / ".lock").exists()
-
-
-def _write_lock(store_root, pid):
-    store_root.mkdir(parents=True, exist_ok=True)
-    (store_root / ".lock").write_text(str(pid))
+    fd = _try_lock(tmp_path / "store")
+    assert fd is not None
+    os.close(fd)
 
 
 def test_lock_left_by_dead_writer_is_taken_over(tmp_path):
-    dead = subprocess.Popen([sys.executable, "-c", "pass"])
-    assert dead.wait(timeout=30) == 0  # reaped: its pid no longer names a process
-    _write_lock(tmp_path / "store", dead.pid)
-    store = SnapshotStore(tmp_path / "store")
+    # the writer takes the lock and dies holding it; the kernel drops it
+    store_root = tmp_path / "store"
+    store_root.mkdir()
+    with subprocess.Popen(
+        [sys.executable, "-c",
+         "import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR); "
+         "fcntl.flock(fd, fcntl.LOCK_EX); print('locked', flush=True); sys.stdin.read()",
+         str(store_root / ".lock")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    ) as writer:
+        try:
+            assert writer.stdout.readline().strip() == "locked"
+            assert _try_lock(store_root) is None
+        finally:
+            writer.kill()  # leaving the block closes the pipes and reaps it
+    store = SnapshotStore(store_root)
     store.save(snapshot())
     assert len(store.load("proj")) == 1
-    assert not (tmp_path / "store" / ".lock").exists()
 
 
 def test_lock_held_by_live_writer_times_out(tmp_path, monkeypatch):
     monkeypatch.setattr(snapshots, "_LOCK_TIMEOUT_S", 0.2)
-    _write_lock(tmp_path / "store", os.getpid())
+    fd = _try_lock(tmp_path / "store")
+    assert fd is not None
+    try:
+        store = SnapshotStore(tmp_path / "store")
+        with pytest.raises(StoreUnwritable):
+            store.save(snapshot())
+        assert store.load("proj") == []
+    finally:
+        os.close(fd)
+
+
+def test_leftover_lock_file_naming_a_live_pid_does_not_block(tmp_path, monkeypatch):
+    # a lock file is not a lock: only a held flock blocks a writer
+    monkeypatch.setattr(snapshots, "_LOCK_TIMEOUT_S", 0.5)
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / ".lock").write_text(str(os.getppid()))
     store = SnapshotStore(tmp_path / "store")
-    with pytest.raises(StoreUnwritable):
-        store.save(snapshot())
-    assert (tmp_path / "store" / ".lock").read_text() == str(os.getpid())
+    store.save(snapshot())
+    assert len(store.load("proj")) == 1
