@@ -19,7 +19,7 @@ from .lexing import LineClassification, classify_lines, physical_line_count, tok
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
 from .rules import RuleSet, Violation
-from .units import Unit, extract_units
+from .units import extract_units
 
 DEFAULT_EXCLUDES = (
     ".git", ".hg", ".svn", "__pycache__", "node_modules", "build", "dist",
@@ -32,7 +32,6 @@ class FileAnalysis:
     path: str  # POSIX-style path relative to the project root
     profile_id: str
     lines: LineClassification
-    units: tuple[Unit, ...]
     unit_metrics: tuple[UnitMetrics, ...]
     diagnostics: tuple[Diagnostic, ...]
     clone_row: duplication.CloneRow
@@ -157,7 +156,7 @@ def analyze_file(
     fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
     and McCabe count for file-level MI."""
     tokens = []
-    units = unit_metrics = ()
+    unit_metrics = ()
     try:
         text = read_source(abs_path)
     except OSError as exc:
@@ -172,15 +171,15 @@ def analyze_file(
         units, unit_diags = extract_units(tokens, profile, file=rel)
         diagnostics.extend(unit_diags)
         unit_metrics = metrics.file_unit_metrics(units, tokens, lines, profile)
-    norm = duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive)
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,
         lines=lines,
-        units=tuple(units),
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
-        clone_row=duplication.clone_row(norm, duplication.token_ids() if ids is None else ids),
+        clone_row=duplication.normalize_tokens(
+            tokens, dup_mode, profile.case_sensitive, duplication.token_ids() if ids is None else ids
+        ),
         halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
         cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
     )

@@ -7,6 +7,7 @@ Exit codes: 0 clean success, 2 success with diagnostics, 1 fatal error
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -48,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     def analysis_flags(p):
         p.add_argument("--profile", default=None, help="force a language profile for all files")
         p.add_argument("--config", default=None, help="config file (or XMAINT_CONFIG env var)")
-        p.add_argument("--format", default=None, choices=REPORT_FORMATS)
         p.add_argument("--min-tokens", type=int, default=None, help="clone detection threshold")
         p.add_argument("--dup-mode", default=None, choices=DUPLICATION_MODES)
         p.add_argument("--cost-per-line", type=float, default=None,
@@ -57,12 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="externally measured test coverage in [0,1]")
         p.add_argument("--include", action="append", default=[], metavar="GLOB")
         p.add_argument("--exclude", action="append", default=[], metavar="GLOB")
+
+    def report_flags(p):
+        p.add_argument("--format", default=None, choices=REPORT_FORMATS)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p_analyze = sub.add_parser("analyze", help="analyze one project")
     p_analyze.add_argument("path")
     p_analyze.add_argument("--project-id", default=None)
     analysis_flags(p_analyze)
+    report_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_compare = sub.add_parser("compare", help="rank two or more projects")
@@ -70,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--sensitivity", action="store_true",
                            help="add weight-sensitivity analysis to the report")
     analysis_flags(p_compare)
+    report_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_snapshot = sub.add_parser("snapshot", help="persist or list analysis snapshots")
@@ -156,7 +161,7 @@ def _flags_block(args, extra=None) -> dict:
     flags = {
         "profile": args.profile,
         "config": args.config,
-        "format": getattr(args, "format", None),
+        "format": args.format,
         "min_tokens": args.min_tokens,
         "dup_mode": args.dup_mode,
         "cost_per_line": args.cost_per_line,
@@ -167,6 +172,21 @@ def _flags_block(args, extra=None) -> dict:
     }
     flags.update(extra or {})
     return flags
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` the report could not be written to before any
+    project file is read; the file itself is written only by ``_emit``."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        problem = "is a directory"
+    elif not os.access(path.parent, os.W_OK):
+        problem = f"directory missing or not writable: '{path.parent}'"
+    else:
+        return
+    raise XmaintError(f"cannot write report: {out}: {problem}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -184,6 +204,7 @@ def _fmt(args, config) -> str:
 
 
 def cmd_analyze(args) -> int:
+    _check_out(args.out)
     config, registry, digest = _prepare(args)
     analysis = _analyze(args, args.path, args.project_id, config, registry)
     scores = _single_score(analysis, config)
@@ -208,6 +229,7 @@ def cmd_compare(args) -> int:
         repeated = sorted({pid for pid in ids if ids.count(pid) > 1})
         if repeated:
             raise XmaintError(f"compare: project path given twice: {', '.join(repeated)}")
+    _check_out(args.out)
     config, registry, digest = _prepare(args)
 
     analyses = [

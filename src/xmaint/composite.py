@@ -211,31 +211,21 @@ def composite_score(
         raise ValueError("no indicators left to score")
     weights = _renormalize({m.indicator: m.weight for m in present})
 
-    results = []
-    for project in projects:
-        row = scores[project.project_id]
-        total = sum(weights[ind] * mapped for ind, (_, mapped) in row.items())
-        results.append(
-            CompositeScore(
-                project_id=project.project_id,
-                per_indicator=row,
-                weights_used=dict(weights),
-                total=total,
-                rank=0,
-                absent_indicators=tuple(absent),
-            )
-        )
-    results.sort(key=lambda r: (-r.total, r.project_id))
+    totals = [
+        (sum(weights[ind] * mapped for ind, (_, mapped) in scores[p.project_id].items()), p.project_id)
+        for p in projects
+    ]
+    totals.sort(key=lambda t: (-t[0], t[1]))
     return [
         CompositeScore(
-            project_id=r.project_id,
-            per_indicator=r.per_indicator,
-            weights_used=r.weights_used,
-            total=r.total,
-            rank=i + 1,
-            absent_indicators=r.absent_indicators,
+            project_id=project_id,
+            per_indicator=scores[project_id],
+            weights_used=dict(weights),
+            total=total,
+            rank=rank,
+            absent_indicators=tuple(absent),
         )
-        for i, r in enumerate(results)
+        for rank, (total, project_id) in enumerate(totals, 1)
     ]
 
 

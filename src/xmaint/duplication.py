@@ -99,40 +99,26 @@ class DuplicationReport:
 
 
 def normalize_tokens(
-    tokens: Iterable[Token], mode: str = EXACT, case_sensitive: bool = True
-) -> list[Token]:
-    """The code tokens as the clone stage compares them: comments dropped,
-    texts upper-cased under a case-insensitive profile and, in
-    identifier-blind mode, all identifiers equal. A token whose compared text
-    differs from its own is replaced by one at the same position; all others
-    are the input's own objects."""
+    tokens: Iterable[Token], mode: str, case_sensitive: bool, ids: TokenIds
+) -> CloneRow:
+    """The clone row of one file's tokens: comments dropped, each code token
+    keyed by its kind and compared text (upper-cased under a case-insensitive
+    profile; in identifier-blind mode, one text for all identifiers), and
+    each key given its id from ``ids``, a table made by ``token_ids``. Only
+    rows whose ids come from one table can be compared."""
     if mode not in DUPLICATION_MODES:
         raise ValueError(f"unknown normalization mode '{mode}'")
     blind = mode == IDENTIFIER_BLIND
-    if case_sensitive and not blind:
-        return [tok for tok in tokens if tok.kind != COMMENT]
-    out = []
-    for tok in tokens:
-        if tok.kind == COMMENT:
-            continue
-        if blind and tok.kind == IDENTIFIER:
-            text = _ID_PLACEHOLDER
-        else:
-            text = tok.text if case_sensitive else tok.text.upper()
-        if text != tok.text:
-            tok = Token(tok.kind, text, tok.line, tok.column, tok.end_line)
-        out.append(tok)
-    return out
-
-
-def clone_row(tokens: list[Token], ids: TokenIds) -> CloneRow:
-    """The row of a normalized token list, its ids drawn from ``ids``, a
-    table made by ``token_ids``."""
+    code = [tok for tok in tokens if tok.kind != COMMENT]
     id_of = ids.__getitem__
     return CloneRow(
-        [id_of((tok.kind, tok.text)) for tok in tokens],
-        array("i", [tok.line for tok in tokens]),
-        array("i", [tok.end_line for tok in tokens]),
+        [
+            id_of((tok.kind, _ID_PLACEHOLDER if blind and tok.kind == IDENTIFIER
+                   else tok.text if case_sensitive else tok.text.upper()))
+            for tok in code
+        ],
+        array("i", [tok.line for tok in code]),
+        array("i", [tok.end_line for tok in code]),
     )
 
 

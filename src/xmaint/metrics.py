@@ -59,9 +59,7 @@ class UnitMetrics:
     unit: Unit
     loc: int
     cc: int
-    param_count: int
     halstead: HalsteadCounts
-    nesting_depth_max: int
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class ProjectMetrics:
     acc: float | None  # mean cyclomatic complexity per unit
     aloc: float | None  # mean code lines per unit
     max_cc: int | None
-    unit_size_distribution: tuple[tuple[str, str, int, int], ...]  # (file, name, start line, loc)
 
 
 def cyclomatic_complexity(unit_tokens: list[Token], profile: LanguageProfile) -> int:
@@ -160,9 +157,7 @@ def unit_metrics(
         unit=unit,
         loc=max(loc, 1),
         cc=cyclomatic_complexity(own_tokens, profile),
-        param_count=unit.param_count,
         halstead=halstead(own_tokens, profile),
-        nesting_depth_max=unit.nesting_depth_max,
     )
 
 
@@ -221,12 +216,6 @@ def aggregate_project(
     else:
         ahv = acc = aloc = max_cc = None
 
-    distribution = tuple(
-        sorted(
-            (m.unit.file or "", m.unit.name, m.unit.start_line, m.loc)
-            for m in all_unit_metrics
-        )
-    )
     return ProjectMetrics(
         total_loc=total_loc,
         physical_lines=physical,
@@ -236,5 +225,4 @@ def aggregate_project(
         acc=acc,
         aloc=aloc,
         max_cc=max_cc,
-        unit_size_distribution=distribution,
     )

@@ -58,9 +58,10 @@ def project_block(pa: ProjectAnalysis, max_blocks: int = 50) -> dict:
             "aloc": _r4(pa.metrics.aloc),
             "max_cc": pa.metrics.max_cc,
             "unit_size_distribution": [
-                {"file": f, "name": n, "line": line, "loc": loc}
-                for f, n, line, loc in sorted(
-                    pa.metrics.unit_size_distribution, key=lambda e: (-e[3], e[0], e[2])
+                {"file": m.unit.file or "", "name": m.unit.name, "line": m.unit.start_line, "loc": m.loc}
+                for m in sorted(
+                    (m for fa in pa.files for m in fa.unit_metrics),
+                    key=lambda m: (-m.loc, m.unit.file or "", m.unit.start_line, m.unit.name),
                 )
             ],
         },

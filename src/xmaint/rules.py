@@ -188,10 +188,10 @@ def check_rules(
                 fire(rule, file, unit.start_line, unit.name, metrics.cc, rule.threshold)
             elif rule.canonical_id == UNIT_SIZE and metrics.loc > rule.threshold:
                 fire(rule, file, unit.start_line, unit.name, metrics.loc, rule.threshold)
-            elif rule.canonical_id == TOO_MANY_PARAMS and metrics.param_count > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, metrics.param_count, rule.threshold)
-            elif rule.canonical_id == NESTING_DEPTH and metrics.nesting_depth_max > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, metrics.nesting_depth_max, rule.threshold)
+            elif rule.canonical_id == TOO_MANY_PARAMS and unit.param_count > rule.threshold:
+                fire(rule, file, unit.start_line, unit.name, unit.param_count, rule.threshold)
+            elif rule.canonical_id == NESTING_DEPTH and unit.nesting_depth_max > rule.threshold:
+                fire(rule, file, unit.start_line, unit.name, unit.nesting_depth_max, rule.threshold)
             elif rule.canonical_id == NAMING and rule.pattern and not re.fullmatch(rule.pattern, unit.name):
                 fire(rule, file, unit.start_line, unit.name, unit.name, rule.pattern)
 

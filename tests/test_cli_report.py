@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -8,7 +9,7 @@ from conftest import FIXTURES, write_tree
 from test_acceptance import _mixed_corpus
 from xmaint import analysis
 from xmaint.analysis import discover_files
-from xmaint.cli import main
+from xmaint.cli import build_parser, main
 
 C_FILE = """\
 /* fixture */
@@ -63,6 +64,23 @@ def test_analyze_single_project(corpus, capsys):
     assert project["models"]["tdr"]["grade"] in "ABCDE"
     assert project["violations"]["by_rule"].get("naming-convention") == 1
     assert report["composite"][0]["absent_indicators"] == ["volumetry"]
+
+
+def test_unit_size_distribution_order_on_ties(tmp_path, capsys):
+    # larger LOC first; equal LOC by file, then start line, then name
+    root = write_tree(tmp_path / "ties", {
+        "b.c": "int zeta(int a) { return a; } int alpha(int b) { return b; }\n",
+        "a.c": "\n\nint mid(int c) { return c; }\nint big(int d) {\n    return d;\n}\n",
+    })
+    code, out, _ = run(capsys, "analyze", str(root))
+    assert code == 0
+    distribution = json.loads(out)["projects"][0]["metrics"]["unit_size_distribution"]
+    assert [(e["file"], e["name"], e["line"], e["loc"]) for e in distribution] == [
+        ("a.c", "big", 4, 3),
+        ("a.c", "mid", 3, 1),
+        ("b.c", "alpha", 1, 1),
+        ("b.c", "zeta", 1, 1),
+    ]
 
 
 def test_analyze_comment_only_project_has_no_debt_ratio(tmp_path, capsys):
@@ -565,3 +583,97 @@ def test_unwritable_out_is_an_error_line(corpus, pair, capsys, tmp_path, command
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write report: ") and out_path in err
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_unwritable_out_is_refused_before_analysis(
+    corpus, pair, capsys, tmp_path, monkeypatch, command, target
+):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a project was analyzed")
+
+    monkeypatch.setattr("xmaint.cli.analyze_project", no_analysis)
+    out_path = str(tmp_path / target)
+    argv = ["analyze", str(corpus)] if command == "analyze" else ["compare", *map(str, pair)]
+    code, out, err = run(capsys, *argv, "--out", out_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report: ") and out_path in err
+
+
+def test_out_is_left_alone_when_analysis_fails(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    target = tmp_path / "report.json"
+    target.write_text("previous report")
+    code, _, err = run(capsys, "analyze", str(empty), "--out", str(target))
+    assert code == 1 and "no analyzable files" in err
+    assert target.read_text() == "previous report"
+
+
+def test_relative_out_file(corpus, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "analyze", str(corpus), "--out", "report.json")
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "report.json").read_text())["projects"]
+
+
+@pytest.mark.parametrize("flag", [("--out", "r.json"), ("--format", "md")], ids=["out", "format"])
+def test_snapshot_save_takes_no_report_flags(corpus, capsys, tmp_path, flag):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(["snapshot", "save", str(corpus), "--store", str(store), *flag])
+    assert exc.value.code == 1 and "unrecognized arguments" in capsys.readouterr().err
+    assert not store.exists()
+
+
+# --- every option a subcommand defines is read by its handler ---
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the attributes read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _leaf_parser(parser, argv):
+    """The subparser that handles ``argv``: follow each subcommand word down."""
+    for word in argv:
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers or word not in subparsers[0].choices:
+            break
+        parser = subparsers[0].choices[word]
+    return parser
+
+
+_PARITY = str(FIXTURES / "parity")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", _PARITY],
+    ["compare", _PARITY + "/cfam", _PARITY + "/py"],
+    ["snapshot", "save", _PARITY, "--store", "{store}"],
+    ["snapshot", "list", "--store", "{store}"],
+    ["trend", "parity", "--store", "{store}", "--metric", "tdr"],
+    ["rules", "list"],
+    ["profiles", "list"],
+], ids=lambda argv: " ".join(w for w in argv[:2] if not w.startswith(("/", "{"))))
+def test_every_option_is_read_by_its_handler(argv, tmp_path, capsys):
+    store = str(tmp_path / "store")
+    assert main(["snapshot", "save", _PARITY, "--store", store]) == 0
+    capsys.readouterr()
+    argv = [word.replace("{store}", store) for word in argv]
+    parser = build_parser()
+    args = parser.parse_args(argv, namespace=_ReadRecorder())
+    args._reads.clear()  # argparse itself reads while parsing
+    assert args.func(args) == 0
+    dests = {a.dest for a in _leaf_parser(parser, argv)._actions if a.default != argparse.SUPPRESS}
+    assert dests - args._reads == set()

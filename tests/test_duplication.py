@@ -11,7 +11,6 @@ from xmaint.duplication import (
     IDENTIFIER_BLIND,
     CloneBlock,
     build_report,
-    clone_row,
     duplication_ratios,
     find_clone_blocks,
     normalize_tokens,
@@ -34,8 +33,8 @@ _IDS = token_ids()  # one id table for every row of this module, as for one proj
 
 
 def row(tokens):
-    """The clone row of normalized tokens, built as analyze_file builds it."""
-    return clone_row(tokens, _IDS)
+    """The exact-mode clone row of tokens, its ids drawn from the module's table."""
+    return normalize_tokens(tokens, EXACT, True, _IDS)
 
 
 def as_keys(blocks):
@@ -47,39 +46,45 @@ def as_keys(blocks):
 
 def test_normalize_drops_comments():
     tokens, _ = tokenize("// only a comment\n/* and another */", C_FAMILY)
-    assert normalize_tokens(tokens) == []
+    normalized = row(tokens)
+    assert (normalized.ids, list(normalized.lines), list(normalized.end_lines)) == ([], [], [])
 
 
 def test_identifier_blind_equates_renamed_code():
     a, _ = tokenize("a = b + c", C_FAMILY)
     x, _ = tokenize("x = y + z", C_FAMILY)
-    blind_a = [(t.kind, t.text) for t in normalize_tokens(a, IDENTIFIER_BLIND)]
-    blind_x = [(t.kind, t.text) for t in normalize_tokens(x, IDENTIFIER_BLIND)]
-    assert blind_a == blind_x
-    exact_a = [(t.kind, t.text) for t in normalize_tokens(a, EXACT)]
-    exact_x = [(t.kind, t.text) for t in normalize_tokens(x, EXACT)]
-    assert exact_a != exact_x
+    ids = token_ids()
+    assert normalize_tokens(a, IDENTIFIER_BLIND, True, ids).ids == normalize_tokens(
+        x, IDENTIFIER_BLIND, True, ids).ids
+    assert normalize_tokens(a, EXACT, True, ids).ids != normalize_tokens(x, EXACT, True, ids).ids
 
 
 def test_normalize_keeps_backreferences():
     tokens, _ = tokenize("a = 1 // c\nb = 2", C_FAMILY)
     assert tokens[3].kind == "comment"
-    assert normalize_tokens(tokens) == tokens[:3] + tokens[4:]
+    code = tokens[:3] + tokens[4:]
+    normalized = row(tokens)
+    assert normalized.ids == [_IDS[(t.kind, t.text)] for t in code]
+    assert list(normalized.lines) == [t.line for t in code]
+    assert list(normalized.end_lines) == [t.end_line for t in code]
 
 
-def test_exact_case_sensitive_normalization_keeps_the_lexer_tokens():
+def test_exact_case_sensitive_row_keys_code_tokens_by_their_own_text():
     tokens, _ = tokenize("int a = b; /* note */\nreturn a;", C_FAMILY)
-    norm = normalize_tokens(tokens, EXACT, C_FAMILY.case_sensitive)
+    ids = token_ids()
+    normalized = normalize_tokens(tokens, EXACT, C_FAMILY.case_sensitive, ids)
     code = [t for t in tokens if t.kind != "comment"]
-    assert len(norm) == len(code) == len(tokens) - 1
-    assert all(n is t for n, t in zip(norm, code))
+    assert len(normalized) == len(code) == len(tokens) - 1
+    assert normalized.ids == [ids[(t.kind, t.text)] for t in code]
 
 
 @pytest.mark.parametrize("profile, equal", [(COBOL_LIKE, True), (C_FAMILY, False)])
 def test_case_insensitive_profile_compares_upper_cased(profile, equal):
+    ids = token_ids()
+
     def stream(text):
         tokens, _ = tokenize(text, profile)
-        return [(t.kind, t.text) for t in normalize_tokens(tokens, EXACT, profile.case_sensitive)]
+        return normalize_tokens(tokens, EXACT, profile.case_sensitive, ids).ids
 
     assert (stream("move a to b") == stream("MOVE A TO B")) is equal
 
@@ -97,32 +102,30 @@ def test_analysis_compares_case_insensitive_profiles_upper_cased(tmp_path, mode)
 
 def test_replaced_token_keeps_its_position():
     tokens, _ = tokenize('x = """two\nlines"""\ny = x', PYTHON)
-    for mode, case_sensitive, replaced_texts in (
-        (EXACT, False, ["x", '"""two\nlines"""', "y", "x"]),
-        (IDENTIFIER_BLIND, True, ["x", "y", "x"]),
+    blind = duplication._ID_PLACEHOLDER
+    for mode, case_sensitive, compared_texts in (
+        (EXACT, False, ["X", "=", '"""TWO\nLINES"""', "Y", "=", "X"]),
+        (IDENTIFIER_BLIND, True, [blind, "=", '"""two\nlines"""', blind, "=", blind]),
     ):
-        norm = normalize_tokens(tokens, mode, case_sensitive)
-        assert len(norm) == len(tokens)
-        replaced = [(old, new) for old, new in zip(tokens, norm) if new is not old]
-        assert [old.text for old, _ in replaced] == replaced_texts
-        for old, new in replaced:
-            assert new.text != old.text
-            assert (new.kind, new.line, new.column, new.end_line) == (
-                old.kind, old.line, old.column, old.end_line)
+        ids = token_ids()
+        normalized = normalize_tokens(tokens, mode, case_sensitive, ids)
+        assert normalized.ids == [ids[(t.kind, text)] for t, text in zip(tokens, compared_texts)]
+        assert list(normalized.lines) == [t.line for t in tokens]
+        assert list(normalized.end_lines) == [t.end_line for t in tokens] == [1, 1, 2, 3, 3, 3]
 
 
 # --- block finding: worked examples ---
 
 
 def test_no_repeat_no_blocks():
-    seq = row(normalize_tokens(ident_stream([f"t{i}" for i in range(40)])))
+    seq = row(ident_stream([f"t{i}" for i in range(40)]))
     assert find_clone_blocks({"f": seq}, 5) == []
 
 
 def test_xyx_stream_single_block():
     xs = [f"X{i}" for i in range(1, 6)]
     ys = [f"Y{i}" for i in range(1, 6)]
-    seq = row(normalize_tokens(ident_stream(xs + ys + xs)))
+    seq = row(ident_stream(xs + ys + xs))
     blocks = find_clone_blocks({"f": seq}, 5)
     assert len(blocks) == 1
     block = blocks[0]
@@ -132,7 +135,7 @@ def test_xyx_stream_single_block():
 def test_xyx_token_ratio():
     xs = [f"X{i}" for i in range(1, 6)]
     ys = [f"Y{i}" for i in range(1, 6)]
-    seq = row(normalize_tokens(ident_stream(xs + ys + xs)))
+    seq = row(ident_stream(xs + ys + xs))
     blocks = find_clone_blocks({"f": seq}, 5)
     token_ratio, _, dup, _, total = duplication_ratios(blocks, {"f": seq}, 15)
     assert dup == 10 and total == 15
@@ -146,8 +149,8 @@ def test_min_tokens_validation():
 
 def test_cross_file_clone():
     shared = [f"s{i}" for i in range(8)]
-    fa = row(normalize_tokens(ident_stream(["a1", "a2"] + shared)))
-    fb = row(normalize_tokens(ident_stream(shared + ["b1"])))
+    fa = row(ident_stream(["a1", "a2"] + shared))
+    fb = row(ident_stream(shared + ["b1"]))
     blocks = find_clone_blocks({"a": fa, "b": fb}, 5)
     assert len(blocks) == 1
     block = blocks[0]
@@ -158,14 +161,14 @@ def test_cross_file_clone():
 
 def test_periodic_run_greedy_split():
     # 6 identical tokens, min 3: exactly one non-overlapping pair [0,3) vs [3,6)
-    seq = row(normalize_tokens(ident_stream(["a"] * 6)))
+    seq = row(ident_stream(["a"] * 6))
     blocks = find_clone_blocks({"f": seq}, 3)
     assert as_keys(blocks) == {("f", 0, "f", 3, 3)}
 
 
 def test_overlapping_occurrences_rejected():
     # 5 identical tokens cannot host two non-overlapping 3-grams
-    seq = row(normalize_tokens(ident_stream(["a"] * 5)))
+    seq = row(ident_stream(["a"] * 5))
     assert find_clone_blocks({"f": seq}, 3) == []
 
 
@@ -173,7 +176,7 @@ def test_overlapping_occurrences_rejected():
 
 
 def random_stream(rng, n, alphabet):
-    return row(normalize_tokens(ident_stream([f"t{rng.randrange(alphabet)}" for _ in range(n)])))
+    return row(ident_stream([f"t{rng.randrange(alphabet)}" for _ in range(n)]))
 
 
 def test_oracle_equivalence_randomized():
@@ -243,7 +246,7 @@ def test_oracle_equivalence_multi_file_injected_clones():
             at = rng.randrange(0, len(texts[src]) - length)
             to = rng.randrange(0, len(texts[dst]) - length)
             texts[dst][to : to + length] = texts[src][at : at + length]
-        seqs = {name: row(normalize_tokens(ident_stream(t))) for name, t in texts.items()}
+        seqs = {name: row(ident_stream(t)) for name, t in texts.items()}
         fast = as_keys(find_clone_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
 
@@ -251,7 +254,7 @@ def test_oracle_equivalence_multi_file_injected_clones():
 def test_k_identical_copies_pair_up_in_full():
     k = 12
     stream = [f"t{i}" for i in range(40)]
-    seqs = {f"f{i:02d}": row(normalize_tokens(ident_stream(stream))) for i in range(k)}
+    seqs = {f"f{i:02d}": row(ident_stream(stream)) for i in range(k)}
     report = build_report(seqs, 10, EXACT, k * len(stream))
     assert len(report.blocks) == comb(k, 2)
     assert all(b.length_tokens == len(stream) for b in report.blocks)
@@ -308,7 +311,7 @@ def gapped_stream(rng, n, alphabet):
         text = f"t{rng.randrange(alphabet)}" + "\n" * rng.choice([0, 0, 0, 0, 1, 2])
         tokens.append(Token(kind="identifier", text=text, line=line, column=1))
         line = tokens[-1].end_line
-    return row(normalize_tokens(tokens))
+    return row(tokens)
 
 
 def test_ratios_equal_coverage_oracle():
@@ -383,8 +386,8 @@ def test_verbose_layout_inflates_line_ratio_not_token_ratio():
                 out.append(Token(kind="identifier", text=t, line=line, column=(i % per_line) + 1))
         return out
 
-    dense_tokens = normalize_tokens(lay_out([(filler_a, 6), (body, 6), (filler_b, 6), (body, 6)]))
-    spread_tokens = normalize_tokens(lay_out([(filler_a, 6), (body, 1), (filler_b, 6), (body, 1)]))
+    dense_tokens = lay_out([(filler_a, 6), (body, 6), (filler_b, 6), (body, 6)])
+    spread_tokens = lay_out([(filler_a, 6), (body, 1), (filler_b, 6), (body, 1)])
     dense, spread = row(dense_tokens), row(spread_tokens)
     dense_blocks = find_clone_blocks({"f": dense}, 10)
     spread_blocks = find_clone_blocks({"f": spread}, 10)

@@ -136,7 +136,7 @@ def test_unit_metrics_one_liner():
     src = "int f(int a, int b) { return a + b; }"
     _, _, _, metrics = analyze(src, C_FAMILY)
     m = metrics[0]
-    assert (m.loc, m.cc, m.param_count) == (1, 1, 2)
+    assert (m.loc, m.cc, m.unit.param_count) == (1, 1, 2)
 
 
 def test_unit_metrics_nested_unit_excluded():
@@ -174,7 +174,7 @@ def test_unit_metrics_python_12_line_nesting():
         "    return final\n"
     )
     _, _, _, metrics = analyze(src, PYTHON)
-    assert metrics[0].nesting_depth_max == 3  # for > if > if
+    assert metrics[0].unit.nesting_depth_max == 3  # for > if > if
 
 
 # --- aggregation ---

@@ -129,6 +129,20 @@ def test_too_many_params_and_nesting():
     assert TOO_MANY_PARAMS in ids and NESTING_DEPTH in ids
 
 
+def test_params_and_nesting_fire_only_above_their_thresholds():
+    def observed(params, depth):
+        src = f"def f({', '.join(f'p{i}' for i in range(params))}):\n"
+        for level in range(1, depth + 1):
+            src += "    " * level + "if p0:\n"
+        src += "    " * (depth + 1) + "return 0\n"
+        violations = check_rules(metrics_for(src, PYTHON), load_rule_set({}, PYTHON))
+        return {v.rule_id: v.observed_value for v in violations
+                if v.rule_id in (TOO_MANY_PARAMS, NESTING_DEPTH)}
+
+    assert observed(5, 4) == {}  # defaults: at most 5 parameters, nesting depth 4
+    assert observed(6, 5) == {TOO_MANY_PARAMS: 6, NESTING_DEPTH: 5}
+
+
 def test_one_violation_per_rule_and_unit():
     src = "int LoudName(int a, int b, int c, int d, int e, int f) { return a; }"
     violations = check_rules(metrics_for(src, C_FAMILY), load_rule_set({}, C_FAMILY))
@@ -159,12 +173,12 @@ def test_threshold_monotonicity():
 
 
 def test_duplication_block_rule_fires_when_enabled():
-    from xmaint.duplication import clone_row, find_clone_blocks, normalize_tokens, token_ids
+    from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, token_ids
     from xmaint.lexing import Token
 
     run = [f"s{i}" for i in range(6)]
     toks = [Token("identifier", t, i + 1, 1) for i, t in enumerate(run + ["gap"] + run)]
-    seq = clone_row(normalize_tokens(toks), token_ids())
+    seq = normalize_tokens(toks, EXACT, True, token_ids())
     blocks = find_clone_blocks({"f": seq}, 5)
     assert blocks
     rs = load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)

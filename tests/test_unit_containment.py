@@ -255,7 +255,7 @@ def test_defs_nested_three_deep():
     tokens, _ = tokenize(src, PYTHON)
     lines = classify_lines(tokens, physical_line_count(src))
     by_name = {m.unit.name: m for m in file_unit_metrics(units, tokens, lines, PYTHON)}
-    assert {name: (m.loc, m.cc, m.nesting_depth_max) for name, m in by_name.items()} == {
+    assert {name: (m.loc, m.cc, m.unit.nesting_depth_max) for name, m in by_name.items()} == {
         "a": (3, 1, 0), "b": (2, 1, 0), "c": (2, 1, 0), "d": (3, 2, 1),
     }
 
@@ -273,6 +273,6 @@ def test_brace_function_inside_function_body():
     tokens, _ = tokenize(src, C_FAMILY)
     lines = classify_lines(tokens, physical_line_count(src))
     by_name = {m.unit.name: m for m in file_unit_metrics(units, tokens, lines, C_FAMILY)}
-    assert {name: (m.loc, m.cc, m.nesting_depth_max) for name, m in by_name.items()} == {
+    assert {name: (m.loc, m.cc, m.unit.nesting_depth_max) for name, m in by_name.items()} == {
         "outer": (5, 2, 1), "inner": (1, 2, 1),
     }

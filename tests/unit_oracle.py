@@ -450,7 +450,5 @@ def oracle_unit_metrics(
         unit=unit,
         loc=max(loc, 1),
         cc=cyclomatic_complexity(own_tokens, profile),
-        param_count=unit.param_count,
         halstead=halstead(own_tokens, profile),
-        nesting_depth_max=unit.nesting_depth_max,
     )
