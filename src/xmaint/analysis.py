@@ -8,7 +8,8 @@ depends on the file set alone, never on discovery order.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import debt_models, duplication, metrics, rules
@@ -257,33 +258,28 @@ def evaluate_debt(
     cost_per_line: float,
     total_loc: int,
 ) -> tuple[tuple[Violation, ...], TdrResult | None, list[Diagnostic]]:
-    """Rule evaluation plus the debt ratio; reusable after intersection."""
-    all_unit_metrics = [m for fa in files for m in fa.unit_metrics]
-    diagnostics: list[Diagnostic] = []
+    """Rule evaluation plus the debt ratio: each file's units, comment ratio
+    and clone blocks (those whose first copy it holds) are checked against
+    the rule set of the file's own profile."""
+    blocks_by_file = defaultdict(list)
+    for block in clone_blocks:
+        blocks_by_file[block.file_a].append(block)
     violations: list[Violation] = []
-    for profile_id in sorted(rule_sets):
-        rs = rule_sets[profile_id]
-        ratios = {
-            fa.path: metrics.comment_ratio(fa.lines)
-            for fa in files
-            if fa.profile_id == profile_id
-        }
-        profile_files = {fa.path for fa in files if fa.profile_id == profile_id}
-        blocks = [b for b in clone_blocks if b.file_a in profile_files]
-        violations.extend(rules.check_rules(all_unit_metrics, rs, ratios, blocks))
+    for fa in files:
+        violations.extend(rules.check_rules(
+            fa.unit_metrics, rule_sets[fa.profile_id],
+            {fa.path: metrics.comment_ratio(fa.lines)}, blocks_by_file[fa.path],
+        ))
     violations.sort(key=lambda v: (v.file, v.line, v.rule_id))
 
-    tdr: TdrResult | None
     try:
         production = debt_models.production_effort(total_loc, cost_per_line)
-        tdr = debt_models.technical_debt_ratio(violations, production)
+        return tuple(violations), debt_models.technical_debt_ratio(violations, production), []
     except (ZeroProductionEffort, ValueError):
-        tdr = None
-        diagnostics.append(Diagnostic(
+        return tuple(violations), None, [Diagnostic(
             "zero-production-effort",
             "project has no code lines; debt ratio undefined",
-        ))
-    return tuple(violations), tdr, diagnostics
+        )]
 
 
 def analyze_project(
@@ -375,40 +371,18 @@ def analyze_project(
     )
 
 
-def intersect_and_reevaluate(
-    analyses: list[ProjectAnalysis],
-) -> tuple[list[ProjectAnalysis], list[str], Diagnostic | None]:
-    """Cross-project comparability: restrict every project's rules to the
-    canonical ids enabled for every profile of every compared project, then
-    recompute violations and debt ratios against that common core."""
-    all_rule_sets = [rs for pa in analyses for rs in pa.rule_sets.values()]
-    if len(all_rule_sets) < 2:
-        shared = sorted(all_rule_sets[0].enabled_ids()) if all_rule_sets else []
-        return list(analyses), shared, None
-    filtered, shared = rules.intersect_rule_sets(all_rule_sets)
-    by_profile: dict[str, RuleSet] = {}
-    for rs in filtered:
-        by_profile[rs.profile_id] = rs  # same config per profile: duplicates identical
+def shared_rules(analyses: list[ProjectAnalysis]) -> tuple[list[str], Diagnostic | None]:
+    """The rule ids enabled for every profile of two or more compared
+    projects, plus a warning when there are none. Rule enablement is
+    config-wide, so every rule set of one run enables the same ids: each
+    project was already billed against exactly these."""
+    _, shared = rules.intersect_rule_sets(
+        [rs for pa in analyses for rs in pa.rule_sets.values()]
+    )
     warning = None
     if not shared:
         warning = Diagnostic(
             "empty-intersection",
             "no coding rule is enabled for every compared language; debt ratios compare only rule-free attributes",
         )
-    updated = []
-    for pa in analyses:
-        project_rule_sets = {pid: by_profile[pid] for pid in pa.rule_sets}
-        violations, tdr, debt_diags = evaluate_debt(
-            list(pa.files), project_rule_sets, pa.duplication.blocks,
-            pa.cost_per_line, pa.metrics.total_loc,
-        )
-        base_diags = tuple(d for d in pa.diagnostics if d.code != "zero-production-effort")
-        updated.append(replace(
-            pa,
-            rule_sets=project_rule_sets,
-            shared_rule_ids=tuple(shared),
-            violations=violations,
-            tdr=tdr,
-            diagnostics=base_diags + tuple(debt_diags),
-        ))
-    return updated, shared, warning
+    return shared, warning

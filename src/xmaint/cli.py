@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, report as report_mod
-from .analysis import analyze_project, intersect_and_reevaluate
+from .analysis import analyze_project, shared_rules
 from .composite import composite_score, sensitivity_analysis
 from .config import (
     apply_flag_overrides,
@@ -31,11 +31,18 @@ from .snapshots import SnapshotStore, utc_now_iso
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which is the success-with-diagnostics
     code here; a usage error is fatal, so it exits 1. Subparsers inherit this
-    class."""
+    class, and each rejects the flags it does not define itself, so the error
+    shows the usage of the subcommand that was given them."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,6 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _registry(config):
+    """The built-in profiles plus those the config defines or names files of."""
+    return build_registry(
+        extra_profiles=config["profiles"]["definitions"],
+        profile_files=config["profiles"]["files"],
+    )
+
+
 def _prepare(args):
     config = load_config(args.config)
     config = apply_flag_overrides(
@@ -126,10 +141,7 @@ def _prepare(args):
         cost_per_line=args.cost_per_line,
         coverage=args.coverage,
     )
-    registry = build_registry(
-        extra_profiles=config["profiles"]["definitions"],
-        profile_files=config["profiles"]["files"],
-    )
+    registry = _registry(config)
     discovery = {
         "forced_profile": args.profile,
         "includes": sorted(args.include),
@@ -235,7 +247,7 @@ def cmd_compare(args) -> int:
     analyses = [
         _analyze(args, path, pid, config, registry) for path, pid in zip(args.paths, ids)
     ]
-    analyses, shared_rules, warning = intersect_and_reevaluate(analyses)
+    shared, warning = shared_rules(analyses)
 
     mappings = composite_mappings(config)
     dup_source = config["composite"]["duplication_source"]
@@ -256,7 +268,7 @@ def cmd_compare(args) -> int:
         config_hash=digest,
         composite=scores,
         sensitivity=sensitivity,
-        shared_rules=shared_rules,
+        shared_rules=shared,
         extra_diagnostics=[warning] if warning else [],
     )
     _emit(report_mod.render(report, _fmt(args, config)), args.out)
@@ -333,10 +345,7 @@ def cmd_trend(args) -> int:
 
 def cmd_rules_list(args) -> int:
     config = load_config(args.config)
-    registry = build_registry(
-        extra_profiles=config["profiles"]["definitions"],
-        profile_files=config["profiles"]["files"],
-    )
+    registry = _registry(config)
     profiles = [registry.get(args.profile)] if args.profile else registry.profiles()
     for profile in profiles:
         rule_set = load_rule_set(config["rules"], profile)
@@ -353,10 +362,7 @@ def cmd_rules_list(args) -> int:
 
 def cmd_profiles_list(args) -> int:
     config = load_config(args.config)
-    registry = build_registry(
-        extra_profiles=config["profiles"]["definitions"],
-        profile_files=config["profiles"]["files"],
-    )
+    registry = _registry(config)
     for profile in registry.profiles():
         exts = " ".join(profile.file_extensions)
         sys.stdout.write(

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from .errors import ZeroProductionEffort
 from .rules import Violation
 
-GRADES = ("A", "B", "C", "D", "E")
-
 # grade -> inclusive upper bound on the ratio; E is everything above D
 _GRADE_BOUNDS = (("A", 0.05), ("B", 0.10), ("C", 0.20), ("D", 0.50))
 

@@ -64,24 +64,17 @@ class LanguageProfile:
         return self.fold(text) in folded_tokens(self).decisions
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "file_extensions": list(self.file_extensions),
-            "line_comment_markers": list(self.line_comment_markers),
-            "block_comment_delimiters": [list(p) for p in self.block_comment_delimiters],
-            "string_delimiters": [list(t) for t in self.string_delimiters],
-            "decision_tokens": sorted(self.decision_tokens),
-            "operator_tokens": sorted(self.operator_tokens),
-            "unit_detection": self.unit_detection,
-            "unit_keywords": list(self.unit_keywords),
-            "unit_end_keywords": list(self.unit_end_keywords),
-            "nesting_keywords": [list(p) for p in self.nesting_keywords],
-            "keywords": sorted(self.keywords),
-            "identifier_pattern": self.identifier_pattern,
-            "naming_pattern": self.naming_pattern,
-            "case_sensitive": self.case_sensitive,
-            "verbosity_factor": self.verbosity_factor,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """A profile field as JSON data: a frozenset as a sorted list, a tuple as
+    a list (recursively), anything else as it is."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 # every character str.isspace() accepts; none lies above U+3000
@@ -290,12 +283,6 @@ class ProfileRegistry:
 
     def profiles(self) -> list[LanguageProfile]:
         return [self._by_id[k] for k in sorted(self._by_id)]
-
-    def extensions(self) -> dict[str, str]:
-        return {ext: p.id for ext, p in sorted(self._by_extension.items())}
-
-    def __contains__(self, profile_id: str) -> bool:
-        return profile_id in self._by_id
 
 
 def detect_profile(path, registry: ProfileRegistry) -> LanguageProfile:

@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
 
 _LOCK_TIMEOUT_S = 10.0
+_INDEX_KEYS = ("project_id", "snapshot_id", "timestamp_utc", "config_hash", "label")
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,21 @@ class SnapshotStore:
                 entries = json.loads(index_path.read_text(encoding="utf-8")).get("snapshots", [])
             except (OSError, json.JSONDecodeError):
                 entries = []  # the index is rebuildable; never block a save on it
-        entries.append({
-            "project_id": record["project_id"],
-            "snapshot_id": record["snapshot_id"],
-            "timestamp_utc": record["timestamp_utc"],
-            "config_hash": record["config_hash"],
-            "label": record["label"],
-        })
-        entries.sort(key=lambda e: (e["project_id"], e["timestamp_utc"], e["snapshot_id"]))
+        self._write_index([*entries, record])
+
+    def rebuild_index(self) -> int:
+        """Rescan snapshot files and rewrite index.json; returns entry count."""
+        with self._lock():
+            return self._write_index(self._scan())
+
+    def _write_index(self, records) -> int:
+        """Write index.json (through a rename, so readers never see half of
+        it) with one sorted entry per snapshot record or index entry given."""
+        entries = sorted(
+            ({key: record[key] for key in _INDEX_KEYS} for record in records),
+            key=lambda e: (e["project_id"], e["timestamp_utc"], e["snapshot_id"]),
+        )
+        index_path = self.root / "index.json"
         try:
             tmp = index_path.with_suffix(".json.tmp")
             tmp.write_text(json.dumps({"snapshots": entries}, sort_keys=True, indent=2) + "\n",
@@ -97,25 +105,6 @@ class SnapshotStore:
             tmp.rename(index_path)
         except OSError as exc:
             raise StoreUnwritable(f"cannot write index {index_path}: {exc}") from exc
-
-    def rebuild_index(self) -> int:
-        """Rescan snapshot files and rewrite index.json; returns entry count."""
-        entries = []
-        for record in self._scan():
-            entries.append({
-                "project_id": record["project_id"],
-                "snapshot_id": record["snapshot_id"],
-                "timestamp_utc": record["timestamp_utc"],
-                "config_hash": record["config_hash"],
-                "label": record["label"],
-            })
-        entries.sort(key=lambda e: (e["project_id"], e["timestamp_utc"], e["snapshot_id"]))
-        with self._lock():
-            index_path = self.root / "index.json"
-            tmp = index_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps({"snapshots": entries}, sort_keys=True, indent=2) + "\n",
-                           encoding="utf-8")
-            tmp.rename(index_path)
         return len(entries)
 
     def _scan(self):

@@ -152,8 +152,9 @@ def test_usage_error_exits_1(corpus, capsys, flags):
         main(["analyze", str(corpus), *flags])
     captured = capsys.readouterr()
     assert exc.value.code == 1 and captured.out == ""
-    assert captured.err.startswith("usage: xmaint") and "\nxmaint" in captured.err
-    assert ": error: " in captured.err.splitlines()[-1]
+    # the usage and the error name the subcommand, whose flags are the valid ones
+    assert captured.err.startswith("usage: xmaint analyze [-h]")
+    assert captured.err.splitlines()[-1].startswith("xmaint analyze: error: ")
     assert "Traceback" not in captured.err
 
 
@@ -414,6 +415,20 @@ def test_compare_reports_shared_rules_and_both_ratios(pair, capsys):
         assert "volumetry" in c["per_indicator"]
 
 
+def test_compare_evaluates_debt_once_per_project(capsys, monkeypatch):
+    # rule enablement is config-wide, so each project's own evaluation is final
+    billed = []
+    evaluate = analysis.evaluate_debt
+
+    def counting(files, *rest):
+        billed.append(files[0].profile_id)
+        return evaluate(files, *rest)
+
+    monkeypatch.setattr(analysis, "evaluate_debt", counting)
+    code, _, _ = run(capsys, "compare", str(FIXTURES / "parity" / "cfam"), str(FIXTURES / "parity" / "py"))
+    assert code == 0 and billed == ["c-family", "python"]
+
+
 def test_compare_volumetry_scores(tmp_path, capsys):
     def make(name, copies):
         files = {
@@ -624,7 +639,9 @@ def test_snapshot_save_takes_no_report_flags(corpus, capsys, tmp_path, flag):
     store = tmp_path / "store"
     with pytest.raises(SystemExit) as exc:
         main(["snapshot", "save", str(corpus), "--store", str(store), *flag])
-    assert exc.value.code == 1 and "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and err.startswith("usage: xmaint snapshot save [-h]")
+    assert err.splitlines()[-1] == f"xmaint snapshot save: error: unrecognized arguments: {' '.join(flag)}"
     assert not store.exists()
 
 

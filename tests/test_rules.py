@@ -3,7 +3,7 @@ import pytest
 from xmaint.errors import InvalidRuleConfig
 from xmaint.lexing import classify_lines, physical_line_count, tokenize
 from xmaint.metrics import file_unit_metrics
-from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
+from xmaint.profiles import BUILTIN_PROFILES, C_FAMILY, COBOL_LIKE, PYTHON, profile_from_dict
 from xmaint.rules import (
     COMPLEXITY,
     DUPLICATION_BLOCK,
@@ -195,6 +195,18 @@ def _rule_set(profile, enabled_ids):
         for cid in (COMPLEXITY, UNIT_SIZE, TOO_MANY_PARAMS, NESTING_DEPTH, NAMING)
     }
     return load_rule_set(config, profile)
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({}, {COMPLEXITY, UNIT_SIZE, TOO_MANY_PARAMS, NESTING_DEPTH, NAMING}),
+    ({NAMING: {"enabled": False}, COMPLEXITY: {"enabled": False}}, {UNIT_SIZE, TOO_MANY_PARAMS, NESTING_DEPTH}),
+], ids=["default", "two-disabled"])
+def test_one_config_enables_the_same_ids_for_every_profile(config, expected):
+    # enablement is keyed by rule id alone, which is why compare bills each project once
+    custom = profile_from_dict({"id": "custom", "file_extensions": [".cst"],
+                                "unit_detection": "keyword-pair", "verbosity_factor": 3.0})
+    for profile in (*BUILTIN_PROFILES, custom):
+        assert load_rule_set(config, profile).enabled_ids() == expected
 
 
 def test_intersection_with_itself_is_identity():

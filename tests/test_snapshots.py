@@ -80,6 +80,15 @@ def test_index_matches_store_and_is_rebuildable(tmp_path):
     assert rebuilt == index
 
 
+def test_rebuild_index_wraps_a_write_failure(tmp_path):
+    store = SnapshotStore(tmp_path / "store")
+    store.save(snapshot())
+    (tmp_path / "store" / "index.json").unlink()
+    (tmp_path / "store" / "index.json").mkdir()  # the rename onto it fails
+    with pytest.raises(StoreUnwritable, match="cannot write index"):
+        store.rebuild_index()
+
+
 def test_trend_descending_series(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     for tdr in (0.30, 0.18, 0.09):
