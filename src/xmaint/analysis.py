@@ -187,10 +187,9 @@ def analyze_file(
 
 
 def _file_level_means(files: list[FileAnalysis]):
-    """aHV/aCC/aLOC with module = file instead of unit (config variant)."""
+    """aHV/aCC/aLOC with module = file instead of unit (config variant), over
+    the one or more files of a project."""
     count = len(files)
-    if count == 0:
-        return None, None, None
     volumes = sum(fa.halstead_volume for fa in files)
     ccs = sum(fa.cyclomatic for fa in files)
     locs = sum(fa.lines.code + fa.lines.mixed for fa in files)
@@ -275,7 +274,7 @@ def evaluate_debt(
     try:
         production = debt_models.production_effort(total_loc, cost_per_line)
         return tuple(violations), debt_models.technical_debt_ratio(violations, production), []
-    except (ZeroProductionEffort, ValueError):
+    except ZeroProductionEffort:
         return tuple(violations), None, [Diagnostic(
             "zero-production-effort",
             "project has no code lines; debt ratio undefined",
@@ -325,9 +324,7 @@ def analyze_project(
     rule_sets = {
         pid: rules.load_rule_set(config["rules"], registry.get(pid)) for pid in profile_ids
     }
-    shared_rule_ids = tuple(sorted(
-        frozenset.intersection(*(rs.enabled_ids() for rs in rule_sets.values()))
-    )) if rule_sets else ()
+    shared_rule_ids = tuple(rules.intersect_rule_sets(list(rule_sets.values())))
 
     cost_per_line = float(config["models"]["sqale"]["cost_per_line_minutes"])
     violations, tdr, debt_diags = evaluate_debt(
@@ -376,9 +373,7 @@ def shared_rules(analyses: list[ProjectAnalysis]) -> tuple[list[str], Diagnostic
     projects, plus a warning when there are none. Rule enablement is
     config-wide, so every rule set of one run enables the same ids: each
     project was already billed against exactly these."""
-    _, shared = rules.intersect_rule_sets(
-        [rs for pa in analyses for rs in pa.rule_sets.values()]
-    )
+    shared = rules.intersect_rule_sets([rs for pa in analyses for rs in pa.rule_sets.values()])
     warning = None
     if not shared:
         warning = Diagnostic(

@@ -14,13 +14,7 @@ from pathlib import Path
 from . import __version__, report as report_mod
 from .analysis import analyze_project, shared_rules
 from .composite import composite_score, sensitivity_analysis
-from .config import (
-    apply_flag_overrides,
-    composite_mappings,
-    REPORT_FORMATS,
-    config_hash,
-    load_config,
-)
+from .config import REPORT_FORMATS, composite_mappings, config_hash, load_config
 from .duplication import DUPLICATION_MODES
 from .errors import XmaintError
 from .profiles import build_registry
@@ -133,9 +127,8 @@ def _registry(config):
 
 
 def _prepare(args):
-    config = load_config(args.config)
-    config = apply_flag_overrides(
-        config,
+    config = load_config(
+        args.config,
         min_tokens=args.min_tokens,
         dup_mode=args.dup_mode,
         cost_per_line=args.cost_per_line,
@@ -285,7 +278,7 @@ def cmd_snapshot_save(args) -> int:
         "timestamp_utc": utc_now_iso(),
         "tool_version": __version__,
         "config_hash": digest,
-        "metrics_summary": report_mod.metrics_summary(analysis, scores[0].total if scores else None),
+        "metrics_summary": report_mod.metrics_summary(analysis, scores[0].total),
     }
     store = SnapshotStore(args.store)
     snapshot_id = store.save(snapshot)

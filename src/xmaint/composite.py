@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EstimatorMismatch, RuleSetMismatch, SingleProject
+from .errors import EstimatorMismatch, NoWeightLeft, RuleSetMismatch
 
 RISING_LINEAR = "rising-linear"
 FALLING_LINEAR = "falling-linear"
 RISING_THEN_FALLING = "rising-then-falling"
 RELATIVE_MIN = "relative-min"
+SHAPES = (RISING_LINEAR, FALLING_LINEAR, RISING_THEN_FALLING, RELATIVE_MIN)
 
 INDICATORS = ("commentRatio", "duplicationRatio", "tdr", "volumetry")
 
@@ -35,10 +36,16 @@ class IndicatorMapping:
     weight: float
 
     def __post_init__(self):
+        """The one check of a mapping's shape, bounds and weight; volumetry,
+        and only volumetry, is relative to the compared set."""
+        if self.shape not in SHAPES:
+            raise ValueError(f"shape must be one of {list(SHAPES)}, got '{self.shape}'")
+        if (self.shape == RELATIVE_MIN) != (self.indicator == "volumetry"):
+            raise ValueError(f"volumetry takes shape '{RELATIVE_MIN}', and no other indicator does")
         if self.low == self.high:
-            raise ValueError(f"indicator '{self.indicator}': low and high bounds must differ")
+            raise ValueError("low and high bounds must differ")
         if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"indicator '{self.indicator}': weight must be in [0, 1]")
+            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
 
 
 # the source of config.DEFAULT_CONFIG's composite.indicators section
@@ -88,26 +95,17 @@ def _clamp(score: float) -> float:
 
 
 def map_indicator(value: float, mapping: IndicatorMapping) -> float:
-    """Map a raw indicator value onto the 0..100 reference scale."""
+    """Map a raw indicator value onto the 0..100 reference scale (any shape
+    but relative-min, which only volumetry has)."""
     low, high = mapping.low, mapping.high
     span = high - low
     if mapping.shape == RISING_LINEAR:
         return _clamp(100.0 * (value - low) / span)
     if mapping.shape == FALLING_LINEAR:
         return _clamp(100.0 * (high - value) / span)
-    if mapping.shape == RISING_THEN_FALLING:
-        if value <= high:
-            return _clamp(100.0 * (value - low) / span)
-        return _clamp(100.0 - 100.0 * (value - high) / span)  # same slope back down
-    raise ValueError(f"shape '{mapping.shape}' is not value-mappable")
-
-
-def map_tdr_indicator(tdr: float) -> float:
-    """Debt-ratio score under the default mapping: 100 at zero debt, 0 at a
-    ratio of 20% (the C/D grade boundary) and beyond."""
-    if tdr < 0:
-        raise ValueError("tdr cannot be negative")
-    return map_indicator(tdr, _DEFAULT_BY_INDICATOR["tdr"])
+    if value <= high:  # rising-then-falling
+        return _clamp(100.0 * (value - low) / span)
+    return _clamp(100.0 - 100.0 * (value - high) / span)  # same slope back down
 
 
 def map_volumetry(
@@ -115,11 +113,8 @@ def map_volumetry(
     low: float = _DEFAULT_BY_INDICATOR["volumetry"].low,
     high: float = _DEFAULT_BY_INDICATOR["volumetry"].high,
 ) -> dict[str, float]:
-    """Relative size score: 100 at the minimum LOC, 0 at or beyond high x min."""
-    if len(loc_by_project) < 2:
-        raise SingleProject("volumetry needs at least two projects to compare")
-    if any(loc <= 0 for loc in loc_by_project.values()):
-        raise ValueError("volumetry needs positive LOC for every project")
+    """Relative size score: 100 at the minimum LOC, 0 at or beyond high x min.
+    Every LOC must be positive; ``_mapped_scores`` calls it only then."""
     minimum = min(loc_by_project.values())
     scores = {}
     for project_id, loc in loc_by_project.items():
@@ -173,9 +168,8 @@ def _mapped_scores(
 
 
 def _renormalize(weights: dict[str, float]) -> dict[str, float]:
+    """Scale to sum 1; the caller guarantees a positive total."""
     total = sum(weights.values())
-    if total <= 0:
-        raise ValueError("no weight left after dropping absent indicators")
     return {k: v / total for k, v in weights.items()}
 
 
@@ -190,9 +184,6 @@ def composite_score(
     comparable and the comparison is refused.
     """
     mappings = list(mappings) if mappings is not None else list(DEFAULT_MAPPINGS)
-    validate_weights(mappings)
-    if not projects:
-        return []
     if len(projects) > 1:
         costs = {p.cost_per_line for p in projects}
         if len(costs) > 1:
@@ -206,10 +197,12 @@ def composite_score(
             )
 
     scores, absent = _mapped_scores(projects, mappings)
-    present = [m for m in mappings if m.indicator not in absent]
-    if not present:
-        raise ValueError("no indicators left to score")
-    weights = _renormalize({m.indicator: m.weight for m in present})
+    present = {m.indicator: m.weight for m in mappings if m.indicator not in absent}
+    if sum(present.values()) <= 0:
+        raise NoWeightLeft(
+            f"no weighted indicator left to score; absent indicators: {', '.join(absent)}"
+        )
+    weights = _renormalize(present)
 
     totals = [
         (sum(weights[ind] * mapped for ind, (_, mapped) in scores[p.project_id].items()), p.project_id)
@@ -257,10 +250,10 @@ def sensitivity_analysis(
     """Re-rank under +/- delta perturbations of each indicator weight.
 
     The perturbed weight is floored at 0, all weights are renormalized to
-    sum 1, and mapped scores are reused: only the weighting changes.
+    sum 1, and mapped scores are reused: only the weighting changes. The
+    base weights sum to 1, so with 0 < delta_pp < 100 (``validate_config``
+    holds it there) every perturbed total stays positive.
     """
-    if delta_pp <= 0:
-        raise ValueError("delta_pp must be > 0")
     mappings = list(mappings) if mappings is not None else list(DEFAULT_MAPPINGS)
     base = composite_score(projects, mappings)
     base_ranking = tuple(r.project_id for r in base)

@@ -84,8 +84,11 @@ def _check_keys(data: dict, defaults: dict, prefix: str = "") -> None:
                 _check_keys(value, defaults[key], dotted + ".")
 
 
-def load_config(path: str | os.PathLike | None = None) -> dict:
-    """Read, merge over defaults, and validate a config file.
+def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_mode=None,
+                cost_per_line=None, coverage=None) -> dict:
+    """Read a config file, merge it over the defaults, let the CLI flags given
+    override their config keys, and validate the result: the one check of
+    every config value.
 
     ``path=None`` falls back to the XMAINT_CONFIG environment variable and
     then to pure defaults.
@@ -102,6 +105,14 @@ def load_config(path: str | os.PathLike | None = None) -> dict:
             raise InvalidConfig("config root must be a JSON object")
     _check_keys(data, DEFAULT_CONFIG)
     merged = _merge(DEFAULT_CONFIG, data)
+    if min_tokens is not None:
+        merged["duplication"]["min_tokens"] = min_tokens
+    if dup_mode is not None:
+        merged["duplication"]["mode"] = dup_mode
+    if cost_per_line is not None:
+        merged["models"]["sqale"]["cost_per_line_minutes"] = cost_per_line
+    if coverage is not None:
+        merged["models"]["sig"]["coverage"] = coverage
     validate_config(merged)
     return merged
 
@@ -124,7 +135,7 @@ def composite_mappings(config: dict) -> list[IndicatorMapping]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"bad composite indicator '{name}': {exc}") from exc
+            raise InvalidConfig(f"composite.indicators.{name}: {exc}") from exc
     return mappings
 
 
@@ -201,7 +212,7 @@ def validate_config(config: dict) -> None:
     try:
         validate_weights(mappings)
     except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
+        raise InvalidConfig(f"composite.indicators: {exc}") from exc
     mode = config["duplication"]["mode"]
     if mode not in DUPLICATION_MODES:
         raise InvalidConfig(f"duplication.mode must be one of {list(DUPLICATION_MODES)}, got '{mode}'")
@@ -218,8 +229,8 @@ def validate_config(config: dict) -> None:
         raise InvalidConfig(f"report.format must be one of {list(REPORT_FORMATS)}")
     if config["composite"]["duplication_source"] not in ("token", "line"):
         raise InvalidConfig("composite.duplication_source must be 'token' or 'line'")
-    if _number(config, "composite.sensitivity.delta_pp") <= 0:
-        raise InvalidConfig("composite.sensitivity.delta_pp must be > 0")
+    if not 0 < _number(config, "composite.sensitivity.delta_pp") < 100:
+        raise InvalidConfig("composite.sensitivity.delta_pp must be > 0 and < 100")
 
     weighted = {m.indicator for m in mappings if m.weight > 0}
     conflicts = []
@@ -229,22 +240,6 @@ def validate_config(config: dict) -> None:
         conflicts.append(("commentRatio", COMMENT_DENSITY))
     if conflicts:
         raise SingleCountingViolation(conflicts)
-
-
-def apply_flag_overrides(config: dict, *, min_tokens=None, dup_mode=None,
-                         cost_per_line=None, coverage=None) -> dict:
-    """CLI flags override the corresponding config keys."""
-    out = copy.deepcopy(config)
-    if min_tokens is not None:
-        out["duplication"]["min_tokens"] = int(min_tokens)
-    if dup_mode is not None:
-        out["duplication"]["mode"] = dup_mode
-    if cost_per_line is not None:
-        out["models"]["sqale"]["cost_per_line_minutes"] = float(cost_per_line)
-    if coverage is not None:
-        out["models"]["sig"]["coverage"] = float(coverage)
-    validate_config(out)
-    return out
 
 
 def config_hash(config: dict, profiles: list[dict], discovery: dict) -> str:

@@ -77,8 +77,6 @@ def maintainability_index(ahv: float, acc: float, aloc: float) -> MiResult:
     """
     if ahv is None or aloc is None or acc is None:
         raise ValueError("maintainability index needs unit averages")
-    if acc < 0:
-        raise ValueError("mean cyclomatic complexity cannot be negative")
     ahv = max(float(ahv), 1.0)
     aloc = max(float(aloc), 1.0)
     inner = 171.0 - 5.2 * math.log(ahv) - 0.23 * acc - 16.2 * math.log(aloc)
@@ -88,11 +86,8 @@ def maintainability_index(ahv: float, acc: float, aloc: float) -> MiResult:
 
 def production_effort(total_loc: int, cost_per_line_minutes: float = DEFAULT_COST_PER_LINE_MINUTES) -> float:
     """Declared rebuild-cost estimate; the same method must be used for every
-    project that will ever be compared."""
-    if total_loc < 0:
-        raise ValueError("total_loc cannot be negative")
-    if cost_per_line_minutes <= 0:
-        raise ValueError("cost_per_line_minutes must be > 0")
+    project that will ever be compared. ``validate_config`` holds the cost
+    above 0."""
     return total_loc * cost_per_line_minutes
 
 
@@ -123,9 +118,7 @@ def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: tuple[float
     """Share of code volume per risk band; band upper bounds are inclusive."""
     if not values_and_loc:
         raise ValueError("risk profile needs at least one unit")
-    low, moderate, high = bands
-    if not (low < moderate < high):
-        raise ValueError("bands must be strictly increasing")
+    low, moderate, high = bands  # increasing, as config._validate_sig holds them
     totals = dict.fromkeys(RISK_BANDS, 0)
     for value, loc in values_and_loc:
         if value <= low:

@@ -105,9 +105,8 @@ def normalize_tokens(
     keyed by its kind and compared text (upper-cased under a case-insensitive
     profile; in identifier-blind mode, one text for all identifiers), and
     each key given its id from ``ids``, a table made by ``token_ids``. Only
-    rows whose ids come from one table can be compared."""
-    if mode not in DUPLICATION_MODES:
-        raise ValueError(f"unknown normalization mode '{mode}'")
+    rows whose ids come from one table can be compared. ``mode`` is one of
+    DUPLICATION_MODES; ``validate_config`` holds it there."""
     blind = mode == IDENTIFIER_BLIND
     code = [tok for tok in tokens if tok.kind != COMMENT]
     id_of = ids.__getitem__
@@ -162,9 +161,8 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
 
     Output is sorted by (file_a, start_a, file_b, start_b); the pair of
     occurrences is oriented so the first one comes earlier in that order.
+    ``validate_config`` holds ``min_tokens`` at 3 or more.
     """
-    if min_tokens < 3:
-        raise ValueError("min_tokens must be >= 3")
     files = sorted(sequences)
     rows = [sequences[name].ids for name in files]
 

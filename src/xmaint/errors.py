@@ -33,8 +33,8 @@ class InvalidConfig(XmaintError):
     pass
 
 
-class SingleProject(XmaintError):
-    pass
+class NoWeightLeft(XmaintError):
+    """Every indicator left after the absent ones are dropped weighs 0."""
 
 
 class EstimatorMismatch(XmaintError):

@@ -265,8 +265,6 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]):
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, list):
-        rows.append((prefix, json.dumps(value, sort_keys=True)))
     else:
         rows.append((prefix, "" if value is None else value))
 
@@ -296,18 +294,14 @@ def render_csv(report: dict) -> str:
 
 
 def render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return render_json(report)
-    if fmt == "md":
-        return render_markdown(report)
-    if fmt == "csv":
-        return render_csv(report)
-    raise ValueError(f"unknown report format '{fmt}'")
+    """``fmt`` is one of config.REPORT_FORMATS, which the CLI and
+    ``validate_config`` hold it to."""
+    return {"json": render_json, "md": render_markdown, "csv": render_csv}[fmt](report)
 
 
-def metrics_summary(pa: ProjectAnalysis, composite_total: float | None = None) -> dict:
+def metrics_summary(pa: ProjectAnalysis, composite_total: float) -> dict:
     """The flat key set snapshots persist and trends select from."""
-    summary = {
+    return {
         "total_loc": pa.metrics.total_loc,
         "physical_lines": pa.metrics.physical_lines,
         "comment_ratio": _r4(pa.metrics.comment_ratio),
@@ -325,7 +319,5 @@ def metrics_summary(pa: ProjectAnalysis, composite_total: float | None = None) -
         "tdr_grade": None if pa.tdr is None else pa.tdr.grade,
         "mi": None if pa.mi is None else _r2(pa.mi.mi),
         "sig_overall": _r2(pa.sig.overall),
+        "composite_total": _r2(composite_total),
     }
-    if composite_total is not None:
-        summary["composite_total"] = _r2(composite_total)
-    return summary

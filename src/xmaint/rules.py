@@ -1,14 +1,14 @@
 """Coding rules, violations with remediation effort, and rule-set intersection.
 
 Rules carry canonical ids so rule sets of different languages can be
-compared: intersecting keeps only the ids enabled for every language while
-preserving each language's own thresholds and patterns.
+compared: intersecting finds the ids enabled for every language, while
+each language keeps its own thresholds and patterns.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidRuleConfig
 from .metrics import UnitMetrics
@@ -71,11 +71,9 @@ class RuleSet:
     profile_id: str
     rules: tuple[Rule, ...]
 
-    def get(self, canonical_id: str) -> Rule | None:
-        for rule in self.rules:
-            if rule.canonical_id == canonical_id:
-                return rule
-        return None
+    def get(self, canonical_id: str) -> Rule:
+        """The rule with this id; ``load_rule_set`` gives every set every id."""
+        return next(rule for rule in self.rules if rule.canonical_id == canonical_id)
 
     def enabled_ids(self) -> frozenset[str]:
         return frozenset(r.canonical_id for r in self.rules if r.enabled)
@@ -155,7 +153,8 @@ def check_rules(
     file_comment_ratios: dict[str, float] | None = None,
     clone_blocks=None,
 ) -> list[Violation]:
-    """Evaluate every enabled rule; one violation per (rule, unit).
+    """Evaluate every enabled rule; one violation per (rule, unit). The units
+    are all of ``rule_set``'s profile.
 
     ``file_comment_ratios`` feeds the optional comment-density rule and
     ``clone_blocks`` the optional duplication-block rule; both are off by
@@ -178,8 +177,6 @@ def check_rules(
 
     for metrics in unit_metrics_list:
         unit = metrics.unit
-        if unit.profile_id != rule_set.profile_id:
-            continue
         file = unit.file or ""
         for rule in rule_set.rules:
             if not rule.enabled:
@@ -196,13 +193,13 @@ def check_rules(
                 fire(rule, file, unit.start_line, unit.name, unit.name, rule.pattern)
 
     density = rule_set.get(COMMENT_DENSITY)
-    if density and density.enabled and file_comment_ratios:
+    if density.enabled and file_comment_ratios:
         for file, ratio in sorted(file_comment_ratios.items()):
             if ratio < density.threshold:
                 fire(density, file, 1, None, round(ratio, 4), density.threshold)
 
     dup_rule = rule_set.get(DUPLICATION_BLOCK)
-    if dup_rule and dup_rule.enabled and clone_blocks:
+    if dup_rule.enabled and clone_blocks:
         for block in clone_blocks:
             fire(
                 dup_rule,
@@ -217,24 +214,8 @@ def check_rules(
     return violations
 
 
-def intersect_rule_sets(rule_sets: list[RuleSet]) -> tuple[list[RuleSet], list[str]]:
-    """Restrict every rule set to the canonical ids enabled in all of them.
-
-    Per-language parameters are preserved; only rule presence is
-    intersected. An empty intersection is reported by the caller as a
-    warning, never as a failure.
-    """
-    if len(rule_sets) < 2:
-        raise ValueError("intersection needs at least two rule sets")
-    shared = frozenset.intersection(*(rs.enabled_ids() for rs in rule_sets))
-    filtered = [
-        RuleSet(
-            profile_id=rs.profile_id,
-            rules=tuple(
-                replace(rule, enabled=rule.enabled and rule.canonical_id in shared)
-                for rule in rs.rules
-            ),
-        )
-        for rs in rule_sets
-    ]
-    return filtered, sorted(shared)
+def intersect_rule_sets(rule_sets: list[RuleSet]) -> list[str]:
+    """The sorted canonical ids enabled in every one of one or more rule
+    sets. An empty intersection is reported by the caller as a warning,
+    never as a failure."""
+    return sorted(frozenset.intersection(*(rs.enabled_ids() for rs in rule_sets)))

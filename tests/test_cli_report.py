@@ -94,6 +94,56 @@ def test_analyze_comment_only_project_has_no_debt_ratio(tmp_path, capsys):
     assert any(d["code"] == "zero-production-effort" for d in report["diagnostics"])
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_no_weighted_indicator_left_is_an_error_line(tmp_path, capsys, command):
+    # a comments-only project has no debt ratio and no volumetry, and the
+    # config weighs nothing else
+    config = tmp_path / "w.json"
+    config.write_text(json.dumps({"composite": {"indicators": {
+        "duplicationRatio": {"weight": 0}, "commentRatio": {"weight": 0},
+        "tdr": {"weight": 0.6}, "volumetry": {"weight": 0.4}}}}))
+    root = write_tree(tmp_path / "comments", {"a.py": "# only a comment\n# another\n"})
+    paths = [str(root)] if command == "analyze" else [str(FIXTURES / "parity" / "py"), str(root)]
+    code, out, err = run(capsys, command, *paths, "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: no weighted indicator left to score; absent indicators: tdr, volumetry\n"
+
+
+def test_comment_density_rule_bills_each_sparse_file(tmp_path, capsys):
+    config = tmp_path / "density.json"
+    config.write_text(json.dumps({
+        "rules": {"comment-density": {"enabled": True}},
+        "composite": {"indicators": {"commentRatio": {"weight": 0}, "tdr": {"weight": 0.6}}},
+    }))
+    root = write_tree(tmp_path / "dens", {"bare.c": "int bare(int a) { return a; }\n", "m.c": C_FILE})
+    code, out, _ = run(capsys, "analyze", str(root), "--config", str(config))
+    assert code == 0
+    project = json.loads(out)["projects"][0]
+    # bare.c has no comment at all; m.c is above the 0.10 threshold
+    assert project["violations"]["by_rule"] == {"comment-density": 1, "naming-convention": 1}
+    assert project["models"]["tdr"] == {
+        "grade": "C", "production_minutes": 240, "remediation_minutes": 40, "tdr": 0.1667}
+
+
+def test_sig_unit_testing_from_scalar_and_per_project_coverage(pair, tmp_path, capsys):
+    a, b = pair
+    code, out, _ = run(capsys, "analyze", str(a), "--coverage", "0.85")
+    assert code == 0
+    project = json.loads(out)["projects"][0]
+    assert project["coverage"] == 0.85
+    assert project["models"]["sig"]["properties"]["unitTesting"] == 4
+    config = tmp_path / "cov.json"
+    config.write_text(json.dumps({"models": {"sig": {"coverage": {"alpha": 0.97}}}}))
+    code, out, _ = run(capsys, "compare", str(a), str(b), "--config", str(config))
+    assert code == 0
+    by_id = {p["project_id"]: p for p in json.loads(out)["projects"]}
+    assert by_id["alpha"]["coverage"] == 0.97
+    assert by_id["alpha"]["models"]["sig"]["properties"]["unitTesting"] == 5
+    assert by_id["beta"]["coverage"] is None
+    assert by_id["beta"]["models"]["sig"]["properties"]["unitTesting"] is None
+    assert by_id["beta"]["models"]["sig"]["characteristics"]["stability"] is None
+
+
 def test_analyze_empty_directory_is_fatal(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -290,11 +340,31 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
      "rules.complexity-threshold.effort_minutes"),
     ("compare", {"rules": {"complexity-threshold": {"enabled": "no"}}},
      "rules.complexity-threshold.enabled"),
+    ("analyze", {"duplication": {"min_tokens": 2}}, "duplication.min_tokens"),
+    ("analyze", {"models": {"sqale": {"cost_per_line_minutes": 0}}}, "models.sqale.cost_per_line_minutes"),
+    ("analyze", {"models": {"mi": {"scope": "module"}}}, "models.mi.scope"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"weight": 1.2}}}}, "composite.indicators.tdr"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"low": 0.2, "high": 0.2}}}},
+     "composite.indicators.tdr"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"shape": "bogus"}}}}, "composite.indicators.tdr"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"shape": "relative-min"}}}},
+     "composite.indicators.tdr"),
+    ("compare", {"composite": {"indicators": {"volumetry": {"shape": "rising-linear"}}}},
+     "composite.indicators.volumetry"),
+    ("compare", {"composite": {"sensitivity": {"delta_pp": 100}}}, "composite.sensitivity.delta_pp"),
+    ("analyze", {"models": {"sig": "default"}}, "models.sig"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"weight": 0.5}}}},
+     "composite.indicators: indicator weights must sum to 1"),
+    ("analyze", [], "config root must be a JSON object"),
 ], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
         "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
         "sig-caps-value", "sig-matrix-row", "sig-key-typo", "duplication-key-typo",
-        "indicator-field-typo", "metrics-key-typo", "rule-effort-text", "rule-enabled-text"])
+        "indicator-field-typo", "metrics-key-typo", "rule-effort-text", "rule-enabled-text",
+        "min-tokens-below-3", "cost-per-line-zero", "mi-scope", "indicator-weight-above-1",
+        "indicator-bounds-equal", "indicator-shape-unknown", "relative-min-off-volumetry",
+        "volumetry-not-relative-min", "delta-pp-100", "section-not-object",
+        "weights-sum-not-1", "root-not-object"])
 def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(override))
@@ -481,6 +551,63 @@ def test_compare_with_sensitivity(pair, capsys):
     assert isinstance(sens["top1_stable"], bool)
 
 
+def test_compare_duplication_source_line(tmp_path, capsys):
+    twin = "int twin(int a, int b) {\n    int t = a + b;\n    t = t * a - b;\n    return t + a * b;\n}\n"
+    a = write_tree(tmp_path / "alpha", {"m.c": C_FILE + twin + twin.replace("twin", "twin2")})
+    b = write_tree(tmp_path / "beta", {"n.py": PY_FILE})
+    config = tmp_path / "line.json"
+    config.write_text(json.dumps({"composite": {"duplication_source": "line"}}))
+    code, out, _ = run(capsys, "compare", str(a), str(b), "--min-tokens", "10", "--config", str(config))
+    assert code == 0
+    report = json.loads(out)
+    assert report["projects"][0]["duplication"]["token_ratio"] == 0.5962
+    assert report["projects"][0]["duplication"]["line_ratio"] == 0.5882
+    scores = {c["project_id"]: c["per_indicator"]["duplicationRatio"] for c in report["composite"]}
+    assert scores == {"alpha": {"raw": 0.5882, "score": 0.0}, "beta": {"raw": 0.0, "score": 100.0}}
+
+
+_NO_RULES = {"rules": {rule: {"enabled": False} for rule in (
+    "complexity-threshold", "unit-size-threshold", "too-many-params", "nesting-depth",
+    "naming-convention")}}
+
+
+def test_compare_with_every_rule_disabled_warns_of_empty_intersection(pair, tmp_path, capsys):
+    config = tmp_path / "off.json"
+    config.write_text(json.dumps(_NO_RULES))
+    code, out, _ = run(capsys, "compare", *map(str, pair), "--config", str(config))
+    assert code == 2
+    report = json.loads(out)
+    assert report["shared_rules"] == []
+    assert report["diagnostics"] == [{
+        "code": "empty-intersection", "file": None, "line": None,
+        "message": "no coding rule is enabled for every compared language; "
+                   "debt ratios compare only rule-free attributes",
+    }]
+
+
+def test_compare_markdown_sensitivity_and_diagnostics(tmp_path, capsys):
+    a = write_tree(tmp_path / "alpha", {"m.c": C_FILE})
+    b = write_tree(tmp_path / "beta", {"n.py": PY_FILE, "open.c": "int f(int a) { return a; }\n/* open\n"})
+    config = tmp_path / "off.json"
+    config.write_text(json.dumps(_NO_RULES))
+    code, out, _ = run(capsys, "compare", str(a), str(b), "--sensitivity", "--format", "md",
+                       "--config", str(config))
+    assert code == 2
+    tail = out[out.index("## Sensitivity"):].splitlines()
+    assert tail[:7] == [
+        "## Sensitivity", "", "- delta: 5.0 pp", "- top-1 stable: True",
+        "- full ranking stable: True", "", "| indicator | direction | top-1 | ranking |"]
+    assert tail[8:10] == ["| commentRatio | + | beta | beta > alpha |",
+                          "| commentRatio | - | beta | beta > alpha |"]
+    assert len(tail) == 8 + 8 + 1 + 4
+    assert tail[17:] == [
+        "## Diagnostics", "",
+        "- `empty-intersection` (project): no coding rule is enabled for every compared "
+        "language; debt ratios compare only rule-free attributes",
+        "- `unterminated-comment` open.c:2: unterminated comment starting here",
+    ]
+
+
 # --- snapshot + trend CLI ---
 
 
@@ -562,6 +689,22 @@ def test_trend_csv_format(corpus, capsys, tmp_path):
                        "--metric", "mi", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "timestamp_utc,value,comparable,snapshot_id"
+
+
+def test_trend_markdown_format(corpus, capsys, tmp_path):
+    store = tmp_path / "store"
+    run(capsys, "snapshot", "save", str(corpus), "--store", str(store))
+    _, out, _ = run(capsys, "trend", corpus.name, "--store", str(store), "--metric", "tdr")
+    (point,) = json.loads(out)["series"]
+    code, out, _ = run(capsys, "trend", corpus.name, "--store", str(store),
+                       "--metric", "tdr", "--format", "md")
+    assert code == 0
+    assert out.splitlines() == [
+        f"# Trend: tdr for {corpus.name}", "",
+        "| timestamp | value | comparable |", "| --- | --- | --- |",
+        f"| {point['timestamp_utc']} | 0.037 | True |",
+    ]
+    assert point["value"] == 0.037
 
 
 # --- inspection commands ---

@@ -8,13 +8,12 @@ from xmaint.composite import (
     ProjectIndicators,
     composite_score,
     map_indicator,
-    map_tdr_indicator,
     map_volumetry,
     sensitivity_analysis,
     validate_weights,
 )
 from xmaint.config import DEFAULT_CONFIG, validate_config
-from xmaint.errors import EstimatorMismatch, RuleSetMismatch, SingleCountingViolation, SingleProject
+from xmaint.errors import EstimatorMismatch, NoWeightLeft, RuleSetMismatch, SingleCountingViolation
 from xmaint.rules import DUPLICATION_BLOCK, COMMENT_DENSITY
 
 COMMENT_MAP = next(m for m in DEFAULT_MAPPINGS if m.indicator == "commentRatio")
@@ -59,14 +58,6 @@ def test_tdr_mapping():
     assert map_indicator(0.35, TDR_MAP) == 0.0
 
 
-def test_map_tdr_indicator_named_defaults():
-    assert map_tdr_indicator(0.0) == 100.0
-    assert map_tdr_indicator(0.10) == pytest.approx(50.0)
-    assert map_tdr_indicator(0.35) == 0.0
-    with pytest.raises(ValueError):
-        map_tdr_indicator(-0.1)
-
-
 def test_rising_linear_shape():
     mapping = IndicatorMapping("commentRatio", "rising-linear", 0.0, 1.0, 1.0)
     assert map_indicator(0.25, mapping) == pytest.approx(25.0)
@@ -102,11 +93,6 @@ def test_volumetry_equal_projects():
     assert map_volumetry({"a": 4000, "b": 4000}) == {"a": 100.0, "b": 100.0}
 
 
-def test_volumetry_single_project_rejected():
-    with pytest.raises(SingleProject):
-        map_volumetry({"a": 10000})
-
-
 # --- composite scoring ---
 
 
@@ -126,6 +112,17 @@ def test_single_indicator_renormalizes_to_its_score():
     assert scores[0].total == pytest.approx(70.0)
     assert scores[0].absent_indicators == ("volumetry",)
     assert scores[0].weights_used == {"tdr": 1.0}
+
+
+def test_no_weight_left_names_the_absent_indicators():
+    mappings = [
+        IndicatorMapping("commentRatio", "rising-then-falling", 0.15, 0.40, 0.0),
+        IndicatorMapping("tdr", "falling-linear", 0.0, 0.20, 0.6),
+        IndicatorMapping("volumetry", "relative-min", 1.0, 1.5, 0.4),
+    ]
+    # a project with no code: no debt ratio, and one project alone has no volumetry
+    with pytest.raises(NoWeightLeft, match="absent indicators: tdr, volumetry$"):
+        composite_score([project("solo", tdr=None, loc=0)], mappings)
 
 
 def test_worked_reference_total():
@@ -290,6 +287,19 @@ def test_sensitivity_weight_floor_at_zero():
     minus = next(p for p in report.perturbations if p.indicator == "tdr" and p.direction == "-")
     assert minus.weights["tdr"] == 0.0
     assert sum(minus.weights.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sensitivity_below_100_pp_keeps_a_lone_weight_positive():
+    # a delta below the 100 pp that validate_config holds it under leaves the
+    # only weighted indicator a positive share, so renormalizing never divides by zero
+    mappings = [
+        IndicatorMapping("tdr", "falling-linear", 0.0, 0.2, 1.0),
+        IndicatorMapping("commentRatio", "rising-then-falling", 0.15, 0.4, 0.0),
+    ]
+    report = sensitivity_analysis([project("a"), project("b", tdr=0.1)], mappings, delta_pp=99.0)
+    minus = next(p for p in report.perturbations if p.indicator == "tdr" and p.direction == "-")
+    assert minus.weights == {"commentRatio": 0.0, "tdr": 1.0}
+    assert minus.ranking == ("b", "a")
 
 
 def test_sensitivity_output_order_fixed():

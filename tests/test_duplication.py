@@ -142,11 +142,6 @@ def test_xyx_token_ratio():
     assert token_ratio == pytest.approx(2 / 3, abs=1e-9)
 
 
-def test_min_tokens_validation():
-    with pytest.raises(ValueError):
-        find_clone_blocks({"f": []}, 2)
-
-
 def test_cross_file_clone():
     shared = [f"s{i}" for i in range(8)]
     fa = row(ident_stream(["a1", "a2"] + shared))

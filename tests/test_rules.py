@@ -105,6 +105,15 @@ def test_complexity_violation_carries_observed_value():
     assert complexity[0].effort_minutes == 60.0
 
 
+def test_unit_size_violation_carries_observed_loc():
+    body = "".join(f"    a = a + {i};\n" for i in range(4))
+    src = f"int tall(int a) {{\n{body}    return a;\n}}\n"
+    rule_set = load_rule_set({UNIT_SIZE: {"threshold": 6}}, C_FAMILY)
+    violations = check_rules(metrics_for(src, C_FAMILY), rule_set)
+    assert [(v.rule_id, v.unit_name, v.line, v.observed_value, v.threshold, v.effort_minutes)
+            for v in violations if v.rule_id == UNIT_SIZE] == [(UNIT_SIZE, "tall", 1, 7, 6, 45.0)]
+
+
 def test_naming_violation_on_mismatched_pattern():
     src = "int Do_Thing(int a) { return a; }"
     violations = check_rules(metrics_for(src, C_FAMILY), load_rule_set({}, C_FAMILY))
@@ -212,50 +221,39 @@ def test_one_config_enables_the_same_ids_for_every_profile(config, expected):
 def test_intersection_with_itself_is_identity():
     a = load_rule_set({}, C_FAMILY)
     b = load_rule_set({}, PYTHON)
-    filtered, shared = intersect_rule_sets([a, b])
-    assert set(shared) == a.enabled_ids() == b.enabled_ids()
-    assert filtered[0].enabled_ids() == a.enabled_ids()
+    assert set(intersect_rule_sets([a, b])) == a.enabled_ids() == b.enabled_ids()
+    assert intersect_rule_sets([a]) == sorted(a.enabled_ids())
 
 
 def test_intersection_keeps_common_ids_only():
     a = _rule_set(C_FAMILY, {COMPLEXITY, UNIT_SIZE, NAMING})
     b = _rule_set(PYTHON, {COMPLEXITY, UNIT_SIZE, NESTING_DEPTH})
-    filtered, shared = intersect_rule_sets([a, b])
-    assert shared == [COMPLEXITY, UNIT_SIZE]
-    for rs in filtered:
-        assert rs.enabled_ids() == {COMPLEXITY, UNIT_SIZE}
+    assert intersect_rule_sets([a, b]) == [COMPLEXITY, UNIT_SIZE]
 
 
 def test_intersection_requires_enabled_everywhere():
     a = _rule_set(C_FAMILY, {COMPLEXITY})  # naming disabled here
     b = _rule_set(PYTHON, {COMPLEXITY, NAMING})
-    _, shared = intersect_rule_sets([a, b])
-    assert NAMING not in shared
+    assert NAMING not in intersect_rule_sets([a, b])
 
 
 def test_intersection_preserves_per_language_params():
     a = load_rule_set({UNIT_SIZE: {"threshold": 60}}, C_FAMILY)
     b = load_rule_set({UNIT_SIZE: {"threshold": 60}}, COBOL_LIKE)
-    filtered, _ = intersect_rule_sets([a, b])
-    by_profile = {rs.profile_id: rs for rs in filtered}
-    assert by_profile["c-family"].get(UNIT_SIZE).threshold == 60
-    assert by_profile["cobol-like"].get(UNIT_SIZE).threshold == 120
+    assert UNIT_SIZE in intersect_rule_sets([a, b])
+    assert a.get(UNIT_SIZE).threshold == 60
+    assert b.get(UNIT_SIZE).threshold == 120
 
 
 def test_intersection_commutative_associative_idempotent():
     a = _rule_set(C_FAMILY, {COMPLEXITY, UNIT_SIZE, NAMING})
     b = _rule_set(PYTHON, {COMPLEXITY, NAMING})
     c = _rule_set(COBOL_LIKE, {NAMING, NESTING_DEPTH})
-    _, abc = intersect_rule_sets([a, b, c])
-    _, cba = intersect_rule_sets([c, b, a])
-    assert abc == cba == [NAMING]
-    _, aa = intersect_rule_sets([a, a])
-    assert set(aa) == a.enabled_ids()
+    assert intersect_rule_sets([a, b, c]) == intersect_rule_sets([c, b, a]) == [NAMING]
+    assert set(intersect_rule_sets([a, a])) == a.enabled_ids()
 
 
 def test_empty_intersection_is_reported_not_fatal():
     a = _rule_set(C_FAMILY, {COMPLEXITY})
     b = _rule_set(PYTHON, {NAMING})
-    filtered, shared = intersect_rule_sets([a, b])
-    assert shared == []
-    assert all(not rs.enabled_ids() for rs in filtered)
+    assert intersect_rule_sets([a, b]) == []
