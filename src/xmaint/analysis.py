@@ -16,7 +16,7 @@ from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
 from .debt_models import MiResult, SigResult, TdrResult
 from .errors import Diagnostic, EmptyProject, UnknownLanguage, ZeroProductionEffort
-from .lexing import LineClassification, classify_lines, physical_line_count, tokenize
+from .lexing import LineClassification, TokenStream, classify_lines, physical_line_count, tokenize
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
 from .rules import RuleSet, Violation
@@ -156,15 +156,15 @@ def analyze_file(
     on return. The clone row's ids come from ``ids``, the project's table (a
     fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
     and McCabe count for file-level MI."""
-    tokens = []
+    tokens = TokenStream()
     unit_metrics = ()
     try:
         text = read_source(abs_path)
     except OSError as exc:
-        lines = classify_lines([], 0)
+        lines = classify_lines(tokens, 0)
         diagnostics = [Diagnostic("unreadable-file", str(exc), file=rel)]
     except UnicodeDecodeError as exc:
-        lines = classify_lines([], 0)
+        lines = classify_lines(tokens, 0)
         diagnostics = [Diagnostic("not-utf8", f"not valid UTF-8: {exc}", file=rel)]
     else:
         tokens, diagnostics = tokenize(text, profile, file=rel)
@@ -315,7 +315,7 @@ def analyze_project(
 
     dup_report = duplication.build_report(
         {fa.path: fa.clone_row for fa in files},
-        int(dup_cfg["min_tokens"]),
+        dup_cfg["min_tokens"],
         dup_cfg["mode"],
         project_metrics.total_loc,
     )

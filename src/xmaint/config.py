@@ -143,12 +143,12 @@ def _rule_enabled(config: dict, canonical_id: str) -> bool:
     return config["rules"].get(canonical_id, {}).get("enabled", _DEFAULTS[canonical_id][2])
 
 
-def _number(config: dict, dotted_key: str, kind=float):
+def _number(config: dict, dotted_key: str) -> float:
     value = config
     for key in dotted_key.split("."):
         value = value[key]
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{dotted_key} must be a number, got {value!r}") from None
 
@@ -216,7 +216,10 @@ def validate_config(config: dict) -> None:
     mode = config["duplication"]["mode"]
     if mode not in DUPLICATION_MODES:
         raise InvalidConfig(f"duplication.mode must be one of {list(DUPLICATION_MODES)}, got '{mode}'")
-    if _number(config, "duplication.min_tokens", int) < 3:
+    min_tokens = config["duplication"]["min_tokens"]
+    if isinstance(min_tokens, bool) or not isinstance(min_tokens, int):
+        raise InvalidConfig("duplication.min_tokens must be an integer")
+    if min_tokens < 3:
         raise InvalidConfig("duplication.min_tokens must be >= 3")
     if _number(config, "models.sqale.cost_per_line_minutes") <= 0:
         raise InvalidConfig("models.sqale.cost_per_line_minutes must be > 0")

@@ -9,13 +9,16 @@ left.
 
 The clone stage reads each file as a ``CloneRow``: one int id per
 normalized token, equal ids for equal (kind, compared text) across the
-project, and the tokens' start and end lines. Rows are built file by file,
-so no token outlives its file's analysis.
+project, and the tokens' start and end lines. Rows are built file by file
+from the file's token columns: each local id gets its project id once, and
+the code tokens' id column is mapped through that table, so no token
+outlives its file's analysis.
 
 Detection groups the windows of ``min_tokens`` tokens into classes of equal
 content (after Kamiya, Kusumoto & Inoue's CCFinder): window hashes are
 counted file by file, then recomputed per file to pick out the windows whose
-hash repeats, and only those are compared exactly. So a hash collision never
+hash repeats, and only those are compared exactly; when no hash repeats,
+there is no clone and the second pass is skipped. So a hash collision never
 joins two different windows, and no more than one file's hashes are held at
 a time. Inside a class, two members start a maximal block only if the tokens
 before them differ (or one of them starts its file); members are grouped by
@@ -38,9 +41,9 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, product
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .lexing import COMMENT, IDENTIFIER, Token
+from .lexing import COMMENT, IDENTIFIER, TokenStream
 
 EXACT = "exact"
 IDENTIFIER_BLIND = "identifier-blind"
@@ -99,25 +102,31 @@ class DuplicationReport:
 
 
 def normalize_tokens(
-    tokens: Iterable[Token], mode: str, case_sensitive: bool, ids: TokenIds
+    tokens: TokenStream, mode: str, case_sensitive: bool, ids: TokenIds
 ) -> CloneRow:
     """The clone row of one file's tokens: comments dropped, each code token
     keyed by its kind and compared text (upper-cased under a case-insensitive
     profile; in identifier-blind mode, one text for all identifiers), and
     each key given its id from ``ids``, a table made by ``token_ids``. Only
     rows whose ids come from one table can be compared. ``mode`` is one of
-    DUPLICATION_MODES; ``validate_config`` holds it there."""
+    DUPLICATION_MODES; ``validate_config`` holds it there.
+
+    Each local id of the stream is keyed once; local ids number keys in
+    order of first occurrence, so project ids are handed out in token order.
+    """
     blind = mode == IDENTIFIER_BLIND
-    code = [tok for tok in tokens if tok.kind != COMMENT]
     id_of = ids.__getitem__
+    is_code = [kind != COMMENT for kind, _ in tokens.keys]
+    project = [
+        id_of((kind, _ID_PLACEHOLDER if blind and kind == IDENTIFIER
+               else text if case_sensitive else text.upper())) if code else -1
+        for (kind, text), code in zip(tokens.keys, is_code)
+    ]
+    mask = list(map(is_code.__getitem__, tokens.ids))
     return CloneRow(
-        [
-            id_of((tok.kind, _ID_PLACEHOLDER if blind and tok.kind == IDENTIFIER
-                   else tok.text if case_sensitive else tok.text.upper()))
-            for tok in code
-        ],
-        array("i", [tok.line for tok in code]),
-        array("i", [tok.end_line for tok in code]),
+        list(map(project.__getitem__, compress(tokens.ids, mask))),
+        array("i", compress(tokens.lines, mask)),
+        array("i", compress(tokens.end_lines, mask)),
     )
 
 
@@ -171,6 +180,8 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
         counts.update(_window_keys(row, min_tokens))
     repeated = {key for key, n in counts.items() if n > 1}
     del counts
+    if not repeated:
+        return []  # no two windows are equal, so no pass over the windows again
     # keyed by window content, so windows whose keys merely collide land in
     # different classes
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)

@@ -8,13 +8,21 @@ inside strings never spawn comments), then numbers, words, multi-char
 symbols by falling length, and a single-character ``\\S`` catch-all that
 guarantees every non-whitespace character lands in exactly one token.
 Adjacent alternatives of one token class and diagnostic share one group.
+
+``tokenize`` returns a file's tokens as a ``TokenStream`` of columns: one
+per-file local id per token, the (kind, text) key of each local id, and the
+tokens' start lines, end lines and start columns. No object is made per
+token; every later stage classifies the file's distinct ids once and then
+reads the columns.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import Diagnostic
 from .profiles import LanguageProfile, folded_tokens
@@ -33,38 +41,29 @@ BLANK_LINE = "blank"
 MIXED_LINE = "mixed"
 
 
-class Token:
-    """One lexeme at its 1-based start line and column.
+class TokenStream:
+    """One file's tokens as columns, one entry per token in source order.
 
-    ``end_line`` is the start line plus the line breaks in the text, stored
-    once because line classification, unit extraction and duplication read
-    it for every token. Equality, hash and repr cover (kind, text, line,
-    column), which determine it.
+    ``ids[i]`` is token i's local id: tokens of equal (kind, text) in one file
+    share an id, numbered from 0 in order of first occurrence, and
+    ``keys[lid]`` is that (kind, text). ``lines`` and ``columns`` give each
+    token's 1-based start line and column, ``end_lines`` its start line plus
+    the line breaks in its text; lines never decrease from one token to the
+    next. Later stages classify a file's few distinct ids once and then read
+    the id column, never a per-token object.
     """
 
-    __slots__ = ("kind", "text", "line", "column", "end_line")
+    __slots__ = ("ids", "keys", "lines", "end_lines", "columns")
 
-    def __init__(self, kind: str, text: str, line: int, column: int, end_line: int | None = None):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-        self.end_line = line + text.count("\n") if end_line is None else end_line
+    def __init__(self, ids=(), keys=(), lines=(), end_lines=(), columns=()):
+        self.ids = array("i", ids)
+        self.keys: list[tuple[str, str]] = list(keys)
+        self.lines = array("i", lines)
+        self.end_lines = array("i", end_lines)
+        self.columns = array("i", columns)
 
-    def _key(self) -> tuple[str, str, int, int]:
-        return (self.kind, self.text, self.line, self.column)
-
-    def __eq__(self, other):
-        if other.__class__ is not Token:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Token(kind={self.kind!r}, text={self.text!r}, line={self.line!r}, "
-                f"column={self.column!r})")
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,8 @@ def _compile(profile: LanguageProfile):
 
 def tokenize(
     text: str, profile: LanguageProfile, file: str | None = None
-) -> tuple[list[Token], list[Diagnostic]]:
-    """Lex text into ordered tokens plus recovery diagnostics.
+) -> tuple[TokenStream, list[Diagnostic]]:
+    """Lex text into its token columns plus recovery diagnostics.
 
     Never raises for malformed input: unterminated strings consume the rest
     of the line (rest of file for multi-line literals), unterminated block
@@ -159,15 +158,46 @@ def tokenize(
     master, handlers = _compile(profile)
     folded_sets = folded_tokens(profile)
     fold = profile.fold
-    word_kinds: dict[str, str] = {}
-    symbol_kinds: dict[str, str] = {}
-    tokens: list[Token] = []
-    append = tokens.append
+    keys: list[tuple[str, str]] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start, last = 1, 0, 0  # line_start: offset where the current line starts
+    # One raw text -> local id table per kind class; a word's or a symbol's
+    # kind follows from its text, so the text alone keys its id. A diagnostic
+    # group looks up an always-empty table, so each of its tokens takes the
+    # slow path below, which reports it.
+    tables: dict[str, dict[str, int]] = {}
+    lookups = [
+        None if handler is None else ({} if handler[1] else tables.setdefault(handler[0], {})).get
+        for handler in handlers
+    ]
+
+    def new_id(group: int, raw: str, line: int) -> int:
+        kind, diagnostic = handlers[group]
+        if diagnostic is not None:
+            diagnostics.append(
+                Diagnostic(code=diagnostic, message=f"{diagnostic.replace('-', ' ')} starting here",
+                           file=file, line=line)
+            )
+        table = tables.setdefault(kind, {})
+        lid = table.get(raw)
+        if lid is None:
+            if kind is _WORD:
+                kind = KEYWORD if fold(raw) in folded_sets.keywords else IDENTIFIER
+            elif kind is _SYMBOL:
+                kind = OPERATOR if fold(raw) in folded_sets.operators else PUNCTUATION
+            lid = table[raw] = len(keys)
+            keys.append((kind, raw))
+        return lid
+
+    ids: list[int] = []
+    lines: list[int] = []
+    columns: list[int] = []
+    multi_line: list[tuple[int, int]] = []  # (index, end line) of tokens spanning lines
+    add_id, add_line, add_column = ids.append, lines.append, columns.append
+    line, line_end, last = 1, -1, 0  # line_end: offset of the break before the current line
 
     # Each match is whitespace and then one token, starting where the last
     # one ended; only trailing whitespace fails to match, which ends the loop.
+    # Plain lists grow faster than arrays; they become arrays once, below.
     for match in iter(master.scanner(text).match, None):
         group = match.lastindex
         pos = match.start(group)
@@ -176,32 +206,21 @@ def tokenize(
             breaks = text.count("\n", last, pos)
             if breaks:
                 line += breaks
-                line_start = text.rindex("\n", last, pos) + 1
-        kind, diagnostic = handlers[group]
-        if kind is _WORD:
-            kind = word_kinds.get(raw)
-            if kind is None:
-                kind = KEYWORD if fold(raw) in folded_sets.keywords else IDENTIFIER
-                word_kinds[raw] = kind
-        elif kind is _SYMBOL:
-            kind = symbol_kinds.get(raw)
-            if kind is None:
-                kind = OPERATOR if fold(raw) in folded_sets.operators else PUNCTUATION
-                symbol_kinds[raw] = kind
-        elif diagnostic is not None:
-            diagnostics.append(
-                Diagnostic(code=diagnostic, message=f"{diagnostic.replace('-', ' ')} starting here",
-                           file=file, line=line)
-            )
-        column, end_line = pos - line_start + 1, line
+                line_end = text.rindex("\n", last, pos)
+        lid = lookups[group](raw)
+        add_id(new_id(group, raw, line) if lid is None else lid)
+        add_line(line)
+        add_column(pos - line_end)
         if "\n" in raw:
-            end_line += raw.count("\n")
-            line_start = pos + raw.rindex("\n") + 1
-        append(Token(kind, raw, line, column, end_line))
-        line = end_line
+            line += raw.count("\n")
+            line_end = pos + raw.rindex("\n")
+            multi_line.append((len(lines) - 1, line))
         last = pos + len(raw)
 
-    return tokens, diagnostics
+    stream = TokenStream(ids, keys, lines, lines, columns)
+    for index, end_line in multi_line:
+        stream.end_lines[index] = end_line
+    return stream, diagnostics
 
 
 def physical_line_count(text: str) -> int:
@@ -210,44 +229,40 @@ def physical_line_count(text: str) -> int:
     return text.count("\n") + bool(text and not text.endswith("\n"))
 
 
-def classify_lines(tokens: list[Token], physical_lines: int) -> LineClassification:
+# a line's class by its flags: 1 if a code token touches it, plus 2 if a comment does
+_LINE_CLASSES = (BLANK_LINE, CODE_LINE, COMMENT_LINE, MIXED_LINE)
+_COMMENT_FLAG = bytes.maketrans(b"\x01", b"\x02")
+
+
+def classify_lines(tokens: TokenStream, physical_lines: int) -> LineClassification:
     """Tag each physical line as code / comment / blank / mixed.
 
     Multi-line tokens (block comments, triple-quoted strings) claim every
     line they span, so a 3-line block comment yields 3 comment lines.
     """
-    has_code = [False] * physical_lines
-    has_comment = [False] * physical_lines
-    for token in tokens:
-        flags = has_comment if token.kind == COMMENT else has_code
-        line, end_line = token.line, token.end_line
-        if line == end_line:
-            if 1 <= line <= physical_lines:
-                flags[line - 1] = True
+    # index = line; token lines only grow, so the last end line is the largest
+    size = max(physical_lines, tokens.end_lines[-1] if len(tokens) else 0) + 1
+    has_code = bytearray(size)
+    has_comment = bytearray(size)
+    # per local id: the flags its tokens set, or None for a text spanning lines
+    flags_of = [None if "\n" in text else has_comment if kind == COMMENT else has_code
+                for kind, text in tokens.keys]
+    for lid, line in zip(tokens.ids, tokens.lines):
+        flags = flags_of[lid]
+        if flags is not None:
+            flags[line] = 1
         else:
-            for line in range(line, end_line + 1):
-                if 1 <= line <= physical_lines:
-                    flags[line - 1] = True
+            kind, text = tokens.keys[lid]
+            flags = has_comment if kind == COMMENT else has_code
+            flags[line:line + text.count("\n") + 1] = b"\x01" * (text.count("\n") + 1)
 
-    classes = []
-    counts = {CODE_LINE: 0, COMMENT_LINE: 0, BLANK_LINE: 0, MIXED_LINE: 0}
-    for code, comment in zip(has_code, has_comment):
-        if code and comment:
-            cls = MIXED_LINE
-        elif code:
-            cls = CODE_LINE
-        elif comment:
-            cls = COMMENT_LINE
-        else:
-            cls = BLANK_LINE
-        classes.append(cls)
-        counts[cls] += 1
-
+    classes = tuple(map(_LINE_CLASSES.__getitem__, map(
+        add, has_code[1:physical_lines + 1], has_comment[1:physical_lines + 1].translate(_COMMENT_FLAG))))
     return LineClassification(
-        classes=tuple(classes),
-        code=counts[CODE_LINE],
-        comment=counts[COMMENT_LINE],
-        blank=counts[BLANK_LINE],
-        mixed=counts[MIXED_LINE],
+        classes=classes,
+        code=classes.count(CODE_LINE),
+        comment=classes.count(COMMENT_LINE),
+        blank=classes.count(BLANK_LINE),
+        mixed=classes.count(MIXED_LINE),
         physical_lines=physical_lines,
     )

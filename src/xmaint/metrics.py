@@ -1,19 +1,23 @@
 """Language-independent base metrics: complexity, Halstead, LOC, unit sizes.
 
 Everything here consumes the token/line/unit representation, so the same
-code computes metrics for every registered language profile.
+code computes metrics for every registered language profile. McCabe and
+Halstead read local ids: ``id_classes`` gives each distinct (kind, text) of
+a file its roles once, from ``profiles.folded_tokens``, and a unit is
+counted as the multiset of its own ids.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EmptyProject
 from .lexing import (
     CODE_LINE,
-    COMMENT,
     IDENTIFIER,
     KEYWORD,
     MIXED_LINE,
@@ -22,7 +26,7 @@ from .lexing import (
     PUNCTUATION,
     STRING_LITERAL,
     LineClassification,
-    Token,
+    TokenStream,
 )
 from .profiles import LanguageProfile, folded_tokens
 from .units import Unit, contained_units, inner_after_start, inner_not_identical, uncovered_spans
@@ -74,38 +78,71 @@ class ProjectMetrics:
     max_cc: int | None
 
 
-def cyclomatic_complexity(unit_tokens: list[Token], profile: LanguageProfile) -> int:
-    """1 + number of decision tokens (branch/loop/guard keywords, short-circuit ops)."""
-    decisions = folded_tokens(profile).decisions
-    count = sum(
-        1
-        for tok in unit_tokens
-        if tok.kind in _DECISION_KINDS and profile.fold(tok.text) in decisions
-    )
-    return 1 + count
+# the roles a local id can play, as bit flags
+_OPERAND, _OPERATOR, _DECISION = 1, 2, 4
 
 
-def halstead(unit_tokens: list[Token], profile: LanguageProfile) -> HalsteadCounts:
-    """Count operators/operands; distinctness is by (kind, text), case-folded
-    when the profile is case-insensitive."""
-    operators = folded_tokens(profile).operators
+# How McCabe and Halstead count each local id of one file's stream: per local
+# id, its roles (_OPERAND, or _OPERATOR and/or _DECISION, or 0) and its
+# Halstead identity, (kind, folded text).
+IdClasses = tuple[list[int], list[tuple[str, str]]]
+
+
+def id_classes(tokens: TokenStream, profile: LanguageProfile) -> IdClasses:
+    """Classify a stream's distinct (kind, text) keys once. Halstead
+    distinctness is by (kind, text), case-folded when the profile is
+    case-insensitive, so two local ids may share one Halstead key."""
+    folded = folded_tokens(profile)
+    roles = []
+    for kind, text in tokens.keys:
+        role = 0
+        if kind in _OPERAND_KINDS:
+            role = _OPERAND
+        elif kind in _OPERATOR_CANDIDATE_KINDS:
+            text = profile.fold(text)
+            if text in folded.operators:
+                role = _OPERATOR
+            if kind in _DECISION_KINDS and text in folded.decisions:
+                role |= _DECISION
+        roles.append(role)
+    # folding is the identity under a case-sensitive profile
+    keys = tokens.keys if profile.case_sensitive else [(kind, profile.fold(text)) for kind, text in tokens.keys]
+    return roles, keys
+
+
+def _count(ids, classes: IdClasses) -> tuple[int, HalsteadCounts]:
+    """McCabe's count and the Halstead counts of a sequence of local ids,
+    read once per distinct id."""
+    roles, keys = classes
+    cc = 1
+    total_ops = total_operands = 0
     distinct_ops: set[tuple[str, str]] = set()
     distinct_operands: set[tuple[str, str]] = set()
-    total_ops = 0
-    total_operands = 0
-    for tok in unit_tokens:
-        if tok.kind == COMMENT:
-            continue
-        folded = profile.fold(tok.text)
-        if tok.kind in _OPERAND_KINDS:
-            total_operands += 1
-            distinct_operands.add((tok.kind, folded))
-        elif tok.kind in _OPERATOR_CANDIDATE_KINDS and folded in operators:
-            total_ops += 1
-            distinct_ops.add((tok.kind, folded))
-    return HalsteadCounts(
+    for lid, n in Counter(ids).items():
+        role = roles[lid]
+        if role:
+            if role & _OPERAND:
+                total_operands += n
+                distinct_operands.add(keys[lid])
+            elif role & _OPERATOR:
+                total_ops += n
+                distinct_ops.add(keys[lid])
+            if role & _DECISION:
+                cc += n
+    return cc, HalsteadCounts(
         n1=len(distinct_ops), n2=len(distinct_operands), N1=total_ops, N2=total_operands
     )
+
+
+def cyclomatic_complexity(tokens: TokenStream, profile: LanguageProfile) -> int:
+    """1 + number of decision tokens (branch/loop/guard keywords, short-circuit ops)."""
+    return _count(tokens.ids, id_classes(tokens, profile))[0]
+
+
+def halstead(tokens: TokenStream, profile: LanguageProfile) -> HalsteadCounts:
+    """Count operators/operands; distinctness is by (kind, text), case-folded
+    when the profile is case-insensitive."""
+    return _count(tokens.ids, id_classes(tokens, profile))[1]
 
 
 def comment_ratio(lines: LineClassification) -> float:
@@ -124,28 +161,28 @@ def _own_lines(unit: Unit, inner_units: Sequence[Unit]) -> set[int]:
     return lines
 
 
-def _own_tokens(
-    unit: Unit, masked_ranges: Sequence[tuple[int, int]], file_tokens: list[Token]
-) -> list[Token]:
+def _own_ids(unit: Unit, masked_ranges: Sequence[tuple[int, int]], file_ids) -> list[int]:
     lo, hi = unit.token_range
-    return [tok for a, b in uncovered_spans(lo, hi, masked_ranges) for tok in file_tokens[a:b]]
+    return list(chain.from_iterable(file_ids[a:b] for a, b in uncovered_spans(lo, hi, masked_ranges)))
 
 
 def unit_metrics(
     unit: Unit,
-    file_tokens: list[Token],
+    file_tokens: TokenStream,
     file_lines: LineClassification,
     profile: LanguageProfile,
     inner_units: Sequence[Unit] = (),
     masked_ranges: Sequence[tuple[int, int]] = (),
+    *,
+    classes: IdClasses,
 ) -> UnitMetrics:
     """Per-unit metrics with nested units' tokens and lines excluded.
 
     ``inner_units`` give up their lines and ``masked_ranges`` (sorted by
     start) their tokens; ``file_unit_metrics`` derives both from the file's
-    containment index.
+    containment index, and ``classes`` once for all its units.
     """
-    own_tokens = _own_tokens(unit, masked_ranges, file_tokens)
+    cc, counts = _count(_own_ids(unit, masked_ranges, file_tokens.ids), classes)
     own_lines = _own_lines(unit, inner_units)
     loc = sum(
         1
@@ -153,27 +190,24 @@ def unit_metrics(
         if 1 <= line <= file_lines.physical_lines
         and file_lines.classes[line - 1] in (CODE_LINE, MIXED_LINE)
     )
-    return UnitMetrics(
-        unit=unit,
-        loc=max(loc, 1),
-        cc=cyclomatic_complexity(own_tokens, profile),
-        halstead=halstead(own_tokens, profile),
-    )
+    return UnitMetrics(unit=unit, loc=max(loc, 1), cc=cc, halstead=counts)
 
 
 def file_unit_metrics(
     units: list[Unit],
-    file_tokens: list[Token],
+    file_tokens: TokenStream,
     file_lines: LineClassification,
     profile: LanguageProfile,
 ) -> list[UnitMetrics]:
     """``unit_metrics`` for every unit of one file, from one containment index."""
     ranges = [unit.token_range for unit in units]
+    classes = id_classes(file_tokens, profile)
     return [
         unit_metrics(
             unit, file_tokens, file_lines, profile,
             [units[j] for j in inner_after_start(ranges, i, contained)],
             [ranges[j] for j in inner_not_identical(ranges, i, contained)],
+            classes=classes,
         )
         for i, (unit, contained) in enumerate(zip(units, contained_units(ranges)))
     ]

@@ -255,7 +255,12 @@ def render_markdown(report: dict) -> str:
         lines.append("## Diagnostics")
         lines.append("")
         for d in report["diagnostics"]:
-            where = f"{d['file']}:{d['line']}" if d.get("file") else "(project)"
+            if not d.get("file"):
+                where = "(project)"
+            elif d.get("line") is None:
+                where = d["file"]  # a file-level diagnostic
+            else:
+                where = f"{d['file']}:{d['line']}"
             lines.append(f"- `{d['code']}` {where}: {d['message']}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"

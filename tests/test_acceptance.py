@@ -15,13 +15,14 @@ import pytest
 
 from clone_oracle import oracle_blocks
 from conftest import write_tree
+from token_rows import stream
 from xmaint.cli import main
 from xmaint.composite import composite_score, sensitivity_analysis, ProjectIndicators
 from xmaint.config import load_config
 from xmaint.debt_models import maintainability_index, tdr_grade
 from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, token_ids
 from xmaint.errors import SingleCountingViolation
-from xmaint.lexing import Token
+from xmaint.lexing import TokenStream
 from xmaint.profiles import ProfileRegistry
 from xmaint.analysis import analyze_project
 
@@ -100,7 +101,7 @@ def test_criterion_4_clone_oracle_equivalence():
                 dst = rng.randrange(0, n - 40)
                 length = rng.randrange(min_tokens, 40)
                 texts[dst:dst + length] = texts[src:src + length]
-            tokens = [Token("identifier", t, i + 1, 1) for i, t in enumerate(texts)]
+            tokens = stream(("identifier", t, i + 1, 1) for i, t in enumerate(texts))
             seqs[f"f{k}"] = normalize_tokens(tokens, EXACT, True, ids)
         fast = {(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
                 for b in find_clone_blocks(seqs, min_tokens)}
@@ -273,4 +274,4 @@ def test_analysis_retains_few_bytes_per_token(tmp_path):
         for field in dataclasses.fields(fa):
             value = getattr(fa, field.name)
             held = value if isinstance(value, (tuple, list)) else (value,)
-            assert not any(isinstance(item, Token) for item in held), field.name
+            assert not any(isinstance(item, TokenStream) for item in held), field.name

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -321,7 +322,11 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("analyze", {"composite": {"duplication_source": "lines"}}, "composite.duplication_source"),
     ("compare", {"composite": {"sensitivity": {"delta_pp": 0}}}, "composite.sensitivity.delta_pp"),
     ("compare", {"composite": {"sensitivity": {"delta_pp": "5pp"}}}, "composite.sensitivity.delta_pp"),
-    ("analyze", {"duplication": {"min_tokens": "fifty"}}, "duplication.min_tokens"),
+    ("analyze", {"duplication": {"min_tokens": "fifty"}}, "duplication.min_tokens must be an integer"),
+    ("analyze", {"duplication": {"min_tokens": 10.7}}, "duplication.min_tokens must be an integer"),
+    ("analyze", {"duplication": {"min_tokens": "12"}}, "duplication.min_tokens must be an integer"),
+    ("analyze", {"duplication": {"min_tokens": True}}, "duplication.min_tokens must be an integer"),
+    ("analyze", {"duplication": {"min_tokens": 12.0}}, "duplication.min_tokens must be an integer"),
     ("analyze", {"duplication": {"mode": "fuzzy"}}, "duplication.mode"),
     ("analyze", {"metrics": {"weighted_unit_means": "no"}}, "metrics.weighted_unit_means"),
     ("analyze", {"models": {"sig": {"cc_bands": [10, 20]}}}, "models.sig.cc_bands"),
@@ -357,6 +362,7 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
      "composite.indicators: indicator weights must sum to 1"),
     ("analyze", [], "config root must be a JSON object"),
 ], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
+        "min-tokens-fraction", "min-tokens-numeric-text", "min-tokens-bool", "min-tokens-float",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
         "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
         "sig-caps-value", "sig-matrix-row", "sig-key-typo", "duplication-key-typo",
@@ -438,6 +444,48 @@ def test_discovery_globs(layered, registry, includes, excludes, expected):
     # DEFAULT_EXCLUDES prune directory names ('build') at any depth, whatever the globs
     found = discover_files(layered, registry, includes=includes, excludes=excludes)
     assert [rel for _, rel, _ in found] == expected
+
+
+def _selected(root, registry, **kwargs):
+    return [(rel, profile.id) for _, rel, profile in discover_files(root, registry, **kwargs)]
+
+
+def test_discovery_skips_a_symlinked_file(tmp_path, registry):
+    root = write_tree(tmp_path / "proj", {"a.c": C_FILE})
+    (root / "link.c").symlink_to(root / "a.c")
+    assert _selected(root, registry) == [("a.c", "c-family")]
+
+
+def test_discovery_skips_a_symlinked_directory(tmp_path, registry):
+    root = write_tree(tmp_path / "proj", {"real/x.c": C_FILE})
+    (root / "alias").symlink_to(root / "real", target_is_directory=True)
+    assert _selected(root, registry) == [("real/x.c", "c-family")]
+
+
+def test_discovery_skips_an_unreadable_directory(tmp_path, registry, monkeypatch):
+    # tests run as root, which chmod cannot lock out, so iterdir fails on purpose
+    root = write_tree(tmp_path / "proj", {"a.c": C_FILE, "locked/b.c": C_FILE, "open/c.py": PY_FILE})
+    iterdir = Path.iterdir
+
+    def guarded(self):
+        if self.name == "locked":
+            raise PermissionError(13, "Permission denied", str(self))
+        return iterdir(self)
+
+    monkeypatch.setattr(Path, "iterdir", guarded)
+    assert _selected(root, registry) == [("a.c", "c-family"), ("open/c.py", "python")]
+
+
+def test_discovery_under_a_forced_profile_keeps_its_extensions_only(tmp_path, registry):
+    root = write_tree(tmp_path / "proj", {"a.c": C_FILE, "b.h": C_FILE, "c.py": PY_FILE, "d.cob": ""})
+    assert _selected(root, registry, forced_profile="c-family") == [
+        ("a.c", "c-family"), ("b.h", "c-family")]
+    assert _selected(root, registry, forced_profile="python") == [("c.py", "python")]
+
+
+def test_discovery_skips_unknown_extensions(tmp_path, registry):
+    root = write_tree(tmp_path / "proj", {"a.c": C_FILE, "notes.txt": "x", "Makefile": "all:", "m.py": PY_FILE})
+    assert _selected(root, registry) == [("a.c", "c-family"), ("m.py", "python")]
 
 
 def test_discovery_propagates_unexpected_errors(layered, registry, monkeypatch):
@@ -605,6 +653,20 @@ def test_compare_markdown_sensitivity_and_diagnostics(tmp_path, capsys):
         "- `empty-intersection` (project): no coding rule is enabled for every compared "
         "language; debt ratios compare only rule-free attributes",
         "- `unterminated-comment` open.c:2: unterminated comment starting here",
+    ]
+
+
+def test_markdown_file_level_diagnostic_has_no_line(tmp_path, capsys):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "b.c").write_bytes(b"int \xff;\n")
+    code, out, _ = run(capsys, "analyze", str(root), "--format", "md")
+    assert code == 2
+    assert out[out.index("## Diagnostics"):].splitlines() == [
+        "## Diagnostics", "",
+        "- `zero-production-effort` (project): project has no code lines; debt ratio undefined",
+        "- `not-utf8` b.c: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+        "position 4: invalid start byte",
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from xmaint.debt_models import (
     DEFAULT_DUPLICATION_LADDER,
     DEFAULT_COVERAGE_LADDER,
+    DEFAULT_VOLUME_LADDER,
     maintainability_index,
     production_effort,
     sig_characteristics,
@@ -185,6 +186,14 @@ def test_rate_scalar_duplication_ladder():
     assert sig_rate_scalar(0.03, DEFAULT_DUPLICATION_LADDER) == 5
     assert sig_rate_scalar(0.07, DEFAULT_DUPLICATION_LADDER) == 3
     assert sig_rate_scalar(0.5, DEFAULT_DUPLICATION_LADDER) == 1
+
+
+def test_rate_scalar_beyond_every_step_is_rated_1():
+    assert sig_rate_scalar(300_001, DEFAULT_VOLUME_LADDER) == 1
+    assert sig_rate_scalar(0.2001, DEFAULT_DUPLICATION_LADDER) == 1
+    assert sig_rate_scalar(0.1999, DEFAULT_COVERAGE_LADDER, ascending=True) == 1
+    assert sig_rate_scalar(7, [(5, 4)]) == 1
+    assert sig_rate_scalar(7, []) == 1
 
 
 def test_rate_scalar_coverage_ascending():

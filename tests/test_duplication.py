@@ -5,6 +5,7 @@ import pytest
 
 from clone_oracle import oracle_blocks, oracle_coverage
 from conftest import write_tree
+from token_rows import Row, rows, stream
 from xmaint import duplication
 from xmaint.duplication import (
     EXACT,
@@ -18,22 +19,20 @@ from xmaint.duplication import (
 )
 from xmaint.analysis import analyze_project
 from xmaint.config import load_config
-from xmaint.lexing import Token, tokenize
+from xmaint.lexing import tokenize
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON, ProfileRegistry
 
 
 def ident_stream(texts, line_per_token=True):
-    return [
-        Token(kind="identifier", text=t, line=(i + 1) if line_per_token else 1, column=1)
-        for i, t in enumerate(texts)
-    ]
+    return stream(("identifier", t, (i + 1) if line_per_token else 1, 1) for i, t in enumerate(texts))
 
 
 _IDS = token_ids()  # one id table for every row of this module, as for one project
 
 
 def row(tokens):
-    """The exact-mode clone row of tokens, its ids drawn from the module's table."""
+    """The exact-mode clone row of a token stream, its ids drawn from the
+    module's table."""
     return normalize_tokens(tokens, EXACT, True, _IDS)
 
 
@@ -61,8 +60,9 @@ def test_identifier_blind_equates_renamed_code():
 
 def test_normalize_keeps_backreferences():
     tokens, _ = tokenize("a = 1 // c\nb = 2", C_FAMILY)
-    assert tokens[3].kind == "comment"
-    code = tokens[:3] + tokens[4:]
+    listed = rows(tokens)
+    assert listed[3].kind == "comment"
+    code = listed[:3] + listed[4:]
     normalized = row(tokens)
     assert normalized.ids == [_IDS[(t.kind, t.text)] for t in code]
     assert list(normalized.lines) == [t.line for t in code]
@@ -73,7 +73,7 @@ def test_exact_case_sensitive_row_keys_code_tokens_by_their_own_text():
     tokens, _ = tokenize("int a = b; /* note */\nreturn a;", C_FAMILY)
     ids = token_ids()
     normalized = normalize_tokens(tokens, EXACT, C_FAMILY.case_sensitive, ids)
-    code = [t for t in tokens if t.kind != "comment"]
+    code = [t for t in rows(tokens) if t.kind != "comment"]
     assert len(normalized) == len(code) == len(tokens) - 1
     assert normalized.ids == [ids[(t.kind, t.text)] for t in code]
 
@@ -109,9 +109,10 @@ def test_replaced_token_keeps_its_position():
     ):
         ids = token_ids()
         normalized = normalize_tokens(tokens, mode, case_sensitive, ids)
-        assert normalized.ids == [ids[(t.kind, text)] for t, text in zip(tokens, compared_texts)]
-        assert list(normalized.lines) == [t.line for t in tokens]
-        assert list(normalized.end_lines) == [t.end_line for t in tokens] == [1, 1, 2, 3, 3, 3]
+        listed = rows(tokens)
+        assert normalized.ids == [ids[(t.kind, text)] for t, text in zip(listed, compared_texts)]
+        assert list(normalized.lines) == [t.line for t in listed]
+        assert list(normalized.end_lines) == [t.end_line for t in listed] == [1, 1, 2, 3, 3, 3]
 
 
 # --- block finding: worked examples ---
@@ -203,6 +204,25 @@ def test_window_keys_give_equal_windows_equal_keys(width):
         assert by_window.setdefault(tuple(row[pos : pos + width]), key) == key
     assert len(by_window) < len(keys)
     assert list(duplication._window_keys(row[: width - 1], width)) == []
+
+
+def test_no_repeated_window_skips_the_second_pass(monkeypatch):
+    calls = []
+    window_keys = duplication._window_keys
+
+    def counted(row, width):
+        calls.append(len(row))
+        return window_keys(row, width)
+
+    monkeypatch.setattr(duplication, "_window_keys", counted)
+    seqs = {"a": row(ident_stream([f"a{i}" for i in range(30)])),
+            "b": row(ident_stream([f"b{i}" for i in range(20)]))}
+    assert find_clone_blocks(seqs, 5) == []
+    assert calls == [30, 20]  # the counting pass over each file, and nothing after it
+    seqs["c"] = row(ident_stream([f"a{i}" for i in range(5)]))
+    calls.clear()
+    assert len(find_clone_blocks(seqs, 5)) == 1
+    assert calls == [30, 20, 5, 30, 20, 5]
 
 
 def test_oracle_equivalence_when_every_window_collides(monkeypatch):
@@ -301,12 +321,12 @@ def gapped_stream(rng, n, alphabet):
     for _ in range(n):
         line += rng.choice([0, 0, 1, 1, 2])
         if rng.random() < 0.15:
-            tokens.append(Token(kind="comment", text="// c", line=line, column=1))
+            tokens.append(Row("comment", "// c", line, 1, line))
             line += rng.choice([1, 2])
         text = f"t{rng.randrange(alphabet)}" + "\n" * rng.choice([0, 0, 0, 0, 1, 2])
-        tokens.append(Token(kind="identifier", text=text, line=line, column=1))
+        tokens.append(Row("identifier", text, line, 1, line + text.count("\n")))
         line = tokens[-1].end_line
-    return row(tokens)
+    return row(stream(tokens))
 
 
 def test_ratios_equal_coverage_oracle():
@@ -378,12 +398,12 @@ def test_verbose_layout_inflates_line_ratio_not_token_ratio():
             for i, t in enumerate(texts):
                 if i % per_line == 0:
                     line += 1
-                out.append(Token(kind="identifier", text=t, line=line, column=(i % per_line) + 1))
+                out.append(Row("identifier", t, line, (i % per_line) + 1, line))
         return out
 
     dense_tokens = lay_out([(filler_a, 6), (body, 6), (filler_b, 6), (body, 6)])
     spread_tokens = lay_out([(filler_a, 6), (body, 1), (filler_b, 6), (body, 1)])
-    dense, spread = row(dense_tokens), row(spread_tokens)
+    dense, spread = row(stream(dense_tokens)), row(stream(spread_tokens))
     dense_blocks = find_clone_blocks({"f": dense}, 10)
     spread_blocks = find_clone_blocks({"f": spread}, 10)
     dense_lines = len({l for t in dense_tokens for l in range(t.line, t.end_line + 1)})

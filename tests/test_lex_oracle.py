@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import lex_oracle  # noqa: E402
+from token_rows import rows  # noqa: E402
 from xmaint.lexing import tokenize  # noqa: E402
 from xmaint.profiles import BUILTIN_PROFILES, profile_from_dict  # noqa: E402
 
@@ -88,7 +89,7 @@ def _rows(tokens):
 def _assert_like_oracle(text, profile):
     tokens, diagnostics = tokenize(text, profile, file="f")
     expected_tokens, expected_diagnostics = lex_oracle.tokenize(text, profile, file="f")
-    assert _rows(tokens) == _rows(expected_tokens)
+    assert rows(tokens) == _rows(expected_tokens)
     assert diagnostics == expected_diagnostics
 
 

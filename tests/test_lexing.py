@@ -1,5 +1,6 @@
 import random
 
+from token_rows import rows
 from xmaint.analysis import analyze_file, read_source
 from xmaint.lexing import (
     COMMENT,
@@ -7,12 +8,18 @@ from xmaint.lexing import (
     NUMBER_LITERAL,
     OPERATOR,
     STRING_LITERAL,
-    Token,
+    TokenStream,
     classify_lines,
     physical_line_count,
     tokenize,
 )
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
+
+
+def lex(src, profile):
+    """tokenize, with the tokens as rows."""
+    tokens, diagnostics = tokenize(src, profile)
+    return rows(tokens), diagnostics
 
 
 def kinds(tokens):
@@ -24,26 +31,26 @@ def texts(tokens):
 
 
 def test_empty_input():
-    tokens, diagnostics = tokenize("", C_FAMILY)
+    tokens, diagnostics = lex("", C_FAMILY)
     assert tokens == [] and diagnostics == []
 
 
 def test_c_family_line_with_comment():
-    tokens, diagnostics = tokenize("a = b + c // sum", C_FAMILY)
+    tokens, diagnostics = lex("a = b + c // sum", C_FAMILY)
     assert texts(tokens) == ["a", "=", "b", "+", "c", "// sum"]
     assert kinds(tokens) == [IDENTIFIER, OPERATOR, IDENTIFIER, OPERATOR, IDENTIFIER, COMMENT]
     assert diagnostics == []
 
 
 def test_python_hash_inside_string_is_not_a_comment():
-    tokens, _ = tokenize('s = "# not a comment"', PYTHON)
+    tokens, _ = lex('s = "# not a comment"', PYTHON)
     assert kinds(tokens) == [IDENTIFIER, OPERATOR, STRING_LITERAL]
     assert not any(t.kind == COMMENT for t in tokens)
 
 
 def test_block_comment_is_one_token_at_start_line():
     src = "x = 1; /* one\ntwo\nthree */ y = 2;"
-    tokens, _ = tokenize(src, C_FAMILY)
+    tokens, _ = lex(src, C_FAMILY)
     comments = [t for t in tokens if t.kind == COMMENT]
     assert len(comments) == 1
     assert comments[0].line == 1
@@ -51,7 +58,7 @@ def test_block_comment_is_one_token_at_start_line():
 
 
 def test_unterminated_string_recovers_to_end_of_line():
-    tokens, diagnostics = tokenize('x = "abc\nnext = 2', C_FAMILY)
+    tokens, diagnostics = lex('x = "abc\nnext = 2', C_FAMILY)
     assert [d.code for d in diagnostics] == ["unterminated-string"]
     assert diagnostics[0].line == 1
     lits = [t for t in tokens if t.kind == STRING_LITERAL]
@@ -61,7 +68,7 @@ def test_unterminated_string_recovers_to_end_of_line():
 
 
 def test_unterminated_block_comment_recovers_to_end_of_file():
-    tokens, diagnostics = tokenize("a = 1; /* no close\nstill comment", C_FAMILY)
+    tokens, diagnostics = lex("a = 1; /* no close\nstill comment", C_FAMILY)
     assert [d.code for d in diagnostics] == ["unterminated-comment"]
     assert tokens[-1].kind == COMMENT
     assert tokens[-1].text.endswith("still comment")
@@ -69,41 +76,37 @@ def test_unterminated_block_comment_recovers_to_end_of_file():
 
 def test_python_triple_quoted_string_spans_lines():
     src = 's = """line1\nline2"""\nx = 1'
-    tokens, _ = tokenize(src, PYTHON)
+    tokens, _ = lex(src, PYTHON)
     lits = [t for t in tokens if t.kind == STRING_LITERAL]
     assert len(lits) == 1 and lits[0].end_line == 2
 
 
 def test_token_stores_the_end_line_of_multi_line_text():
-    assert Token(STRING_LITERAL, '"""a\nb\n\nc"""', 3, 5).end_line == 6
-    assert Token(kind=COMMENT, text="/* x */", line=2, column=1).end_line == 2
-    tokens, _ = tokenize('x = 1\n  s = """a\n\nb"""\ny', PYTHON)
+    tokens, _ = lex('x = 1\n  s = """a\n\nb"""\ny', PYTHON)
     assert [(t.text, t.line, t.end_line) for t in tokens if t.end_line != t.line] == [
         ('"""a\n\nb"""', 2, 4)]
-    tokens, _ = tokenize("a /* c\nd */ y\n", C_FAMILY)
+    tokens, _ = lex("a /* c\nd */ y\n", C_FAMILY)
     assert [(t.line, t.column, t.end_line) for t in tokens] == [(1, 1, 1), (1, 3, 2), (2, 6, 2)]
 
 
-def test_token_equality_and_hash_cover_kind_text_line_and_column():
-    token = Token(IDENTIFIER, "ab", 2, 3)
-    assert token == Token(IDENTIFIER, "ab", 2, 3) and hash(token) == hash(Token(IDENTIFIER, "ab", 2, 3))
-    for other in (Token(OPERATOR, "ab", 2, 3), Token(IDENTIFIER, "abc", 2, 3),
-                  Token(IDENTIFIER, "ab", 1, 3), Token(IDENTIFIER, "ab", 2, 4)):
-        assert token != other
-    # the stored end line is derived, so it takes no part in equality or hash
-    assert Token(IDENTIFIER, "ab", 2, 3, 9) == token and hash(Token(IDENTIFIER, "ab", 2, 3, 9)) == hash(token)
-    assert token != (IDENTIFIER, "ab", 2, 3)
-    assert len({token, Token(IDENTIFIER, "ab", 2, 3), Token(IDENTIFIER, "ab", 2, 4)}) == 2
-    assert repr(token) == "Token(kind='identifier', text='ab', line=2, column=3)"
+def test_local_ids_number_each_kind_and_text_in_order_of_first_occurrence():
+    tokens, _ = tokenize("a = b; a = 'a'; // a\nb", C_FAMILY)
+    assert tokens.keys == [
+        (IDENTIFIER, "a"), (OPERATOR, "="), (IDENTIFIER, "b"), ("punctuation", ";"),
+        (STRING_LITERAL, "'a'"), (COMMENT, "// a"),
+    ]
+    assert list(tokens.ids) == [0, 1, 2, 3, 0, 1, 4, 3, 5, 2]
+    assert len(tokens) == 10 and list(tokens.lines) == [1] * 9 + [2]
+    assert list(tokens.columns) == [1, 3, 5, 6, 8, 10, 12, 15, 17, 1]
 
 
 def test_escaped_quote_stays_inside_string():
-    tokens, _ = tokenize(r's = "a\"b"', PYTHON)
+    tokens, _ = lex(r's = "a\"b"', PYTHON)
     assert [t.text for t in tokens if t.kind == STRING_LITERAL] == [r'"a\"b"']
 
 
 def test_cobol_hyphenated_identifier_and_case():
-    tokens, _ = tokenize('MOVE TOTAL-AMOUNT TO out-rec.', COBOL_LIKE)
+    tokens, _ = lex('MOVE TOTAL-AMOUNT TO out-rec.', COBOL_LIKE)
     ids = [t.text for t in tokens if t.kind == IDENTIFIER]
     assert "TOTAL-AMOUNT" in ids and "out-rec" in ids
     kws = [t.text for t in tokens if t.kind == "keyword"]
@@ -111,14 +114,14 @@ def test_cobol_hyphenated_identifier_and_case():
 
 
 def test_number_literals():
-    tokens, _ = tokenize("x = 10 + 3.25 + 0xFF + 2e10", C_FAMILY)
+    tokens, _ = lex("x = 10 + 3.25 + 0xFF + 2e10", C_FAMILY)
     numbers = [t.text for t in tokens if t.kind == NUMBER_LITERAL]
     assert numbers == ["10", "3.25", "0xFF", "2e10"]
 
 
 def test_tokens_strictly_ordered_and_non_overlapping():
     src = "int f(int a) {\n  return a * 2; // done\n}\n"
-    tokens, _ = tokenize(src, C_FAMILY)
+    tokens, _ = lex(src, C_FAMILY)
     positions = [(t.line, t.column) for t in tokens]
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
@@ -126,7 +129,7 @@ def test_tokens_strictly_ordered_and_non_overlapping():
 
 def _coverage_check(src, profile):
     """Every non-whitespace char is covered by exactly one token span."""
-    tokens, _ = tokenize(src, profile)
+    tokens, _ = lex(src, profile)
     line_offsets = [0]
     for i, ch in enumerate(src):
         if ch == "\n":
@@ -170,8 +173,8 @@ def test_token_coverage_random_soup():
 
 def test_determinism():
     src = 'int f() { /* c */ return "x"; }\n'
-    first = tokenize(src, C_FAMILY)
-    second = tokenize(src, C_FAMILY)
+    first = lex(src, C_FAMILY)
+    second = lex(src, C_FAMILY)
     assert first == second
 
 
@@ -183,7 +186,7 @@ def test_tokenizer_never_crashes_on_garbage():
             src = "".join(chr(rng.choice((
                 rng.randrange(32, 127), rng.randrange(0x20, 0x2030),
                 10, 9, 13))) for _ in range(length))
-            tokens, _ = tokenize(src, profile)
+            tokens, _ = lex(src, profile)
             for tok in tokens:  # spans must always reconstruct the source
                 assert tok.text != ""
 
@@ -192,7 +195,7 @@ def test_tokenizer_never_crashes_on_garbage():
 
 
 def test_classify_empty_file():
-    lc = classify_lines([], 0)
+    lc = classify_lines(TokenStream(), 0)
     assert (lc.code, lc.comment, lc.blank, lc.mixed, lc.physical_lines) == (0, 0, 0, 0, 0)
 
 
@@ -246,7 +249,7 @@ def _lex_bytes(tmp_path, name, data, profile):
     """The tokens analyze_file lexes from these bytes."""
     path = tmp_path / name
     path.write_bytes(data)
-    return tokenize(read_source(path), profile)[0]
+    return rows(tokenize(read_source(path), profile)[0])
 
 
 def test_cr_only_file_counts_every_line(tmp_path):

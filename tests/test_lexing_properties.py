@@ -1,5 +1,6 @@
-"""Property tests for the tokenizer (positions, disjointness, coverage) and
-for the one line-break model that token lines and line counts share."""
+"""Property tests for the tokenizer (positions, disjointness, coverage, the
+invariants of its token columns) and for the one line-break model that token
+lines and line counts share."""
 
 import re
 
@@ -8,8 +9,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from token_rows import rows  # noqa: E402
 from xmaint.analysis import analyze_file, read_source  # noqa: E402
-from xmaint.lexing import tokenize  # noqa: E402
+from xmaint.lexing import classify_lines, physical_line_count, tokenize  # noqa: E402
 from xmaint.profiles import BUILTIN_PROFILES  # noqa: E402
 
 # comment and string markers of every built-in profile, escapes, line breaks
@@ -33,7 +35,7 @@ def _line_starts(text):
 @settings(max_examples=300, deadline=None)
 @given(text=texts)
 def test_tokens_sit_at_their_position_and_cover_all_non_whitespace(profile, text):
-    tokens, _ = tokenize(text, profile)
+    tokens = rows(tokenize(text, profile)[0])
     starts = _line_starts(text)
     covered = [False] * len(text)
     end = 0
@@ -46,6 +48,29 @@ def test_tokens_sit_at_their_position_and_cover_all_non_whitespace(profile, text
         covered[offset:end] = [True] * len(tok.text)
     for ch, inside in zip(text, covered):
         assert inside or ch.isspace(), repr(ch)
+
+
+@pytest.mark.parametrize("profile", BUILTIN_PROFILES, ids=lambda p: p.id)
+@settings(max_examples=300, deadline=None)
+@given(text=texts)
+def test_token_columns_hold_their_invariants(profile, text):
+    tokens, _ = tokenize(text, profile)
+    n = len(tokens)
+    assert len(tokens.lines) == len(tokens.end_lines) == len(tokens.columns) == n
+    # local ids: one per distinct (kind, text), numbered in order of first occurrence
+    assert len(set(tokens.keys)) == len(tokens.keys)
+    first_seen = list(dict.fromkeys(tokens.ids))
+    assert first_seen == list(range(len(tokens.keys)))
+    starts = _line_starts(text)
+    for lid, line, end_line, column in zip(tokens.ids, tokens.lines, tokens.end_lines, tokens.columns):
+        token_text = tokens.keys[lid][1]
+        offset = starts[line - 1] + column - 1
+        assert column >= 1 and text[offset:offset + len(token_text)] == token_text
+        assert end_line - line == token_text.count("\n")
+    assert all(a <= b for a, b in zip(tokens.lines, tokens.lines[1:]))
+    lines = classify_lines(tokens, physical_line_count(text))
+    assert lines.code + lines.comment + lines.blank + lines.mixed == physical_line_count(text)
+    assert len(lines.classes) == physical_line_count(text)
 
 
 # every character that str.splitlines treats as a line break
@@ -75,7 +100,7 @@ def _analyze(workdir, text, profile):
     """The analysis of ``text`` as a file, and the tokens analyze_file lexes from it."""
     path = workdir / "src.txt"
     path.write_bytes(text.encode("utf-8"))
-    return analyze_file(path, "src.txt", profile), tokenize(read_source(path), profile)[0]
+    return analyze_file(path, "src.txt", profile), rows(tokenize(read_source(path), profile)[0])
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES, ids=lambda p: p.id)

@@ -6,7 +6,7 @@ import pytest
 from conftest import write_tree
 from xmaint.analysis import analyze_project
 from xmaint.errors import EmptyProject
-from xmaint.lexing import LineClassification, classify_lines, physical_line_count, tokenize
+from xmaint.lexing import LineClassification, TokenStream, classify_lines, physical_line_count, tokenize
 from xmaint.metrics import (
     HalsteadCounts,
     aggregate_project,
@@ -63,7 +63,7 @@ def test_decision_token_inside_string_does_not_count():
 
 
 def test_halstead_empty():
-    counts = halstead([], C_FAMILY)
+    counts = halstead(TokenStream(), C_FAMILY)
     assert counts == HalsteadCounts(0, 0, 0, 0)
     assert counts.volume == 0.0
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from token_rows import rows
 from xmaint.errors import InvalidProfileConfig, UnknownLanguage
 from xmaint.lexing import tokenize
 from xmaint.profiles import (
@@ -194,7 +195,7 @@ def test_profile_rejects_identifier_pattern_that_breaks_the_master_regex(pattern
 def test_profile_accepts_scoped_flags_in_identifier_pattern():
     profile = profile_from_dict(_definition(identifier_pattern="(?i:[a-z])[a-z0-9]*"))
     tokens, _ = tokenize("Ab c", profile)
-    assert [t.text for t in tokens] == ["Ab", "c"]
+    assert [t.text for t in rows(tokens)] == ["Ab", "c"]
 
 
 def test_profile_rejects_bad_naming_pattern():

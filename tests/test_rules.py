@@ -183,10 +183,10 @@ def test_threshold_monotonicity():
 
 def test_duplication_block_rule_fires_when_enabled():
     from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, token_ids
-    from xmaint.lexing import Token
+    from token_rows import stream
 
     run = [f"s{i}" for i in range(6)]
-    toks = [Token("identifier", t, i + 1, 1) for i, t in enumerate(run + ["gap"] + run)]
+    toks = stream(("identifier", t, i + 1, 1) for i, t in enumerate(run + ["gap"] + run))
     seq = normalize_tokens(toks, EXACT, True, token_ids())
     blocks = find_clone_blocks({"f": seq}, 5)
     assert blocks

@@ -11,6 +11,7 @@ as the old forward scans, also when closers are missing.
 import random
 
 import unit_oracle
+from token_rows import Row, rows, stream
 from unit_oracle import (
     oracle_extract_inner,
     oracle_extract_units,
@@ -26,7 +27,6 @@ from xmaint.lexing import (
     IDENTIFIER,
     KEYWORD,
     PUNCTUATION,
-    Token,
     classify_lines,
     physical_line_count,
     tokenize,
@@ -68,7 +68,7 @@ def _random_tokens(rng, n):
         kind, text = rng.choice(_VOCABULARY)
         if kind == COMMENT and rng.random() < 0.3:
             text = "/* a\nb */"  # a multi-line token
-        tokens.append(Token(kind, text, line, rng.randint(1, 9)))
+        tokens.append(Row(kind, text, line, rng.randint(1, 9), line + text.count("\n")))
         line = tokens[-1].end_line + rng.choice((0, 0, 1, 2))
     return tokens
 
@@ -94,6 +94,8 @@ def test_index_matches_oracle_on_random_range_families():
     for trial in range(600):
         n = rng.randint(1, 40)
         tokens = _random_tokens(rng, n)
+        token_stream = stream(tokens)
+        positions = list(range(n))
         ranges = _random_ranges(rng, n)
         raw = [{"token_range": r} for r in ranges]
         units = [
@@ -110,8 +112,8 @@ def test_index_matches_oracle_on_random_range_families():
             context = f"trial {trial}, ranges {ranges}, unit {i}"
             assert sorted(ranges[j] for j in inner) == sorted(oracle_extract_inner(raw, raw[i])), context
             assert sorted(units[j].name for j in inner) == sorted(u.name for u in oracle_inner), context
-            assert metrics._own_tokens(unit, [ranges[j] for j in masked], tokens) == (
-                oracle_own_tokens(unit, units, tokens)
+            assert metrics._own_ids(unit, [ranges[j] for j in masked], positions) == (
+                oracle_own_tokens(unit, units, positions)
             ), context
             assert metrics._own_lines(unit, [units[j] for j in inner]) == (
                 oracle_own_lines(unit, oracle_inner)
@@ -124,7 +126,8 @@ def test_index_matches_oracle_on_random_range_families():
             }
             for profile in BUILTIN_PROFILES:
                 assert units_mod._nesting_depth(
-                    tokens, profile, entry, [ranges[j] for j in inner]
+                    token_stream, profile, entry, [ranges[j] for j in inner],
+                    units_mod._nesting_steps(token_stream, profile),
                 ) == oracle_nesting_depth(
                     tokens, profile, entry, oracle_extract_inner(raw, raw[i])
                 ), f"{context}, {profile.id}"
@@ -149,11 +152,12 @@ _COBOL_LINES = (
 
 
 def _check_against_oracle(src, profile):
-    tokens, _ = tokenize(src, profile)
-    units, diagnostics = extract_units(tokens, profile, "f")
+    token_stream, _ = tokenize(src, profile)
+    tokens = rows(token_stream)
+    units, diagnostics = extract_units(token_stream, profile, "f")
     assert (units, diagnostics) == oracle_extract_units(tokens, profile, "f")
-    lines = classify_lines(tokens, physical_line_count(src))
-    assert file_unit_metrics(units, tokens, lines, profile) == [
+    lines = classify_lines(token_stream, physical_line_count(src))
+    assert file_unit_metrics(units, token_stream, lines, profile) == [
         oracle_unit_metrics(u, tokens, lines, profile, units) for u in units
     ]
     if profile.unit_detection == INDENT_BLOCK:
@@ -199,13 +203,14 @@ if given is not None:
         # dropping tokens leaves every other token at its position, as blanks would
         end_kw = {profile.fold(k) for k in profile.unit_end_keywords}
         tokens = [
-            tok for tok in tokenize(src, profile)[0]
+            tok for tok in rows(tokenize(src, profile)[0])
             if not ((tok.text in (")", "]", "}") or profile.fold(tok.text) in end_kw)
                     and rng.random() < 0.4)
         ]
+        token_stream = stream(tokens)
         scan, oracle_scan = _SCANNERS[profile.unit_detection]
-        assert scan(tokens, profile, "f") == oracle_scan(tokens, profile, "f")
-        assert extract_units(tokens, profile, "f") == oracle_extract_units(tokens, profile, "f")
+        assert scan(token_stream, profile, "f") == oracle_scan(tokens, profile, "f")
+        assert extract_units(token_stream, profile, "f") == oracle_extract_units(tokens, profile, "f")
 
     @settings(max_examples=300, deadline=None)
     @given(src=_c_sources, rng=st.randoms(use_true_random=False))

@@ -18,6 +18,10 @@ The unit scanners (``_extract_brace``, ``_extract_indent``,
 ``units`` as they were before the one-pass bracket and end-keyword tables:
 each open bracket or unit keyword scans forward for its partner, to the end
 of the file when there is none.
+
+Tokens come in as ``token_rows.rows`` of a stream: one (kind, text, line,
+column, end_line) row per token. ``cyclomatic_complexity`` and ``halstead``
+are the per-token counts ``metrics`` used before it counted local ids.
 """
 
 from __future__ import annotations
@@ -26,24 +30,60 @@ from bisect import bisect_right
 
 from xmaint.errors import Diagnostic
 from xmaint.lexing import (
-    CODE_LINE, COMMENT, IDENTIFIER, KEYWORD, MIXED_LINE, LineClassification, Token,
+    CODE_LINE, COMMENT, IDENTIFIER, KEYWORD, MIXED_LINE, NUMBER_LITERAL, OPERATOR, PUNCTUATION,
+    STRING_LITERAL, LineClassification,
 )
-from xmaint.metrics import UnitMetrics, cyclomatic_complexity, halstead
-from xmaint.profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile
+from xmaint.metrics import HalsteadCounts, UnitMetrics
+from xmaint.profiles import BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR, LanguageProfile, folded_tokens
+from token_rows import Row
 from xmaint.units import Unit
 
 _OPEN_BRACKETS = {"(": ")", "[": "]", "{": "}"}
 _CLOSE_BRACKETS = {v: k for k, v in _OPEN_BRACKETS.items()}
 
 
-def _next_code(tokens: list[Token], i: int) -> int:
+def cyclomatic_complexity(unit_tokens: list[Row], profile: LanguageProfile) -> int:
+    """1 + number of decision tokens (branch/loop/guard keywords, short-circuit ops)."""
+    decisions = folded_tokens(profile).decisions
+    count = sum(
+        1
+        for tok in unit_tokens
+        if tok.kind in (KEYWORD, OPERATOR) and profile.fold(tok.text) in decisions
+    )
+    return 1 + count
+
+
+def halstead(unit_tokens: list[Row], profile: LanguageProfile) -> HalsteadCounts:
+    """Count operators/operands; distinctness is by (kind, text), case-folded
+    when the profile is case-insensitive."""
+    operators = folded_tokens(profile).operators
+    distinct_ops: set[tuple[str, str]] = set()
+    distinct_operands: set[tuple[str, str]] = set()
+    total_ops = 0
+    total_operands = 0
+    for tok in unit_tokens:
+        if tok.kind == COMMENT:
+            continue
+        folded = profile.fold(tok.text)
+        if tok.kind in (IDENTIFIER, NUMBER_LITERAL, STRING_LITERAL):
+            total_operands += 1
+            distinct_operands.add((tok.kind, folded))
+        elif tok.kind in (OPERATOR, KEYWORD, PUNCTUATION) and folded in operators:
+            total_ops += 1
+            distinct_ops.add((tok.kind, folded))
+    return HalsteadCounts(
+        n1=len(distinct_ops), n2=len(distinct_operands), N1=total_ops, N2=total_operands
+    )
+
+
+def _next_code(tokens: list[Row], i: int) -> int:
     """Index of the next non-comment token at or after i, or len(tokens)."""
     while i < len(tokens) and tokens[i].kind == COMMENT:
         i += 1
     return i
 
 
-def _match_paren(tokens: list[Token], open_idx: int) -> tuple[int, int] | None:
+def _match_paren(tokens: list[Row], open_idx: int) -> tuple[int, int] | None:
     """Given index of '(', return (index of matching ')', top-level comma count)."""
     depth = 0
     commas = 0
@@ -62,7 +102,7 @@ def _match_paren(tokens: list[Token], open_idx: int) -> tuple[int, int] | None:
     return None
 
 
-def _param_count(tokens: list[Token], open_idx: int, close_idx: int, commas: int) -> int:
+def _param_count(tokens: list[Row], open_idx: int, close_idx: int, commas: int) -> int:
     has_content = _next_code(tokens, open_idx + 1) < close_idx
     return commas + 1 if has_content else 0
 
@@ -312,7 +352,7 @@ def oracle_unit_inner(unit, all_units):
 
 
 def oracle_extract_units(
-    tokens: list[Token], profile: LanguageProfile, file: str | None = None
+    tokens: list[Row], profile: LanguageProfile, file: str | None = None
 ) -> tuple[list[Unit], list[Diagnostic]]:
     """Find all units in one file's token stream; recovery never aborts."""
     if profile.unit_detection == BRACE_BLOCK:
@@ -416,7 +456,7 @@ def oracle_own_lines(unit: Unit, inner_units: list[Unit]) -> set[int]:
     return lines
 
 
-def oracle_own_tokens(unit: Unit, all_units: list[Unit], file_tokens: list[Token]) -> list[Token]:
+def oracle_own_tokens(unit: Unit, all_units: list[Unit], file_tokens: list[Row]) -> list[Row]:
     lo, hi = unit.token_range
     masked = [False] * (hi - lo)
     for other in all_units:
@@ -430,7 +470,7 @@ def oracle_own_tokens(unit: Unit, all_units: list[Unit], file_tokens: list[Token
 
 def oracle_unit_metrics(
     unit: Unit,
-    file_tokens: list[Token],
+    file_tokens: list[Row],
     file_lines: LineClassification,
     profile: LanguageProfile,
     all_units: list[Unit] | None = None,
