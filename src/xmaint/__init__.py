@@ -11,9 +11,18 @@ from .composite import (
 from .config import load_config
 from .debt_models import maintainability_index, tdr_grade, technical_debt_ratio
 from .profiles import BUILTIN_PROFILES, LanguageProfile, ProfileRegistry, detect_profile
-from .snapshots import SnapshotStore
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``SnapshotStore`` is imported on first use: only the snapshot and
+    trend commands need it."""
+    if name == "SnapshotStore":
+        from .snapshots import SnapshotStore
+
+        return SnapshotStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BUILTIN_PROFILES",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import fnmatch
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
@@ -28,8 +28,7 @@ DEFAULT_EXCLUDES = (
 )
 
 
-@dataclass(frozen=True)
-class FileAnalysis:
+class FileAnalysis(NamedTuple):
     path: str  # POSIX-style path relative to the project root
     profile_id: str
     lines: LineClassification
@@ -41,8 +40,7 @@ class FileAnalysis:
     cyclomatic: int | None = None
 
 
-@dataclass(frozen=True)
-class ProjectAnalysis:
+class ProjectAnalysis(NamedTuple):
     project_id: str
     root: str
     files: tuple[FileAnalysis, ...]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__, report as report_mod
@@ -19,7 +20,16 @@ from .duplication import DUPLICATION_MODES
 from .errors import XmaintError
 from .profiles import build_registry
 from .rules import load_rule_set
-from .snapshots import SnapshotStore, utc_now_iso
+
+# snapshots and csv are imported inside the subcommands that use them, so a
+# run of another subcommand does not load them.
+
+
+def utc_now_iso() -> str:
+    """The current UTC time as ``YYYY-MM-DDTHH:MM:SS.ffffffZ``, from ``time``
+    alone: importing ``datetime`` would cost every run."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}Z"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,6 +279,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_snapshot_save(args) -> int:
+    from .snapshots import SnapshotStore
+
     config, registry, digest = _prepare(args)
     analysis = _analyze(args, args.path, args.project_id, config, registry)
     scores = _single_score(analysis, config)
@@ -287,6 +299,8 @@ def cmd_snapshot_save(args) -> int:
 
 
 def cmd_snapshot_list(args) -> int:
+    from .snapshots import SnapshotStore
+
     store = SnapshotStore(args.store)
     records = store.list_snapshots(args.project_id)
     for record in records:
@@ -298,6 +312,8 @@ def cmd_snapshot_list(args) -> int:
 
 
 def cmd_trend(args) -> int:
+    from .snapshots import SnapshotStore
+
     store = SnapshotStore(args.store)
     points = store.trend(args.project_id, args.metric, force=args.force)
     payload = {

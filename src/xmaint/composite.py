@@ -10,7 +10,7 @@ at or past 1.5x the minimum scores 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EstimatorMismatch, NoWeightLeft, RuleSetMismatch
 
@@ -27,17 +27,21 @@ WEIGHT_TOLERANCE = 1e-9
 DEFAULT_DELTA_PP = 5.0
 
 
-@dataclass(frozen=True)
-class IndicatorMapping:
+class _MappingFields(NamedTuple):
     indicator: str
     shape: str
     low: float
     high: float
     weight: float
 
-    def __post_init__(self):
+
+class IndicatorMapping(_MappingFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """The one check of a mapping's shape, bounds and weight; volumetry,
         and only volumetry, is relative to the compared set."""
+        self = super().__new__(cls, *args, **kwargs)
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {list(SHAPES)}, got '{self.shape}'")
         if (self.shape == RELATIVE_MIN) != (self.indicator == "volumetry"):
@@ -46,6 +50,11 @@ class IndicatorMapping:
             raise ValueError("low and high bounds must differ")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must be in [0, 1], got {self.weight}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so ``_replace`` is checked too
 
 
 # the source of config.DEFAULT_CONFIG's composite.indicators section
@@ -59,8 +68,7 @@ DEFAULT_MAPPINGS = (
 _DEFAULT_BY_INDICATOR = {m.indicator: m for m in DEFAULT_MAPPINGS}
 
 
-@dataclass(frozen=True)
-class ProjectIndicators:
+class ProjectIndicators(NamedTuple):
     """The raw per-project inputs the composite consumes."""
 
     project_id: str
@@ -80,8 +88,7 @@ class ProjectIndicators:
         }[indicator]
 
 
-@dataclass(frozen=True)
-class CompositeScore:
+class CompositeScore(NamedTuple):
     project_id: str
     per_indicator: dict[str, tuple[float, float]]  # indicator -> (raw, mapped score)
     weights_used: dict[str, float]
@@ -222,8 +229,7 @@ def composite_score(
     ]
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(NamedTuple):
     indicator: str
     direction: str  # "+" or "-"
     weights: dict[str, float]
@@ -232,8 +238,7 @@ class Perturbation:
     top1: str
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     base_ranking: tuple[str, ...]
     perturbations: tuple[Perturbation, ...]
     top1_stable: bool

@@ -99,7 +99,7 @@ def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_m
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise InvalidConfig(f"cannot load config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidConfig("config root must be a JSON object")

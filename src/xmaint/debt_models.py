@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ZeroProductionEffort
 from .rules import Violation
@@ -46,24 +46,21 @@ DEFAULT_SIG_MATRIX = {
 }
 
 
-@dataclass(frozen=True)
-class MiResult:
+class MiResult(NamedTuple):
     ahv: float
     acc: float
     aloc: float
     mi: float
 
 
-@dataclass(frozen=True)
-class TdrResult:
+class TdrResult(NamedTuple):
     remediation_minutes: float
     production_minutes: float
     tdr: float
     grade: str
 
 
-@dataclass(frozen=True)
-class SigResult:
+class SigResult(NamedTuple):
     property_ratings: dict[str, int | None]
     characteristic_ratings: dict[str, float | None]
     overall: float | None

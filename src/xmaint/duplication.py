@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import combinations, compress, count, islice, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, TokenStream
 
@@ -63,20 +62,31 @@ def token_ids() -> TokenIds:
     return defaultdict(count().__next__)  # a new key costs no Python call
 
 
-@dataclass(frozen=True)
 class CloneRow:
-    """One file's normalized token stream as the clone stage reads it."""
+    """One file's normalized token stream as the clone stage reads it.
 
-    ids: list[int]  # equal ids, equal (kind, compared text)
-    lines: array  # array('i') of each token's start line
-    end_lines: array  # array('i') of each token's end line
+    ``ids`` holds one int per token (equal ids, equal (kind, compared text));
+    ``lines`` and ``end_lines`` are array('i') columns of each token's start
+    and end line. Its length is its token count.
+    """
+
+    __slots__ = ("ids", "lines", "end_lines")
+
+    def __init__(self, ids: list[int], lines: array, end_lines: array):
+        self.ids = ids
+        self.lines = lines
+        self.end_lines = end_lines
+
+    def __eq__(self, other):
+        if not isinstance(other, CloneRow):
+            return NotImplemented
+        return (self.ids, self.lines, self.end_lines) == (other.ids, other.lines, other.end_lines)
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class CloneBlock:
+class CloneBlock(NamedTuple):
     file_a: str
     start_line_a: int
     file_b: str
@@ -88,8 +98,7 @@ class CloneBlock:
     norm_start_b: int
 
 
-@dataclass(frozen=True)
-class DuplicationReport:
+class DuplicationReport(NamedTuple):
     blocks: tuple[CloneBlock, ...]
     duplicated_token_ratio: float
     duplicated_line_ratio: float

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class XmaintError(Exception):
@@ -66,8 +66,7 @@ class NoSnapshots(XmaintError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """Non-fatal problem attached to a run; never aborts the analysis."""
 
     code: str
@@ -76,4 +75,4 @@ class Diagnostic:
     line: int | None = None
 
     def as_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "file": self.file, "line": self.line}
+        return self._asdict()

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 from .errors import Diagnostic
 from .profiles import LanguageProfile, folded_tokens
@@ -66,8 +66,7 @@ class TokenStream:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class LineClassification:
+class LineClassification(NamedTuple):
     classes: tuple[str, ...]  # index 0 = line 1
     code: int
     comment: int

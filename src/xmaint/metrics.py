@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import EmptyProject
 from .lexing import (
@@ -36,8 +36,7 @@ _OPERATOR_CANDIDATE_KINDS = (OPERATOR, KEYWORD, PUNCTUATION)
 _DECISION_KINDS = (KEYWORD, OPERATOR)
 
 
-@dataclass(frozen=True)
-class HalsteadCounts:
+class HalsteadCounts(NamedTuple):
     n1: int  # distinct operators
     n2: int  # distinct operands
     N1: int  # total operators
@@ -58,16 +57,14 @@ class HalsteadCounts:
         return self.length * math.log2(self.vocabulary)
 
 
-@dataclass(frozen=True)
-class UnitMetrics:
+class UnitMetrics(NamedTuple):
     unit: Unit
     loc: int
     cc: int
     halstead: HalsteadCounts
 
 
-@dataclass(frozen=True)
-class ProjectMetrics:
+class ProjectMetrics(NamedTuple):
     total_loc: int
     physical_lines: int
     comment_ratio: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -24,8 +23,7 @@ KEYWORD_PAIR = "keyword-pair"
 _UNIT_DETECTIONS = (BRACE_BLOCK, INDENT_BLOCK, KEYWORD_PAIR)
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class _ProfileFields(NamedTuple):
     id: str
     file_extensions: tuple[str, ...]
     line_comment_markers: tuple[str, ...]
@@ -43,7 +41,12 @@ class LanguageProfile:
     case_sensitive: bool = True
     verbosity_factor: float = 1.0
 
-    def __post_init__(self):
+
+class LanguageProfile(_ProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.verbosity_factor <= 0:
             raise InvalidProfileConfig(f"profile '{self.id}': verbosity_factor must be > 0")
         if self.unit_detection not in _UNIT_DETECTIONS:
@@ -55,6 +58,11 @@ class LanguageProfile:
         except re.error as exc:
             raise InvalidProfileConfig(f"profile '{self.id}': bad naming_pattern: {exc}") from None
         _check_lexemes(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so ``_replace`` is checked too
 
     def fold(self, text: str) -> str:
         """Canonical casing for token-text comparisons."""
@@ -64,7 +72,7 @@ class LanguageProfile:
         return self.fold(text) in folded_tokens(self).decisions
 
     def as_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(value) for name, value in zip(self._fields, self)}
 
 
 def _plain(value):
@@ -78,7 +86,11 @@ def _plain(value):
 
 
 # every character str.isspace() accepts; none lies above U+3000
-_WHITESPACE = tuple(ch for ch in map(chr, range(0x3001)) if ch.isspace())
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 def _check_lexemes(profile: LanguageProfile) -> None:
@@ -294,8 +306,6 @@ def detect_profile(path, registry: ProfileRegistry) -> LanguageProfile:
     return profile
 
 
-_FIELD_DEFAULTS = {f.name: f.default for f in fields(LanguageProfile)}
-
 _REQUIRED_KEYS = ("id", "file_extensions", "unit_detection")
 
 
@@ -303,7 +313,7 @@ def profile_from_dict(data: dict) -> LanguageProfile:
     """Build a profile from a JSON-style dict, validating keys and shapes."""
     if not isinstance(data, dict):
         raise InvalidProfileConfig("profile definition must be an object")
-    unknown = set(data) - set(_FIELD_DEFAULTS)
+    unknown = set(data) - set(LanguageProfile._fields)
     if unknown:
         raise InvalidProfileConfig(f"unknown profile keys: {sorted(unknown)}")
     for key in _REQUIRED_KEYS:
@@ -325,6 +335,7 @@ def profile_from_dict(data: dict) -> LanguageProfile:
             out.append(tuple(str(x) for x in item))
         return tuple(out)
 
+    defaults = LanguageProfile._field_defaults
     return LanguageProfile(
         id=str(data["id"]),
         file_extensions=str_tuple("file_extensions"),
@@ -338,10 +349,10 @@ def profile_from_dict(data: dict) -> LanguageProfile:
         unit_end_keywords=str_tuple("unit_end_keywords"),
         nesting_keywords=pair_tuple("nesting_keywords", 2),
         keywords=frozenset(str_tuple("keywords")),
-        identifier_pattern=data.get("identifier_pattern", _FIELD_DEFAULTS["identifier_pattern"]),
-        naming_pattern=str(data.get("naming_pattern", _FIELD_DEFAULTS["naming_pattern"])),
-        case_sensitive=bool(data.get("case_sensitive", _FIELD_DEFAULTS["case_sensitive"])),
-        verbosity_factor=float(data.get("verbosity_factor", _FIELD_DEFAULTS["verbosity_factor"])),
+        identifier_pattern=data.get("identifier_pattern", defaults["identifier_pattern"]),
+        naming_pattern=str(data.get("naming_pattern", defaults["naming_pattern"])),
+        case_sensitive=bool(data.get("case_sensitive", defaults["case_sensitive"])),
+        verbosity_factor=float(data.get("verbosity_factor", defaults["verbosity_factor"])),
     )
 
 
@@ -349,7 +360,7 @@ def load_profiles_file(path) -> list[LanguageProfile]:
     """Load profile definitions from a JSON file (one object or a list of them)."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InvalidProfileConfig(f"cannot load profile file {path}: {exc}") from exc
     items = raw if isinstance(raw, list) else [raw]
     return [profile_from_dict(item) for item in items]

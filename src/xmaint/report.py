@@ -8,7 +8,6 @@ over identical inputs differ only in the generated_at field.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import Counter
@@ -276,6 +275,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]):
 
 def render_csv(report: dict) -> str:
     """Long-format projection: one (project, key, value) row per datum."""
+    import csv  # only this format needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["project_id", "key", "value"])

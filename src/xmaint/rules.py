@@ -8,7 +8,7 @@ each language keeps its own thresholds and patterns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidRuleConfig
 from .metrics import UnitMetrics
@@ -45,8 +45,7 @@ _DEFAULTS = {
 _ENTRY_KEYS = frozenset({"threshold", "pattern", "effort_minutes", "enabled"})
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     canonical_id: str
     profile_id: str
     threshold: float | None
@@ -55,8 +54,7 @@ class Rule:
     enabled: bool
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule_id: str
     file: str
     line: int
@@ -66,8 +64,7 @@ class Violation:
     effort_minutes: float
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(NamedTuple):
     profile_id: str
     rules: tuple[Rule, ...]
 

@@ -11,9 +11,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
 
@@ -21,8 +20,7 @@ _LOCK_TIMEOUT_S = 10.0
 _INDEX_KEYS = ("project_id", "snapshot_id", "timestamp_utc", "config_hash", "label")
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     timestamp_utc: str
     value: float | str | None
     comparable: bool
@@ -76,14 +74,15 @@ class SnapshotStore:
         return snapshot_id
 
     def _update_index(self, record: dict) -> None:
+        """Add a just-written record to index.json. An index that is missing
+        or cannot be read is rebuilt from the snapshot files, the new one's
+        included: the index never blocks a save."""
         index_path = self.root / "index.json"
-        entries = []
-        if index_path.exists():
-            try:
-                entries = json.loads(index_path.read_text(encoding="utf-8")).get("snapshots", [])
-            except (OSError, json.JSONDecodeError):
-                entries = []  # the index is rebuildable; never block a save on it
-        self._write_index([*entries, record])
+        try:
+            entries = json.loads(index_path.read_text(encoding="utf-8"))["snapshots"]
+            self._write_index([*entries, record])
+        except (OSError, ValueError, LookupError, TypeError):
+            self._write_index(self._scan())
 
     def rebuild_index(self) -> int:
         """Rescan snapshot files and rewrite index.json; returns entry count."""
@@ -201,7 +200,3 @@ class _StoreLock:
     def __exit__(self, *exc_info):
         os.close(self.fd)  # releases the lock
         return False
-
-
-def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")

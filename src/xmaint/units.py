@@ -23,8 +23,8 @@ inside which: nesting depth and the metric layer filter its entries.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress, count
+from typing import NamedTuple
 
 from .errors import Diagnostic
 from .lexing import COMMENT, IDENTIFIER, KEYWORD, TokenStream
@@ -36,8 +36,7 @@ _BRACKETS_AND_COMMA = {*_OPEN_BRACKETS, *_CLOSE_BRACKETS, ","}
 _BRACKET_STEPS = {**dict.fromkeys(_OPEN_BRACKETS, 1), **dict.fromkeys(_CLOSE_BRACKETS, -1)}
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     name: str
     file: str | None
     start_line: int

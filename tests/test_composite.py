@@ -70,6 +70,21 @@ def test_mapping_rejects_equal_bounds():
         IndicatorMapping("tdr", "falling-linear", 0.2, 0.2, 1.0)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"shape": "bell"}, r"^shape must be one of \['rising-linear', 'falling-linear', "
+                        r"'rising-then-falling', 'relative-min'\], got 'bell'$"),
+    ({"shape": "relative-min"}, r"^volumetry takes shape 'relative-min', and no other indicator does$"),
+    ({"indicator": "volumetry"}, r"^volumetry takes shape 'relative-min', and no other indicator does$"),
+    ({"low": 0.2}, r"^low and high bounds must differ$"),
+    ({"weight": 1.5}, r"^weight must be in \[0, 1\], got 1.5$"),
+], ids=["shape", "relative-min-elsewhere", "volumetry-shape", "bounds", "weight"])
+def test_invalid_mapping_is_refused_however_built(changes, message):
+    with pytest.raises(ValueError, match=message):
+        IndicatorMapping(**{**TDR_MAP._asdict(), **changes})
+    with pytest.raises(ValueError, match=message):
+        TDR_MAP._replace(**changes)
+
+
 def test_comment_monotonicity_around_peak():
     rising = [map_indicator(v, COMMENT_MAP) for v in (0.0, 0.1, 0.2, 0.3, 0.4)]
     assert rising == sorted(rising)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from xmaint.config import DEFAULT_CONFIG, load_config
+from xmaint.errors import InvalidConfig
 from xmaint.profiles import BUILTIN_PROFILES
 from xmaint.rules import load_rule_set
 
@@ -42,3 +43,11 @@ def test_maps_keyed_by_data_stay_open(tmp_path):
     sig = load_config(path)["models"]["sig"]
     assert sig["coverage"] == {"alpha": 0.5, "beta": 0.75}
     assert sig["profile_caps"]["6"] == [0.1, 0, 0] and "5" in sig["profile_caps"]
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["bad-json", "not-utf8"])
+def test_unreadable_config_file(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidConfig, match=r"^cannot load config .*bad\.json: "):
+        load_config(path)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from xmaint.profiles import (
     detect_profile,
     load_profiles_file,
     _REQUIRED_KEYS,
+    _WHITESPACE,
     profile_from_dict,
 )
 
@@ -126,11 +126,10 @@ def test_case_insensitive_fold():
 
 def test_schema_matches_profile_fields():
     schema = json.loads(SCHEMA.read_text(encoding="utf-8"))["$defs"]["profile"]
-    fields = {f.name: f for f in dataclasses.fields(LanguageProfile)}
-    assert set(schema["properties"]) == set(fields)
+    assert set(schema["properties"]) == set(LanguageProfile._fields)
     assert schema["required"] == list(_REQUIRED_KEYS)
     declared = {k: v["default"] for k, v in schema["properties"].items() if "default" in v}
-    assert declared == {k: fields[k].default for k in declared}
+    assert declared == {k: LanguageProfile._field_defaults[k] for k in declared}
     # every optional scalar field declares its default in the schema
     assert set(declared) == {"identifier_pattern", "naming_pattern", "case_sensitive", "verbosity_factor"}
 
@@ -215,4 +214,77 @@ def test_profile_accepts_inner_whitespace_and_builtin_patterns():
 
 def test_directly_built_profile_is_checked_too():
     with pytest.raises(InvalidProfileConfig, match="empty"):
-        dataclasses.replace(BUILTIN_PROFILES[0], identifier_pattern="[a-z]*")
+        BUILTIN_PROFILES[0]._replace(identifier_pattern="[a-z]*")
+    with pytest.raises(InvalidProfileConfig, match="empty"):
+        LanguageProfile(**{**BUILTIN_PROFILES[0]._asdict(), "identifier_pattern": "[a-z]*"})
+
+
+def test_whitespace_literal_is_every_isspace_character():
+    # also proves the comment beside it: none lies above U+3000
+    everything = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
+    assert _WHITESPACE == everything
+    assert max(map(ord, _WHITESPACE)) <= 0x3000
+
+
+# --- rejection branches, each pinned to its message ---
+
+
+def test_profile_rejects_unknown_unit_detection():
+    with pytest.raises(InvalidProfileConfig, match=r"profile 'x': unit_detection must be one of "
+                                                    r"\('brace-block', 'indent-block', 'keyword-pair'\)"):
+        profile_from_dict(_definition(unit_detection="lines"))
+
+
+def test_profile_rejects_identifier_pattern_that_does_not_compile():
+    with pytest.raises(InvalidProfileConfig, match=r"profile 'x': bad identifier_pattern: "):
+        profile_from_dict(_definition(identifier_pattern="[a-z"))
+
+
+def test_registry_get_of_unknown_id(registry):
+    with pytest.raises(UnknownLanguage, match=r"^no profile with id 'fortran'$"):
+        registry.get("fortran")
+
+
+@pytest.mark.parametrize("definition", [["x"], "x", None])
+def test_profile_definition_must_be_an_object(definition):
+    with pytest.raises(InvalidProfileConfig, match=r"^profile definition must be an object$"):
+        profile_from_dict(definition)
+
+
+@pytest.mark.parametrize("key", ["file_extensions", "line_comment_markers", "keywords"])
+def test_profile_rejects_a_non_string_list_entry(key):
+    with pytest.raises(InvalidProfileConfig, match=rf"^profile key '{key}' must be a list of strings$"):
+        profile_from_dict(_definition(**{key: ["#", 3]}))
+
+
+@pytest.mark.parametrize("key, entry, arity", [
+    ("block_comment_delimiters", ["/*"], 2),
+    ("string_delimiters", ['"', '"'], 3),
+    ("nesting_keywords", ["IF", "END-IF", "X"], 2),
+    ("block_comment_delimiters", "/*", 2),
+])
+def test_profile_rejects_an_entry_of_the_wrong_arity(key, entry, arity):
+    with pytest.raises(InvalidProfileConfig,
+                       match=rf"^profile key '{key}' entries must have {arity} strings$"):
+        profile_from_dict(_definition(**{key: [entry]}))
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "bad-json", "not-utf8"])
+def test_unreadable_profile_file(tmp_path, content):
+    path = tmp_path / "profiles.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(InvalidProfileConfig, match=r"^cannot load profile file .*profiles\.json: "):
+        load_profiles_file(path)
+
+
+def test_build_registry_registers_config_definitions():
+    definition = _definition(id="shell-like", file_extensions=[".sh"], unit_keywords=["function"])
+    registry = build_registry(extra_profiles=[definition])
+    assert registry.get("shell-like") == profile_from_dict(definition)
+    assert detect_profile("run.sh", registry).id == "shell-like"
+    assert [p.id for p in registry.profiles()] == ["c-family", "cobol-like", "python", "shell-like"]
+    with pytest.raises(InvalidProfileConfig, match=r"^extension '\.py' already registered by profile 'python'$"):
+        build_registry(extra_profiles=[_definition(file_extensions=[".py"])])
+    with pytest.raises(InvalidProfileConfig, match=r"^profile definition must be an object$"):
+        build_registry(extra_profiles=[[".sh"]])

@@ -7,7 +7,8 @@ import pytest
 
 from xmaint import snapshots
 from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
-from xmaint.snapshots import SnapshotStore, utc_now_iso
+from xmaint.cli import utc_now_iso
+from xmaint.snapshots import SnapshotStore
 
 fcntl = pytest.importorskip("fcntl")  # the store lock is POSIX flock
 
@@ -122,6 +123,55 @@ def test_trend_unknown_metric(tmp_path):
     store.save(snapshot())
     with pytest.raises(UnknownMetricKey):
         store.trend("proj", "bogus_metric")
+
+
+# --- branches a CLI run never takes, each pinned to a value ---
+
+FIXED_STAMP = "2024-01-02T03:04:05.000006Z"
+
+
+def test_snapshot_with_missing_keys_is_refused(tmp_path):
+    store = SnapshotStore(tmp_path / "store")
+    partial = snapshot()
+    del partial["label"], partial["metrics_summary"]
+    with pytest.raises(ValueError, match=r"^snapshot missing keys: \['label', 'metrics_summary'\]$"):
+        store.save(partial)
+    assert not (tmp_path / "store").exists()
+
+
+def test_equal_stamp_and_body_get_a_numbered_suffix(tmp_path):
+    store = SnapshotStore(tmp_path / "store")
+    fixed = {**snapshot(), "timestamp_utc": FIXED_STAMP}
+    ids = [store.save(dict(fixed)) for _ in range(3)]
+    assert ids == ["20240102T030405000006Z-292399e0",
+                   "20240102T030405000006Z-292399e0-2",
+                   "20240102T030405000006Z-292399e0-3"]
+    assert [r["snapshot_id"] for r in store.load("proj")] == ids
+
+
+@pytest.mark.parametrize("content", ["{not json", "[]", '{"snapshots": [1]}', "\udcff"],
+                         ids=["bad-json", "list", "bad-entry", "not-utf8"])
+def test_unreadable_index_is_rebuilt_on_save(tmp_path, content):
+    store = SnapshotStore(tmp_path / "store")
+    first = store.save(snapshot(tdr=0.1))
+    index_path = tmp_path / "store" / "index.json"
+    index_path.write_text(content, encoding="utf-8", errors="surrogateescape")
+    second = store.save(snapshot(tdr=0.2))
+    index = json.loads(index_path.read_text(encoding="utf-8"))
+    assert [e["snapshot_id"] for e in index["snapshots"]] == [first, second]
+
+
+def test_unreadable_snapshot_files_are_skipped(tmp_path):
+    store = SnapshotStore(tmp_path / "store")
+    saved = store.save(snapshot())
+    project_dir = tmp_path / "store" / "proj"
+    (project_dir / "0-corrupt.json").write_text("{not json", encoding="utf-8")
+    (project_dir / "1-directory.json").mkdir()  # reading it raises IsADirectoryError
+    assert [r["snapshot_id"] for r in store.load("proj")] == [saved]
+    assert [r["snapshot_id"] for r in store.list_snapshots()] == [saved]
+    assert store.rebuild_index() == 1
+    index = json.loads((tmp_path / "store" / "index.json").read_text(encoding="utf-8"))
+    assert [e["snapshot_id"] for e in index["snapshots"]] == [saved]
 
 
 def _try_lock(store_root):

@@ -1,0 +1,56 @@
+"""Start-up cost: ``import xmaint.cli`` loads only what every run needs.
+
+Each CLI run is a fresh process, so a module imported at start-up is paid
+for by every run. Modules that only some subcommands use are imported inside
+them; this checks that in a child interpreter started without ``site`` (so
+no ``.pth`` file of the environment can import them first), and that the
+subcommands that import them on demand still work there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_PROBE = """
+import json, sys
+import xmaint.cli
+loaded = sorted(m for m in sys.argv[1].split(",") if m in sys.modules)
+import xmaint
+store_class = xmaint.SnapshotStore.__module__ + "." + xmaint.SnapshotStore.__name__
+main = xmaint.cli.main
+fixtures, work = sys.argv[2], sys.argv[3]
+codes = [
+    main(["analyze", fixtures, "--format", "csv", "--out", work + "/report.csv"]),
+    main(["snapshot", "save", fixtures, "--store", work + "/store", "--project-id", "p"]),
+    main(["trend", "p", "--store", work + "/store", "--metric", "total_loc", "--format", "csv",
+          "--out", work + "/trend.csv"]),
+]
+print(json.dumps({"loaded_after_import": loaded, "store_class": store_class, "codes": codes}))
+"""
+
+_NOT_AT_START = ("dataclasses", "inspect", "csv", "datetime", "xmaint.snapshots")
+
+
+def test_cli_import_loads_no_subcommand_only_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("XMAINT_CONFIG", None)
+    fixtures = ROOT / "tests" / "fixtures" / "parity"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE, ",".join(_NOT_AT_START), str(fixtures), str(tmp_path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    found = json.loads(result.stdout.strip().splitlines()[-1])
+    assert found["loaded_after_import"] == []
+    assert found["store_class"] == "xmaint.snapshots.SnapshotStore"
+    assert found["codes"] == [0, 0, 0]
+    report = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert report[0] == "project_id,key,value"
+    total_loc = next(row.split(",")[2] for row in report if row.startswith("parity,metrics.total_loc,"))
+    trend = (tmp_path / "trend.csv").read_text(encoding="utf-8").splitlines()
+    assert trend[0] == "timestamp_utc,value,comparable,snapshot_id"
+    assert len(trend) == 2 and trend[1].split(",")[1:3] == [total_loc, "True"]
