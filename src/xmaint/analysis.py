@@ -5,8 +5,6 @@ sorted by relative path before any project-level stage, so every report
 depends on the file set alone, never on discovery order.
 """
 
-from __future__ import annotations
-
 import fnmatch
 from collections import defaultdict
 from pathlib import Path

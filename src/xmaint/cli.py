@@ -306,7 +306,7 @@ def cmd_snapshot_list(args) -> int:
     for record in records:
         sys.stdout.write(
             f"{record['project_id']}\t{record['snapshot_id']}\t{record['timestamp_utc']}"
-            f"\t{record.get('label', '')}\t{record['config_hash'][:12]}\n"
+            f"\t{record['label']}\t{record['config_hash'][:12]}\n"
         )
     return 0
 

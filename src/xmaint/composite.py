@@ -8,8 +8,6 @@ relative to the compared set: the smallest code base scores 100, anything
 at or past 1.5x the minimum scores 0.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import EstimatorMismatch, NoWeightLeft, RuleSetMismatch

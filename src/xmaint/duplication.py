@@ -15,12 +15,14 @@ the code tokens' id column is mapped through that table, so no token
 outlives its file's analysis.
 
 Detection groups the windows of ``min_tokens`` tokens into classes of equal
-content (after Kamiya, Kusumoto & Inoue's CCFinder): window hashes are
-counted file by file, then recomputed per file to pick out the windows whose
-hash repeats, and only those are compared exactly; when no hash repeats,
-there is no clone and the second pass is skipped. So a hash collision never
-joins two different windows, and no more than one file's hashes are held at
-a time. Inside a class, two members start a maximal block only if the tokens
+content (after Kamiya, Kusumoto & Inoue's CCFinder). Each window is hashed
+once, into an array of 8-byte keys. A table of one byte per key bucket rules
+out every key that lands alone in its bucket (Bloom's hash coding with
+allowable errors); only the few keys it cannot rule out are counted exactly,
+and only the windows whose key really repeats are compared exactly. So a hash
+collision never joins two different windows, and the stage holds 8 bytes per
+window plus a table of 8 to 16 bytes per window, not a count per distinct
+key. Inside a class, two members start a maximal block only if the tokens
 before them differ (or one of them starts its file); members are grouped by
 that predecessor token, and only pairs drawn from different groups are
 expanded. Each such left-maximal pair is extended to its full match length
@@ -34,8 +36,6 @@ intervals per file: each token and each line a covered token spans counts
 once however many blocks cover it, and comment-only lines between covered
 tokens do not count.
 """
-
-from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
@@ -52,6 +52,11 @@ _ID_PLACEHOLDER = "\x00id"
 
 
 _SUB_WINDOW = 10  # tokens per sub-window hash in _window_keys
+# _repeated_keys' bucket table: the power of two at or above this many
+# one-byte slots per window, so at most about one window in 16 finds its
+# bucket already taken
+_FILTER_SLOTS_PER_WINDOW = 8
+_KEY_SEGMENT = 4096  # windows hashed per _window_keys call
 
 TokenIds = dict[tuple[str, str], int]
 
@@ -146,9 +151,47 @@ def _window_keys(row: list[int], width: int) -> Iterator[int]:
     goes through about _SUB_WINDOW + width / _SUB_WINDOW tuple slots, not
     width."""
     sub = min(width, _SUB_WINDOW)
-    sub_keys = list(map(hash, zip(*(islice(row, i, None) for i in range(sub)))))
+    sub_keys = list(map(hash, zip(*_shifted(row, range(sub)))))
     offsets = [*range(0, width - sub, sub), width - sub]
-    return map(hash, zip(*(islice(sub_keys, offset, None) for offset in offsets)))
+    return map(hash, zip(*_shifted(sub_keys, offsets)))
+
+
+def _shifted(items: list[int], offsets) -> list[Iterator[int]]:
+    """An iterator over ``items`` per offset, started that many items in. A
+    plain list iterator yields faster than an islice over the list."""
+    iterators = []
+    for offset in offsets:
+        iterator = iter(items)
+        next(islice(iterator, offset, offset), None)
+        iterators.append(iterator)
+    return iterators
+
+
+def _repeated_keys(keys: array) -> set[int]:
+    """The keys that occur more than once in ``keys``.
+
+    A table of one byte per bucket (``key & mask``) records which buckets a
+    key has landed in; a key that finds its bucket taken goes into
+    ``again``. A key that repeats gets there by its second occurrence, while
+    a key that occurs once gets there only if it shares its bucket with an
+    earlier key, which the table's size makes rare. Counting the keys in
+    ``again`` over every window then gives their exact counts, so only those
+    few keys are ever counted.
+    """
+    mask = (1 << (_FILTER_SLOTS_PER_WINDOW * len(keys) - 1).bit_length()) - 1
+    taken = bytearray(mask + 1)
+    again = set()
+    for key in keys:
+        bucket = key & mask
+        if taken[bucket]:
+            again.add(key)
+        else:
+            taken[bucket] = 1
+    del taken
+    if not again:
+        return again  # no two keys share a bucket, so none repeats
+    counts = Counter(compress(keys, map(again.__contains__, keys)))
+    return {key for key, n in counts.items() if n > 1}
 
 
 def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: int) -> int:
@@ -184,20 +227,28 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     files = sorted(sequences)
     rows = [sequences[name].ids for name in files]
 
-    counts: Counter[int] = Counter()
+    # every window's key, hashed once; starts[i] indexes row i's first key
+    keys = array("q")
+    starts = [0]
     for row in rows:
-        counts.update(_window_keys(row, min_tokens))
-    repeated = {key for key, n in counts.items() if n > 1}
-    del counts
+        # a segment at a time, so a long file's sub-window keys are never
+        # all held at once; a list converts into the array faster than an
+        # iterator does
+        for start in range(0, len(row) - min_tokens + 1, _KEY_SEGMENT):
+            segment = row[start : start + _KEY_SEGMENT + min_tokens - 1]
+            keys.fromlist(list(_window_keys(segment, min_tokens)))
+        starts.append(len(keys))
+    repeated = _repeated_keys(keys)
     if not repeated:
-        return []  # no two windows are equal, so no pass over the windows again
+        return []  # no two windows are equal
     # keyed by window content, so windows whose keys merely collide land in
     # different classes
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
     for f_idx, row in enumerate(rows):
-        for pos in compress(count(), map(repeated.__contains__, _window_keys(row, min_tokens))):
+        file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
+        for pos in compress(count(), map(repeated.__contains__, file_keys)):
             classes[tuple(row[pos : pos + min_tokens])].append((f_idx, pos))
-    del repeated
+    del keys, repeated
 
     blocks: list[CloneBlock] = []
     line_spans: dict[tuple[int, int, int], int] = {}

@@ -16,8 +16,6 @@ token; every later stage classifies the file's distinct ids once and then
 reads the columns.
 """
 
-from __future__ import annotations
-
 import re
 from array import array
 from functools import lru_cache

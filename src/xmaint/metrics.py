@@ -7,8 +7,6 @@ a file its roles once, from ``profiles.folded_tokens``, and a unit is
 counted as the multiset of its own ids.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from collections.abc import Sequence

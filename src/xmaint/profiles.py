@@ -6,8 +6,6 @@ added from a JSON definition file without code changes (schema in
 docs/profile-schema.json).
 """
 
-from __future__ import annotations
-
 import json
 import re
 from functools import lru_cache

@@ -5,8 +5,6 @@ compared: intersecting finds the ids enabled for every language, while
 each language keeps its own thresholds and patterns.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

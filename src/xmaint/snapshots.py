@@ -110,31 +110,16 @@ class SnapshotStore:
         if not self.root.exists():
             return
         for project_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            for path in sorted(project_dir.glob("*.json")):
-                try:
-                    yield json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    continue
+            yield from _read_records(project_dir)
 
     def load(self, project_id: str) -> list[dict]:
-        project_dir = self.root / project_id
-        records = []
-        if project_dir.is_dir():
-            for path in sorted(project_dir.glob("*.json")):
-                try:
-                    records.append(json.loads(path.read_text(encoding="utf-8")))
-                except (OSError, json.JSONDecodeError):
-                    continue
-        records.sort(key=lambda r: (r.get("timestamp_utc", ""), r.get("snapshot_id", "")))
+        records = list(_read_records(self.root / project_id))
+        records.sort(key=lambda r: (r["timestamp_utc"], r["snapshot_id"]))
         return records
 
     def list_snapshots(self, project_id: str | None = None) -> list[dict]:
-        records = []
-        for record in self._scan():
-            if project_id is None or record.get("project_id") == project_id:
-                records.append(record)
-        records.sort(key=lambda r: (r.get("project_id", ""), r.get("timestamp_utc", ""),
-                                    r.get("snapshot_id", "")))
+        records = [r for r in self._scan() if project_id is None or r["project_id"] == project_id]
+        records.sort(key=lambda r: (r["project_id"], r["timestamp_utc"], r["snapshot_id"]))
         return records
 
     def trend(self, project_id: str, metric_key: str, force: bool = False) -> list[TrendPoint]:
@@ -152,10 +137,10 @@ class SnapshotStore:
             raise UnknownMetricKey(
                 f"'{metric_key}' is not a snapshot metric; available: {sorted(latest_summary)}"
             )
-        reference_hash = records[-1].get("config_hash")
+        reference_hash = records[-1]["config_hash"]
         points = []
         for record in records:
-            comparable = force or record.get("config_hash") == reference_hash
+            comparable = force or record["config_hash"] == reference_hash
             points.append(TrendPoint(
                 timestamp_utc=record["timestamp_utc"],
                 value=record.get("metrics_summary", {}).get(metric_key),
@@ -163,6 +148,20 @@ class SnapshotStore:
                 snapshot_id=record["snapshot_id"],
             ))
         return points
+
+
+def _read_records(project_dir: Path):
+    """The snapshot records of one project directory, in file name order.
+    A file is skipped if it cannot be read, is not UTF-8 JSON, is not a JSON
+    object or lacks one of the index keys: every record yielded can be
+    indexed and listed."""
+    for path in sorted(project_dir.glob("*.json")):
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            continue
+        if isinstance(record, dict) and all(key in record for key in _INDEX_KEYS):
+            yield record
 
 
 class _StoreLock:

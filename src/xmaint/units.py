@@ -342,9 +342,6 @@ def _extract_indent(tokens, profile, file):
                 line += 1
                 continue
             break
-        # extend over trailing interior lines of a multi-line token
-        while end_line + 1 <= max_line and end_line + 1 in continuation and end_line + 1 in code_lines:
-            end_line += 1
 
         start_idx = i
         while start_idx > 0 and lines[start_idx - 1] == header_line:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 from math import comb
 
 import pytest
@@ -206,23 +208,43 @@ def test_window_keys_give_equal_windows_equal_keys(width):
     assert list(duplication._window_keys(row[: width - 1], width)) == []
 
 
-def test_no_repeated_window_skips_the_second_pass(monkeypatch):
+def test_each_window_is_hashed_once(monkeypatch):
     calls = []
     window_keys = duplication._window_keys
 
     def counted(row, width):
-        calls.append(len(row))
+        calls.append(len(row) - width + 1)  # the windows of this call
         return window_keys(row, width)
 
     monkeypatch.setattr(duplication, "_window_keys", counted)
     seqs = {"a": row(ident_stream([f"a{i}" for i in range(30)])),
             "b": row(ident_stream([f"b{i}" for i in range(20)]))}
     assert find_clone_blocks(seqs, 5) == []
-    assert calls == [30, 20]  # the counting pass over each file, and nothing after it
+    assert calls == [26, 16]
     seqs["c"] = row(ident_stream([f"a{i}" for i in range(5)]))
     calls.clear()
     assert len(find_clone_blocks(seqs, 5)) == 1
-    assert calls == [30, 20, 5, 30, 20, 5]
+    assert calls == [26, 16, 1]  # no second pass over the windows of any file
+    # a long file is hashed a segment at a time, each window in one segment
+    seqs = {"long": row(ident_stream([f"t{i % 9000}" for i in range(10_000)]))}
+    calls.clear()
+    assert len(find_clone_blocks(seqs, 5)) == 1
+    assert calls == [4096, 4096, 1804]
+
+
+def test_repeated_keys_are_exact():
+    def keys(*values):
+        return array("q", values)
+
+    assert duplication._repeated_keys(keys()) == set()
+    assert duplication._repeated_keys(keys(7)) == set()
+    assert duplication._repeated_keys(keys(5, 6, 7, 6, 8, 5, 5)) == {5, 6}
+    # distinct keys that all land in bucket 0, and a key that collides with
+    # 0 in the bucket table only
+    one_bucket = [i << 40 for i in range(1, 500)]
+    assert duplication._repeated_keys(keys(*one_bucket)) == set()
+    assert duplication._repeated_keys(keys(*one_bucket, 3 << 40, -(1 << 62))) == {3 << 40}
+    assert duplication._repeated_keys(keys(-1, 2**63 - 1, -(2**63), -1)) == {-1}
 
 
 def test_oracle_equivalence_when_every_window_collides(monkeypatch):
@@ -241,6 +263,57 @@ def test_oracle_equivalence_when_every_window_collides(monkeypatch):
         }
         fast = as_keys(find_clone_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+
+
+def test_oracle_equivalence_when_every_key_shares_one_bucket(monkeypatch):
+    """Unequal windows keep distinct keys, but every key lands in the bucket
+    table's first slot, so the table rules out no window and only the exact
+    count of the keys can tell repeats from singletons."""
+    window_keys = duplication._window_keys
+    monkeypatch.setattr(
+        duplication, "_window_keys",
+        lambda row, width: [(key & (2**22 - 1)) << 40 for key in window_keys(row, width)],
+    )
+    rng = random.Random(7)
+    for trial in range(30):
+        alphabet = rng.choice([2, 3, 8, 32])
+        min_tokens = rng.choice([3, 4, 8])
+        seqs = {
+            f"f{k}": random_stream(rng, rng.randrange(0, 120), alphabet)
+            for k in range(rng.choice([1, 2, 3]))
+        }
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+
+
+def test_clone_stage_memory_is_bounded_per_window():
+    """find_clone_blocks holds 8 bytes per window key plus a bucket table of
+    8 to 16 bytes per window, and per-key counts only for the few keys that
+    table cannot rule out. A count per distinct key, as a Counter keeps, costs
+    70 bytes or more per window. One long file and many short ones, with one
+    clone among mostly unique windows."""
+    rng = random.Random(5)
+
+    def clone_row(ids):
+        lines = array("i", range(1, len(ids) + 1))
+        return duplication.CloneRow(ids, lines, lines)
+
+    long_ids = [rng.randrange(10**6) for _ in range(30_000)]
+    seqs = {"long": clone_row(long_ids)}
+    for k in range(30):
+        seqs[f"short{k:02d}"] = clone_row([rng.randrange(10**6) for _ in range(1_000)])
+    seqs["short00"].ids[100:300] = long_ids[5_000:5_200]
+    windows = sum(len(r) - 50 + 1 for r in seqs.values())
+    assert windows >= 50_000
+    tracemalloc.start()
+    try:
+        blocks = find_clone_blocks(seqs, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
+            for b in blocks] == [("long", 5_000, "short00", 100, 200)]
+    assert peak / windows <= 32
 
 
 def test_oracle_equivalence_multi_file_injected_clones():

@@ -7,7 +7,7 @@ import pytest
 
 from xmaint import snapshots
 from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
-from xmaint.cli import utc_now_iso
+from xmaint.cli import main, utc_now_iso
 from xmaint.snapshots import SnapshotStore
 
 fcntl = pytest.importorskip("fcntl")  # the store lock is POSIX flock
@@ -172,6 +172,25 @@ def test_unreadable_snapshot_files_are_skipped(tmp_path):
     assert store.rebuild_index() == 1
     index = json.loads((tmp_path / "store" / "index.json").read_text(encoding="utf-8"))
     assert [e["snapshot_id"] for e in index["snapshots"]] == [saved]
+
+
+@pytest.mark.parametrize("content", [b"{}", b"[]", b"\xff\xfe"],
+                         ids=["no-index-keys", "list", "not-utf8"])
+def test_snapshot_files_without_a_record_are_skipped(tmp_path, capsys, content):
+    store = SnapshotStore(tmp_path / "store")
+    saved = store.save(snapshot(tdr=0.1))
+    (tmp_path / "store" / "proj" / "0-stray.json").write_bytes(content)
+    assert [r["snapshot_id"] for r in store.load("proj")] == [saved]
+    assert [r["snapshot_id"] for r in store.list_snapshots()] == [saved]
+    assert [p.value for p in store.trend("proj", "tdr")] == [0.1]
+    assert store.rebuild_index() == 1
+    (tmp_path / "store" / "index.json").unlink()  # the next save rebuilds it
+    second = store.save(snapshot(tdr=0.2))
+    index = json.loads((tmp_path / "store" / "index.json").read_text(encoding="utf-8"))
+    assert [e["snapshot_id"] for e in index["snapshots"]] == [saved, second]
+    assert main(["snapshot", "list", "--store", str(tmp_path / "store")]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1] for line in listed] == [saved, second]
 
 
 def _try_lock(store_root):

@@ -106,6 +106,21 @@ def test_python_bracket_continuation_at_column_one():
     assert units[0].nesting_depth_max == 0
 
 
+def test_python_header_colon_search_gives_up_at_semicolon():
+    _, units, diagnostics = units_of("def f(a); x = 1\ndef g(b):\n    return b\n", PYTHON)
+    assert [(u.name, u.start_line, u.end_line) for u in units] == [("g", 2, 3)]
+    assert diagnostics == []
+
+
+def test_python_header_colon_is_looked_for_two_lines_past_the_paren():
+    found = "def f(a)\nx = 1\ny = 2:\n    pass\n"
+    _, units, _ = units_of(found, PYTHON)
+    assert [(u.name, u.start_line, u.end_line) for u in units] == [("f", 1, 4)]
+    too_far = "def f(a)\nx = 1\ny = 2\nz = 3:\n    pass\ndef g(b):\n    return b\n"
+    _, units, _ = units_of(too_far, PYTHON)
+    assert [(u.name, u.start_line, u.end_line) for u in units] == [("g", 6, 7)]
+
+
 def test_python_nesting_depth_two_ifs():
     src = (
         "def g(a, b):\n"
