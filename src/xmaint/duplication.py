@@ -18,17 +18,25 @@ Detection groups the windows of ``min_tokens`` tokens into classes of equal
 content (after Kamiya, Kusumoto & Inoue's CCFinder). Each window is hashed
 once, into an array of 8-byte keys. A table of one byte per key bucket rules
 out every key that lands alone in its bucket (Bloom's hash coding with
-allowable errors); only the few keys it cannot rule out are counted exactly,
-and only the windows whose key really repeats are compared exactly. So a hash
-collision never joins two different windows, and the stage holds 8 bytes per
-window plus a table of 8 to 16 bytes per window, not a count per distinct
-key. Inside a class, two members start a maximal block only if the tokens
-before them differ (or one of them starts its file); members are grouped by
-that predecessor token, and only pairs drawn from different groups are
-expanded. Each such left-maximal pair is extended to its full match length
-by galloping over list-slice comparisons. The cost is linear in the number
-of windows plus the number of pairs emitted; k copies of one file still emit
-C(k, 2) pair blocks, so that is the only remaining term quadratic in k.
+allowable errors); only the few keys it cannot rule out are counted exactly.
+Inside a class, two members start a maximal block only if the tokens before
+them differ (or one of them starts its file); members are grouped by that
+predecessor token, and only pairs drawn from different groups are expanded.
+So a key whose windows all follow one token starts no block, and classes are
+built only for left-diverse keys, whose windows follow two or more different
+tokens (Gusfield's left-diverse repeats): the pass that finds each file's
+repeated windows keeps their positions, 4 bytes each, and the distinct
+(key, preceding token) pairs, and only the windows of left-diverse keys are
+compared exactly, keyed by their content, so a hash collision never joins
+two different windows. The stage holds 8 bytes per window plus a table of 8
+to 16 bytes per window, not a count per distinct key or a class entry per
+repeated window: its tracemalloc peak is about 23 bytes per window on 30
+copies of one file, where every window repeats, and 25 on a sample of the
+standard library, where few do. Each left-maximal pair is extended to its
+full match length by galloping over list-slice comparisons. The cost is
+linear in the number of windows plus the number of pairs emitted; k copies
+of one file still emit C(k, 2) pair blocks, so that is the only remaining
+term quadratic in k.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token
@@ -40,6 +48,7 @@ tokens do not count.
 from array import array
 from collections import Counter, defaultdict
 from itertools import combinations, compress, count, islice, product
+from operator import itemgetter, ne
 from typing import Iterator, NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, TokenStream
@@ -72,7 +81,9 @@ class CloneRow:
 
     ``ids`` holds one int per token (equal ids, equal (kind, compared text));
     ``lines`` and ``end_lines`` are array('i') columns of each token's start
-    and end line. Its length is its token count.
+    and end line. Tokens do not overlap, so end lines never decrease along a
+    row: a run of tokens ends on its last token's end line. Its length is its
+    token count.
     """
 
     __slots__ = ("ids", "lines", "end_lines")
@@ -241,25 +252,42 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     repeated = _repeated_keys(keys)
     if not repeated:
         return []  # no two windows are equal
+    # Only pairs across predecessor groups start a block (see below), so a
+    # key whose windows all follow one token holds no pair to expand: only
+    # left-diverse keys, whose windows follow two or more different tokens
+    # (Gusfield), get classes. The one pass over each file's keys records
+    # where its repeated windows are and each distinct (key, token before).
+    where: list[array] = []  # per row, the positions of its repeated windows
+    pairs: set[tuple[int, int]] = set()
+    for f_idx, row in enumerate(rows):
+        file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
+        positions = list(compress(count(), map(repeated.__contains__, file_keys)))
+        before = list(map(row.__getitem__, map((-1).__add__, positions)))
+        if positions and positions[0] == 0:
+            before[0] = -1 - f_idx  # as in the grouping below
+        pairs.update(zip(map(file_keys.__getitem__, positions), before))
+        where.append(array("i", positions))
+    del repeated
+    diverse = {key for key, n in Counter(map(itemgetter(0), pairs)).items() if n > 1}
+    del pairs
     # keyed by window content, so windows whose keys merely collide land in
     # different classes
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
     for f_idx, row in enumerate(rows):
         file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
-        for pos in compress(count(), map(repeated.__contains__, file_keys)):
+        positions = where[f_idx]
+        kept = map(diverse.__contains__, map(file_keys.__getitem__, positions))
+        for pos in compress(positions, kept):
             classes[tuple(row[pos : pos + min_tokens])].append((f_idx, pos))
-    del keys, repeated
+    del keys, where, diverse
 
     blocks: list[CloneBlock] = []
-    line_spans: dict[tuple[int, int, int], int] = {}
 
     def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, int, int]:
         name = files[f_idx]
         row = sequences[name]
-        key = (f_idx, pos, length)
-        if key not in line_spans:  # an occurrence recurs in every pair of its class
-            line_spans[key] = max(row.end_lines[pos : pos + length]) - row.lines[pos] + 1
-        return name, row.lines[pos], line_spans[key]
+        # end lines never decrease along a row: the last token ends last
+        return name, row.lines[pos], row.end_lines[pos + length - 1] - row.lines[pos] + 1
 
     def add_block(fa: int, pa: int, fb: int, pb: int, length: int) -> None:
         name_a, line_a, span_a = occurrence(fa, pa, length)
@@ -325,8 +353,12 @@ def duplication_ratios(
             if start >= end:
                 continue
             dup_tokens += end - start
-            for line, end_line in zip(row.lines[start:end], row.end_lines[start:end]):
-                lines.update(range(line, end_line + 1))
+            first_lines = row.lines[start:end]
+            last_lines = row.end_lines[start:end]
+            lines.update(first_lines)
+            multi_line = map(ne, first_lines, last_lines)
+            for line, end_line in compress(zip(first_lines, last_lines), multi_line):
+                lines.update(range(line + 1, end_line + 1))
             covered_to = end
         dup_lines += len(lines)
     total_tokens = sum(map(len, sequences.values()))

@@ -152,15 +152,20 @@ class SnapshotStore:
 
 def _read_records(project_dir: Path):
     """The snapshot records of one project directory, in file name order.
-    A file is skipped if it cannot be read, is not UTF-8 JSON, is not a JSON
-    object or lacks one of the index keys: every record yielded can be
-    indexed and listed."""
+    A file is skipped if it cannot be read, is not UTF-8 JSON or is not a
+    JSON object, if one of the index keys is missing or not a string, or if
+    its metrics summary is not an object: every record yielded can be
+    indexed, listed and read for a trend."""
     for path in sorted(project_dir.glob("*.json")):
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             continue
-        if isinstance(record, dict) and all(key in record for key in _INDEX_KEYS):
+        if (
+            isinstance(record, dict)
+            and all(isinstance(record.get(key), str) for key in _INDEX_KEYS)
+            and isinstance(record.get("metrics_summary", {}), dict)
+        ):
             yield record
 
 

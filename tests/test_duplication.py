@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from array import array
+from collections import Counter, defaultdict
 from math import comb
 
 import pytest
@@ -155,6 +156,20 @@ def test_cross_file_clone():
     assert (block.file_a, block.file_b) == ("a", "b")
     assert block.length_tokens == 8
     assert (block.norm_start_a, block.norm_start_b) == (2, 0)
+
+
+def test_key_with_exactly_two_predecessors_split_across_files():
+    # W = w1..w4 follows p in files a and b and r in file c: W's key has two
+    # predecessors, p and r, each in a different file from the other. a and
+    # b share p, so their block starts one token earlier, at p.
+    shared = ["w1", "w2", "w3", "w4"]
+    seqs = {
+        "a": row(ident_stream(["s1", "p", *shared, "e1"])),
+        "b": row(ident_stream(["s2", "p", *shared, "e2"])),
+        "c": row(ident_stream(["r", *shared, "e3"])),
+    }
+    expected = {("a", 1, "b", 1, 5), ("a", 2, "c", 1, 4), ("b", 2, "c", 1, 4)}
+    assert as_keys(find_clone_blocks(seqs, 4)) == expected == oracle_blocks(seqs, 4)
 
 
 def test_periodic_run_greedy_split():
@@ -314,6 +329,76 @@ def test_clone_stage_memory_is_bounded_per_window():
     assert [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
             for b in blocks] == [("long", 5_000, "short00", 100, 200)]
     assert peak / windows <= 32
+
+
+def test_clone_stage_memory_is_bounded_per_window_when_every_window_repeats():
+    """30 copies of one row: every window repeats, but only each file's first
+    window follows two different tokens (none, in each file), so only its key
+    gets a class. A class entry per repeated window, with a content tuple per
+    class, costs over 100 bytes per window."""
+    rng = random.Random(15)
+    ids = [rng.randrange(10**6) for _ in range(800)]
+    lines = array("i", range(1, len(ids) + 1))
+    seqs = {f"copy{k:02d}": duplication.CloneRow(list(ids), lines, lines) for k in range(30)}
+    windows = 30 * (len(ids) - 50 + 1)
+    tracemalloc.start()
+    try:
+        blocks = find_clone_blocks(seqs, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == comb(30, 2)
+    assert {(b.norm_start_a, b.norm_start_b, b.length_tokens) for b in blocks} == {(0, 0, 800)}
+    assert peak / windows <= 32
+
+
+def _repeats_and_left_diverse(seqs, width):
+    """(windows whose content repeats, distinct repeated contents, contents
+    whose windows follow two or more different tokens or file starts)."""
+    counts, before = Counter(), defaultdict(set)
+    for name in sorted(seqs):
+        ids = seqs[name].ids
+        for pos in range(len(ids) - width + 1):
+            window = tuple(ids[pos : pos + width])
+            counts[window] += 1
+            before[window].add(ids[pos - 1] if pos else name)
+    repeated = [w for w, n in counts.items() if n > 1]
+    return (sum(counts[w] for w in repeated), len(repeated),
+            sum(len(before[w]) > 1 for w in repeated))
+
+
+def test_oracle_equivalence_over_mutated_copies():
+    """k copies of one random row, some at their file's start and some after
+    a short prefix, each with a few point mutations and some with a periodic
+    run: most windows repeat, but few of the repeated contents are
+    left-diverse, so the filter decides most keys."""
+    rng = random.Random(3141)
+    windows = repeated_windows = repeated_keys = diverse_keys = 0
+    for trial in range(30):
+        min_tokens = rng.choice([3, 5, 8])
+        alphabet = rng.choice([8, 32, 256])
+        base = [f"t{rng.randrange(alphabet)}" for _ in range(rng.randrange(20, 60))]
+        texts = {}
+        for k in range(rng.choice([2, 3, 4])):
+            copy = [f"p{rng.randrange(alphabet)}" for _ in range(rng.choice([0, 0, 1, 3]))]
+            copy += base
+            for _ in range(rng.randrange(3)):
+                copy[rng.randrange(len(copy))] = f"t{rng.randrange(alphabet)}"
+            if rng.random() < 0.4:
+                at = rng.randrange(len(copy))
+                period = [f"t{rng.randrange(alphabet)}" for _ in range(rng.randrange(1, 4))]
+                copy[at:at] = period * rng.randrange(2, 6)
+            texts[f"f{k}"] = copy
+        seqs = {name: row(ident_stream(t)) for name, t in texts.items()}
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+        windows += sum(max(0, len(r) - min_tokens + 1) for r in seqs.values())
+        stats = _repeats_and_left_diverse(seqs, min_tokens)
+        repeated_windows += stats[0]
+        repeated_keys += stats[1]
+        diverse_keys += stats[2]
+    assert repeated_windows > windows / 2
+    assert diverse_keys < repeated_keys / 4
 
 
 def test_oracle_equivalence_multi_file_injected_clones():

@@ -68,6 +68,9 @@ def test_token_columns_hold_their_invariants(profile, text):
         assert column >= 1 and text[offset:offset + len(token_text)] == token_text
         assert end_line - line == token_text.count("\n")
     assert all(a <= b for a, b in zip(tokens.lines, tokens.lines[1:]))
+    # tokens do not overlap, so end lines never decrease either (the clone
+    # stage reads a run's last line from its last token)
+    assert all(a <= b for a, b in zip(tokens.end_lines, tokens.end_lines[1:]))
     lines = classify_lines(tokens, physical_line_count(text))
     assert lines.code + lines.comment + lines.blank + lines.mixed == physical_line_count(text)
     assert len(lines.classes) == physical_line_count(text)

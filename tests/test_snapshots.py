@@ -193,6 +193,32 @@ def test_snapshot_files_without_a_record_are_skipped(tmp_path, capsys, content):
     assert [line.split("\t")[1] for line in listed] == [saved, second]
 
 
+def _write_stray_record(store_root, **fields):
+    """A snapshot file with every index key, older than any saved snapshot,
+    with ``fields`` in place of the saved values."""
+    record = {**snapshot(), "timestamp_utc": "2000-01-01T00:00:00Z",
+              "snapshot_id": "20000101T000000Z-00000000", **fields}
+    (store_root / "proj" / "0-stray.json").write_text(json.dumps(record), encoding="utf-8")
+
+
+@pytest.mark.parametrize("key", snapshots._INDEX_KEYS)
+def test_snapshot_list_skips_a_record_whose_index_value_is_not_a_string(tmp_path, capsys, key):
+    store = SnapshotStore(tmp_path / "store")
+    saved = store.save(snapshot())
+    _write_stray_record(tmp_path / "store", **{key: None})
+    assert main(["snapshot", "list", "--store", str(tmp_path / "store")]) == 0
+    assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()] == [saved]
+
+
+def test_trend_skips_a_record_whose_metrics_summary_is_not_an_object(tmp_path, capsys):
+    store = SnapshotStore(tmp_path / "store")
+    saved = store.save(snapshot(tdr=0.4))
+    _write_stray_record(tmp_path / "store", metrics_summary=[])
+    assert main(["trend", "proj", "--store", str(tmp_path / "store"), "--metric", "tdr"]) == 0
+    series = json.loads(capsys.readouterr().out)["series"]
+    assert [(point["snapshot_id"], point["value"]) for point in series] == [(saved, 0.4)]
+
+
 def _try_lock(store_root):
     """Take the store's lock on a descriptor of our own without waiting;
     returns the descriptor, or None while another descriptor holds it."""
