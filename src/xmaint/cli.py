@@ -279,10 +279,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_snapshot_save(args) -> int:
-    from .snapshots import SnapshotStore
+    from .snapshots import SnapshotStore, check_project_id
 
+    # the id analyze_project would default to, refused before any file is read
+    project_id = check_project_id(args.project_id or Path(args.path).name)
     config, registry, digest = _prepare(args)
-    analysis = _analyze(args, args.path, args.project_id, config, registry)
+    analysis = _analyze(args, args.path, project_id, config, registry)
     scores = _single_score(analysis, config)
     snapshot = {
         "project_id": analysis.project_id,

@@ -1,7 +1,9 @@
 """Append-only snapshot store and trend extraction.
 
-Layout: ``<store>/<projectId>/<snapshotId>.json`` plus a rebuildable
-``<store>/index.json``. Snapshots are immutable once written; a lock file
+Layout: ``<store>/<projectId>/<snapshotId>.json``, one file per snapshot,
+and ``<store>/.lock``. The snapshot files are the whole store: listing and
+trends read them, and nothing else records what they hold. A project id is
+one directory name. Snapshots are immutable once written; the lock file
 serializes writers while readers stay lock-free.
 """
 
@@ -14,10 +16,10 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
+from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey, XmaintError
 
 _LOCK_TIMEOUT_S = 10.0
-_INDEX_KEYS = ("project_id", "snapshot_id", "timestamp_utc", "config_hash", "label")
+_RECORD_KEYS = ("project_id", "snapshot_id", "timestamp_utc", "config_hash", "label")
 
 
 class TrendPoint(NamedTuple):
@@ -41,7 +43,7 @@ class SnapshotStore:
         missing = [k for k in required if k not in snapshot]
         if missing:
             raise ValueError(f"snapshot missing keys: {missing}")
-        project_dir = self.root / snapshot["project_id"]
+        project_dir = self.root / check_project_id(snapshot["project_id"])
         try:
             project_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -70,55 +72,18 @@ class SnapshotStore:
                 tmp.rename(path)
             except OSError as exc:
                 raise StoreUnwritable(f"cannot write snapshot {path}: {exc}") from exc
-            self._update_index(record)
         return snapshot_id
 
-    def _update_index(self, record: dict) -> None:
-        """Add a just-written record to index.json. An index that is missing
-        or cannot be read is rebuilt from the snapshot files, the new one's
-        included: the index never blocks a save."""
-        index_path = self.root / "index.json"
-        try:
-            entries = json.loads(index_path.read_text(encoding="utf-8"))["snapshots"]
-            self._write_index([*entries, record])
-        except (OSError, ValueError, LookupError, TypeError):
-            self._write_index(self._scan())
-
-    def rebuild_index(self) -> int:
-        """Rescan snapshot files and rewrite index.json; returns entry count."""
-        with self._lock():
-            return self._write_index(self._scan())
-
-    def _write_index(self, records) -> int:
-        """Write index.json (through a rename, so readers never see half of
-        it) with one sorted entry per snapshot record or index entry given."""
-        entries = sorted(
-            ({key: record[key] for key in _INDEX_KEYS} for record in records),
-            key=lambda e: (e["project_id"], e["timestamp_utc"], e["snapshot_id"]),
-        )
-        index_path = self.root / "index.json"
-        try:
-            tmp = index_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps({"snapshots": entries}, sort_keys=True, indent=2) + "\n",
-                           encoding="utf-8")
-            tmp.rename(index_path)
-        except OSError as exc:
-            raise StoreUnwritable(f"cannot write index {index_path}: {exc}") from exc
-        return len(entries)
-
-    def _scan(self):
-        if not self.root.exists():
-            return
-        for project_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            yield from _read_records(project_dir)
-
-    def load(self, project_id: str) -> list[dict]:
-        records = list(_read_records(self.root / project_id))
-        records.sort(key=lambda r: (r["timestamp_utc"], r["snapshot_id"]))
-        return records
-
     def list_snapshots(self, project_id: str | None = None) -> list[dict]:
-        records = [r for r in self._scan() if project_id is None or r["project_id"] == project_id]
+        """The readable records of one project's directory, or of every
+        project directory, sorted by project id, timestamp and snapshot id."""
+        if project_id is not None:
+            project_dirs = [self.root / check_project_id(project_id)]
+        elif self.root.is_dir():
+            project_dirs = sorted(p for p in self.root.iterdir() if p.is_dir())
+        else:
+            project_dirs = []
+        records = [record for d in project_dirs for record in _read_records(d)]
         records.sort(key=lambda r: (r["project_id"], r["timestamp_utc"], r["snapshot_id"]))
         return records
 
@@ -129,7 +94,7 @@ class SnapshotStore:
         flagged incomparable (and kept) unless ``force`` marks everything
         comparable.
         """
-        records = self.load(project_id)
+        records = self.list_snapshots(project_id)
         if not records:
             raise NoSnapshots(f"no snapshots for project '{project_id}' in {self.root}")
         latest_summary = records[-1].get("metrics_summary", {})
@@ -153,9 +118,9 @@ class SnapshotStore:
 def _read_records(project_dir: Path):
     """The snapshot records of one project directory, in file name order.
     A file is skipped if it cannot be read, is not UTF-8 JSON or is not a
-    JSON object, if one of the index keys is missing or not a string, or if
-    its metrics summary is not an object: every record yielded can be
-    indexed, listed and read for a trend."""
+    JSON object, if one of the record keys is missing or not a string, or if
+    its metrics summary is not an object: every record yielded can be listed
+    and read for a trend."""
     for path in sorted(project_dir.glob("*.json")):
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -163,10 +128,22 @@ def _read_records(project_dir: Path):
             continue
         if (
             isinstance(record, dict)
-            and all(isinstance(record.get(key), str) for key in _INDEX_KEYS)
+            and all(isinstance(record.get(key), str) for key in _RECORD_KEYS)
             and isinstance(record.get("metrics_summary", {}), dict)
         ):
             yield record
+
+
+def check_project_id(project_id: str) -> str:
+    """``project_id`` if it names one directory of the store, else an error:
+    an empty id, ``.``, ``..`` or one with a path separator would put its
+    snapshots outside the store or where no reader looks."""
+    if project_id in ("", ".", "..") or "/" in project_id or "\\" in project_id:
+        raise XmaintError(
+            f"invalid project id {project_id!r}: it must be one directory name, "
+            "not '.' or '..', with no '/' or '\\'"
+        )
+    return project_id
 
 
 class _StoreLock:

@@ -145,6 +145,26 @@ def test_sig_unit_testing_from_scalar_and_per_project_coverage(pair, tmp_path, c
     assert by_id["beta"]["models"]["sig"]["characteristics"]["stability"] is None
 
 
+def test_sig_rating_falls_to_1_when_no_profile_cap_holds(tmp_path, capsys):
+    # one 13-line unit of cyclomatic complexity 12 (moderate risk) and 50
+    # one-line units: the moderate share, 13/63, fits the default caps of 5
+    branches = "".join(f"    if (x == {i}) {{ return {i}; }}\n" for i in range(11))
+    root = write_tree(tmp_path / "proj", {"m.c": (
+        f"int pick(int x) {{\n{branches}    return 0;\n}}\n"
+        + "int one(void) { return 1; }\n" * 50
+    )})
+    code, out, _ = run(capsys, "analyze", str(root))
+    assert code == 0
+    assert json.loads(out)["projects"][0]["models"]["sig"]["properties"]["complexity"] == 5
+    # every rating, the default catch-all 1 included, now caps the moderate share at 0
+    config = tmp_path / "caps.json"
+    config.write_text(json.dumps(
+        {"models": {"sig": {"profile_caps": {str(r): [0, 0, 0] for r in range(1, 6)}}}}))
+    code, out, _ = run(capsys, "analyze", str(root), "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["projects"][0]["models"]["sig"]["properties"]["complexity"] == 1
+
+
 def test_analyze_empty_directory_is_fatal(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -742,6 +762,33 @@ def test_snapshot_list(corpus, capsys, tmp_path):
     code, out, _ = run(capsys, "snapshot", "list", "--store", str(store))
     assert code == 0
     assert corpus.name in out and "one" in out
+
+
+@pytest.mark.parametrize("id_flags", [["--project-id", "../esc"], ["--project-id", "a/b"], []],
+                         ids=["escapes-the-store", "nested", "cwd-has-no-name"])
+def test_snapshot_save_refuses_a_bad_project_id_before_analysis(
+    tmp_path, capsys, monkeypatch, id_flags
+):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a project was analyzed")
+
+    work = tmp_path / "work"
+    monkeypatch.chdir(write_tree(work / "proj", {"m.c": C_FILE}))
+    monkeypatch.setattr("xmaint.cli.analyze_project", no_analysis)
+    code, out, err = run(capsys, "snapshot", "save", ".", "--store", str(work / "store"), *id_flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid project id ") and err.count("\n") == 1
+    assert [p.name for p in work.iterdir()] == ["proj"]
+
+
+@pytest.mark.parametrize("argv", [["snapshot", "list", "--project-id", ".."],
+                                  ["trend", "a/b", "--metric", "tdr"]], ids=["list", "trend"])
+def test_reading_a_bad_project_id_is_an_error_line(corpus, tmp_path, capsys, argv):
+    store = str(tmp_path / "store")
+    assert run(capsys, "snapshot", "save", str(corpus), "--store", store)[0] == 0
+    code, out, err = run(capsys, *argv, "--store", store)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid project id ")
 
 
 def test_trend_csv_format(corpus, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from xmaint import snapshots
-from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey
+from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey, XmaintError
 from xmaint.cli import main, utc_now_iso
 from xmaint.snapshots import SnapshotStore
 
@@ -52,7 +53,7 @@ def test_round_trip_preserves_fields(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     original = snapshot(label="before refactor")
     snapshot_id = store.save(original)
-    record = store.load("proj")[0]
+    record = store.list_snapshots("proj")[0]
     assert record["snapshot_id"] == snapshot_id
     for key, value in original.items():
         assert record[key] == value
@@ -67,27 +68,6 @@ def test_append_only(tmp_path):
         assert seen.issubset(ids)
         seen = ids
     assert len(seen) == 4
-
-
-def test_index_matches_store_and_is_rebuildable(tmp_path):
-    store = SnapshotStore(tmp_path / "store")
-    for i in range(3):
-        store.save(snapshot(tdr=i / 10))
-    index = json.loads((tmp_path / "store" / "index.json").read_text())
-    assert len(index["snapshots"]) == 3
-    (tmp_path / "store" / "index.json").unlink()
-    assert store.rebuild_index() == 3
-    rebuilt = json.loads((tmp_path / "store" / "index.json").read_text())
-    assert rebuilt == index
-
-
-def test_rebuild_index_wraps_a_write_failure(tmp_path):
-    store = SnapshotStore(tmp_path / "store")
-    store.save(snapshot())
-    (tmp_path / "store" / "index.json").unlink()
-    (tmp_path / "store" / "index.json").mkdir()  # the rename onto it fails
-    with pytest.raises(StoreUnwritable, match="cannot write index"):
-        store.rebuild_index()
 
 
 def test_trend_descending_series(tmp_path):
@@ -139,6 +119,60 @@ def test_snapshot_with_missing_keys_is_refused(tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+def test_store_holds_only_the_lock_and_project_directories(tmp_path):
+    root = tmp_path / "store"
+    store = SnapshotStore(root)
+    first = store.save(snapshot())
+    assert sorted(p.name for p in root.iterdir()) == [".lock", "proj"]
+    (root / "index.json").write_text("{not json", encoding="utf-8")  # left by an older store
+    second = store.save(snapshot())
+    assert (root / "index.json").read_text(encoding="utf-8") == "{not json"
+    assert [r["snapshot_id"] for r in store.list_snapshots()] == [first, second]
+
+
+@pytest.mark.parametrize("project_id", ["", ".", "..", "../esc", "a/b", "a\\b"])
+def test_a_project_id_that_is_not_one_directory_name_is_refused(tmp_path, project_id):
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(XmaintError, match="^invalid project id"):
+        store.save(snapshot(project=project_id))
+    with pytest.raises(XmaintError, match="^invalid project id"):
+        store.list_snapshots(project_id)
+    with pytest.raises(XmaintError, match="^invalid project id"):
+        store.trend(project_id, "tdr")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_store_root_that_is_a_file_is_unwritable(tmp_path):
+    (tmp_path / "store").write_text("", encoding="utf-8")
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(StoreUnwritable, match="^cannot create store directory"):
+        store.save(snapshot())
+    assert store.list_snapshots() == []
+
+
+def test_lock_file_that_is_a_directory_is_unwritable(tmp_path):
+    (tmp_path / "store" / ".lock").mkdir(parents=True)
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(StoreUnwritable, match="^cannot lock store"):
+        store.save(snapshot())
+    assert store.list_snapshots() == []
+
+
+def test_failed_snapshot_write_is_unwritable(tmp_path, monkeypatch):
+    # permission bits do not stop a write by root, so the write itself fails
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(snapshots.Path, "write_text", disk_full)
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(StoreUnwritable, match="^cannot write snapshot .*No space left on device"):
+        store.save(snapshot())
+    assert store.list_snapshots() == []
+    fd = _try_lock(tmp_path / "store")
+    assert fd is not None  # the failed writer let the lock go
+    os.close(fd)
+
+
 def test_equal_stamp_and_body_get_a_numbered_suffix(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     fixed = {**snapshot(), "timestamp_utc": FIXED_STAMP}
@@ -146,19 +180,7 @@ def test_equal_stamp_and_body_get_a_numbered_suffix(tmp_path):
     assert ids == ["20240102T030405000006Z-292399e0",
                    "20240102T030405000006Z-292399e0-2",
                    "20240102T030405000006Z-292399e0-3"]
-    assert [r["snapshot_id"] for r in store.load("proj")] == ids
-
-
-@pytest.mark.parametrize("content", ["{not json", "[]", '{"snapshots": [1]}', "\udcff"],
-                         ids=["bad-json", "list", "bad-entry", "not-utf8"])
-def test_unreadable_index_is_rebuilt_on_save(tmp_path, content):
-    store = SnapshotStore(tmp_path / "store")
-    first = store.save(snapshot(tdr=0.1))
-    index_path = tmp_path / "store" / "index.json"
-    index_path.write_text(content, encoding="utf-8", errors="surrogateescape")
-    second = store.save(snapshot(tdr=0.2))
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    assert [e["snapshot_id"] for e in index["snapshots"]] == [first, second]
+    assert [r["snapshot_id"] for r in store.list_snapshots("proj")] == ids
 
 
 def test_unreadable_snapshot_files_are_skipped(tmp_path):
@@ -167,11 +189,8 @@ def test_unreadable_snapshot_files_are_skipped(tmp_path):
     project_dir = tmp_path / "store" / "proj"
     (project_dir / "0-corrupt.json").write_text("{not json", encoding="utf-8")
     (project_dir / "1-directory.json").mkdir()  # reading it raises IsADirectoryError
-    assert [r["snapshot_id"] for r in store.load("proj")] == [saved]
+    assert [r["snapshot_id"] for r in store.list_snapshots("proj")] == [saved]
     assert [r["snapshot_id"] for r in store.list_snapshots()] == [saved]
-    assert store.rebuild_index() == 1
-    index = json.loads((tmp_path / "store" / "index.json").read_text(encoding="utf-8"))
-    assert [e["snapshot_id"] for e in index["snapshots"]] == [saved]
 
 
 @pytest.mark.parametrize("content", [b"{}", b"[]", b"\xff\xfe"],
@@ -180,28 +199,24 @@ def test_snapshot_files_without_a_record_are_skipped(tmp_path, capsys, content):
     store = SnapshotStore(tmp_path / "store")
     saved = store.save(snapshot(tdr=0.1))
     (tmp_path / "store" / "proj" / "0-stray.json").write_bytes(content)
-    assert [r["snapshot_id"] for r in store.load("proj")] == [saved]
+    assert [r["snapshot_id"] for r in store.list_snapshots("proj")] == [saved]
     assert [r["snapshot_id"] for r in store.list_snapshots()] == [saved]
     assert [p.value for p in store.trend("proj", "tdr")] == [0.1]
-    assert store.rebuild_index() == 1
-    (tmp_path / "store" / "index.json").unlink()  # the next save rebuilds it
     second = store.save(snapshot(tdr=0.2))
-    index = json.loads((tmp_path / "store" / "index.json").read_text(encoding="utf-8"))
-    assert [e["snapshot_id"] for e in index["snapshots"]] == [saved, second]
     assert main(["snapshot", "list", "--store", str(tmp_path / "store")]) == 0
     listed = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[1] for line in listed] == [saved, second]
 
 
 def _write_stray_record(store_root, **fields):
-    """A snapshot file with every index key, older than any saved snapshot,
+    """A snapshot file with every record key, older than any saved snapshot,
     with ``fields`` in place of the saved values."""
     record = {**snapshot(), "timestamp_utc": "2000-01-01T00:00:00Z",
               "snapshot_id": "20000101T000000Z-00000000", **fields}
     (store_root / "proj" / "0-stray.json").write_text(json.dumps(record), encoding="utf-8")
 
 
-@pytest.mark.parametrize("key", snapshots._INDEX_KEYS)
+@pytest.mark.parametrize("key", snapshots._RECORD_KEYS)
 def test_snapshot_list_skips_a_record_whose_index_value_is_not_a_string(tmp_path, capsys, key):
     store = SnapshotStore(tmp_path / "store")
     saved = store.save(snapshot())
@@ -258,7 +273,7 @@ def test_lock_left_by_dead_writer_is_taken_over(tmp_path):
             writer.kill()  # leaving the block closes the pipes and reaps it
     store = SnapshotStore(store_root)
     store.save(snapshot())
-    assert len(store.load("proj")) == 1
+    assert len(store.list_snapshots("proj")) == 1
 
 
 def test_lock_held_by_live_writer_times_out(tmp_path, monkeypatch):
@@ -269,7 +284,7 @@ def test_lock_held_by_live_writer_times_out(tmp_path, monkeypatch):
         store = SnapshotStore(tmp_path / "store")
         with pytest.raises(StoreUnwritable):
             store.save(snapshot())
-        assert store.load("proj") == []
+        assert store.list_snapshots("proj") == []
     finally:
         os.close(fd)
 
@@ -281,4 +296,4 @@ def test_leftover_lock_file_naming_a_live_pid_does_not_block(tmp_path, monkeypat
     (tmp_path / "store" / ".lock").write_text(str(os.getppid()))
     store = SnapshotStore(tmp_path / "store")
     store.save(snapshot())
-    assert len(store.load("proj")) == 1
+    assert len(store.list_snapshots("proj")) == 1

@@ -27,6 +27,11 @@ def test_c_empty_params():
     assert units[0].param_count == 0
 
 
+def test_c_comments_between_keyword_name_and_params():
+    _, units, _ = units_of("int /* a */ f /* b */ (/* none */) { }", C_FAMILY)
+    assert [(u.name, u.param_count) for u in units] == [("f", 0)]
+
+
 def test_c_prototype_is_not_a_unit():
     _, units, _ = units_of("int f(int a);\nint g(int b) { return b; }\n", C_FAMILY)
     assert [u.name for u in units] == ["g"]
