@@ -10,10 +10,19 @@ comparability and the same-estimator guard key on.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import os
 from pathlib import Path
+
+# The interpreter's builtin SHA-256 gives the same digests as hashlib's, but
+# hashlib loads OpenSSL's libcrypto, which every run would pay for at start-up.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build that ships neither module
 
 from . import debt_models
 from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
@@ -256,5 +265,10 @@ def config_hash(config: dict, profiles: list[dict], discovery: dict) -> str:
         "profiles": profiles,
         "discovery": discovery,
     }
+    return canonical_digest(payload)
+
+
+def canonical_digest(payload: dict) -> str:
+    """Hex SHA-256 of ``payload`` as compact JSON with sorted keys."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

@@ -34,9 +34,11 @@ repeated window: its tracemalloc peak is about 23 bytes per window on 30
 copies of one file, where every window repeats, and 25 on a sample of the
 standard library, where few do. Each left-maximal pair is extended to its
 full match length by galloping over list-slice comparisons. The cost is
-linear in the number of windows plus the number of pairs emitted; k copies
-of one file still emit C(k, 2) pair blocks, so that is the only remaining
-term quadratic in k.
+linear in the number of windows plus the number of blocks emitted, and two
+terms of that output are quadratic: k copies of one file emit C(k, 2) pair
+blocks, and a periodic run of n tokens inside one file (a table of n equal
+entries, say) is split at its period into about n**2 / 4 blocks, all held
+at once.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
+from itertools import islice
 
 from .analysis import ProjectAnalysis
 from .composite import CompositeScore, SensitivityReport
@@ -183,8 +184,23 @@ def build_report(
     return report
 
 
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The report as ``json.dumps(report, sort_keys=True, indent=2,
+    ensure_ascii=False)`` writes it, plus a newline.
+
+    ``json.dumps`` keeps every small piece the encoder yields, several times
+    the output's size, until one final join. The pieces are joined here 4,096
+    at a time, so encoding holds about twice the output's size at its peak.
+    """
+    pieces = _JSON_ENCODER.iterencode(report)
+    joined = []
+    while batch := list(islice(pieces, 4096)):
+        joined.append("".join(batch))
+    joined.append("\n")
+    return "".join(joined)
 
 
 def _md_table(headers: list[str], rows: list[list]) -> list[str]:

@@ -9,13 +9,13 @@ serializes writers while readers stay lock-free.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import canonical_digest
 from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey, XmaintError
 
 _LOCK_TIMEOUT_S = 10.0
@@ -50,9 +50,7 @@ class SnapshotStore:
             raise StoreUnwritable(f"cannot create store directory {project_dir}: {exc}") from exc
 
         body = {k: v for k, v in snapshot.items() if k != "timestamp_utc"}
-        digest = hashlib.sha256(
-            json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        ).hexdigest()[:8]
+        digest = canonical_digest(body)[:8]
         stamp = snapshot["timestamp_utc"].replace("-", "").replace(":", "").replace(".", "")
         snapshot_id = f"{stamp}-{digest}"
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from test_acceptance import _mixed_corpus
 from xmaint import analysis
 from xmaint.analysis import discover_files
 from xmaint.cli import build_parser, main
+from xmaint.report import render_json
 
 C_FILE = """\
 /* fixture */
@@ -403,13 +405,14 @@ def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key)
     assert "Traceback" not in err
 
 
+# a change here makes every stored snapshot incomparable: change it on purpose only
+DEFAULT_CONFIG_HASH = "ac8b504d5cecb2251f3900b8c4820d371a16de49436c2b5935329127dd8efc77"
+
+
 def test_default_config_hash_is_pinned(corpus, capsys, monkeypatch):
-    # a change here makes every stored snapshot incomparable: change it on purpose only
     monkeypatch.delenv("XMAINT_CONFIG", raising=False)
     _, out, _ = run(capsys, "analyze", str(corpus))
-    assert json.loads(out)["config_hash"] == (
-        "ac8b504d5cecb2251f3900b8c4820d371a16de49436c2b5935329127dd8efc77"
-    )
+    assert json.loads(out)["config_hash"] == DEFAULT_CONFIG_HASH
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -946,3 +949,33 @@ def test_every_option_is_read_by_its_handler(argv, tmp_path, capsys):
     assert args.func(args) == 0
     dests = {a.dest for a in _leaf_parser(parser, argv)._actions if a.default != argparse.SUPPRESS}
     assert dests - args._reads == set()
+
+
+def _dumps(report):
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_render_json_writes_what_json_dumps_writes():
+    report = {
+        "zeta": "ünïcødé → 漢字 \u2028 \"quoted\" \\ tab\t",
+        "alpha": {"empty_list": [], "empty_dict": {}, "floats": [0.1, 1e-07, 2.5e+16, -0.0, 1.0]},
+        "units": [{"name": f"f{i}", "ratio": i / 3, "none": None, "ok": i % 2 == 0} for i in range(3000)],
+        "": [[], [{}], [[1, 2], "é"]],
+    }
+    assert render_json(report) == _dumps(report)
+    assert render_json({}) == _dumps({}) == "{}\n"
+
+
+def test_render_json_holds_about_twice_its_output():
+    # json.dumps holds several times its output while it encodes
+    report = {"units": [{"name": f"module/fn_{i}", "loc": i, "ratio": i / 7, "tags": []}
+                        for i in range(15000)]}
+    tracemalloc.start()
+    try:
+        text = render_json(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) >= 1_000_000
+    assert text == _dumps(report)
+    assert peak <= 2.5 * len(text)

@@ -81,6 +81,16 @@ def test_exact_case_sensitive_row_keys_code_tokens_by_their_own_text():
     assert normalized.ids == [ids[(t.kind, t.text)] for t in code]
 
 
+def test_clone_rows_equal_by_their_columns_and_never_equal_another_type():
+    ids, lines = [1, 2, 3], array("i", [1, 1, 2])
+    row = duplication.CloneRow(ids, lines, lines)
+    assert row == duplication.CloneRow(list(ids), array("i", lines), array("i", lines))
+    assert row != duplication.CloneRow(ids, lines, array("i", [1, 2, 2]))
+    assert row.__eq__(object()) is NotImplemented
+    assert (row == object()) is False
+    assert (row == (ids, lines, lines)) is False
+
+
 @pytest.mark.parametrize("profile, equal", [(COBOL_LIKE, True), (C_FAMILY, False)])
 def test_case_insensitive_profile_compares_upper_cased(profile, equal):
     ids = token_ids()

@@ -59,6 +59,12 @@ def test_round_trip_preserves_fields(tmp_path):
         assert record[key] == value
 
 
+def test_snapshot_id_is_pinned(tmp_path):
+    # the stamp, then SHA-256 of the other fields as compact sorted JSON
+    original = dict(snapshot(label="før"), timestamp_utc="2026-01-02T03:04:05.678901Z")
+    assert SnapshotStore(tmp_path / "store").save(original) == "20260102T030405678901Z-b923a90d"
+
+
 def test_append_only(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     seen = set()

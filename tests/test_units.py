@@ -1,3 +1,5 @@
+import pytest
+
 from xmaint.lexing import tokenize
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
 from xmaint.units import extract_units
@@ -115,6 +117,12 @@ def test_python_header_colon_search_gives_up_at_semicolon():
     _, units, diagnostics = units_of("def f(a); x = 1\ndef g(b):\n    return b\n", PYTHON)
     assert [(u.name, u.start_line, u.end_line) for u in units] == [("g", 2, 3)]
     assert diagnostics == []
+
+
+@pytest.mark.parametrize("src", ["def (x):\n    return x\n", "x = 1\ndef", "def\n"])
+def test_python_def_without_a_name_is_skipped_silently(src):
+    _, units, diagnostics = units_of(src, PYTHON)
+    assert units == [] and diagnostics == []
 
 
 def test_python_header_colon_is_looked_for_two_lines_past_the_paren():
