@@ -165,7 +165,6 @@ def unit_metrics(
     unit: Unit,
     file_tokens: TokenStream,
     file_lines: LineClassification,
-    profile: LanguageProfile,
     inner_units: Sequence[Unit] = (),
     masked_ranges: Sequence[tuple[int, int]] = (),
     *,
@@ -199,7 +198,7 @@ def file_unit_metrics(
     classes = id_classes(file_tokens, profile)
     return [
         unit_metrics(
-            unit, file_tokens, file_lines, profile,
+            unit, file_tokens, file_lines,
             [units[j] for j in inner_after_start(ranges, i, contained)],
             [ranges[j] for j in inner_not_identical(ranges, i, contained)],
             classes=classes,

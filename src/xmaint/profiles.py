@@ -144,8 +144,6 @@ class FoldedTokens(NamedTuple):
     decisions: frozenset[str]
     operators: frozenset[str]
     keywords: frozenset[str]
-    nesting_opens: frozenset[str]
-    nesting_closes: frozenset[str]
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +154,6 @@ def folded_tokens(profile: LanguageProfile) -> FoldedTokens:
         decisions=frozenset(map(fold, profile.decision_tokens)),
         operators=frozenset(map(fold, profile.operator_tokens)),
         keywords=frozenset(map(fold, profile.keywords)),
-        nesting_opens=frozenset(fold(o) for o, _ in profile.nesting_keywords),
-        nesting_closes=frozenset(fold(c) for _, c in profile.nesting_keywords),
     )
 
 

@@ -16,6 +16,8 @@ from itertools import islice
 from .analysis import ProjectAnalysis
 from .composite import CompositeScore, SensitivityReport
 
+MAX_BLOCKS = 50  # clone blocks listed per project; the duplication ratios count all of them
+
 
 def _r4(value):
     return None if value is None else round(float(value), 4)
@@ -29,7 +31,7 @@ def _minutes(value):
     return None if value is None else int(round(float(value)))
 
 
-def project_block(pa: ProjectAnalysis, max_blocks: int = 50) -> dict:
+def project_block(pa: ProjectAnalysis) -> dict:
     violation_counts = Counter(v.rule_id for v in pa.violations)
     blocks = [
         {
@@ -41,7 +43,7 @@ def project_block(pa: ProjectAnalysis, max_blocks: int = 50) -> dict:
             "length_lines_a": b.length_lines_a,
             "length_lines_b": b.length_lines_b,
         }
-        for b in pa.duplication.blocks[:max_blocks]
+        for b in pa.duplication.blocks[:MAX_BLOCKS]
     ]
     return {
         "project_id": pa.project_id,

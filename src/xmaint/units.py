@@ -1,15 +1,17 @@
 """Unit (function / paragraph) extraction from token streams.
 
-Three detection modes driven by profile data:
+One scanner reads every unit header the same way: a unit keyword, a name
+and an optional parenthesized parameter list. The profile's detection mode
+only chooses the body rule that ends the unit:
 
-* brace-block:  a unit keyword, a name, a parenthesized parameter list,
-                then a balanced ``{ ... }`` body (C / Java / C# shape);
-* indent-block: a unit keyword header ending in ``:``, body = maximal
-                following block of deeper indentation (Python shape);
-* keyword-pair: a unit keyword and name, body closed by a configured
-                end keyword (COBOL-like paragraph shape).
+* brace-block:  the parameter list, then a balanced ``{ ... }`` body
+                (C / Java / C# shape);
+* indent-block: the parameter list, then a header ending in ``:``, body =
+                maximal following block of deeper indentation (Python shape);
+* keyword-pair: a body closed by a configured end keyword (COBOL-like
+                paragraph shape).
 
-The scanners read a file's ``TokenStream`` columns. Unit keywords, names
+The scanner reads a file's ``TokenStream`` columns. Unit keywords, names
 and comments are tested as sets of local ids built once per file, and
 brackets are matched in one pass over the positions of bracket and comma
 ids only. ``token_range`` is a ``[start, end)`` range of token positions.
@@ -160,13 +162,7 @@ def extract_units(
     tokens: TokenStream, profile: LanguageProfile, file: str | None = None
 ) -> tuple[list[Unit], list[Diagnostic]]:
     """Find all units in one file's token stream; recovery never aborts."""
-    if profile.unit_detection == BRACE_BLOCK:
-        raw, diagnostics = _extract_brace(tokens, profile, file)
-    elif profile.unit_detection == INDENT_BLOCK:
-        raw, diagnostics = _extract_indent(tokens, profile, file)
-    else:
-        raw, diagnostics = _extract_keyword_pair(tokens, profile, file)
-
+    raw, diagnostics = _scan_units(tokens, profile, file)
     ranges = [entry["token_range"] for entry in raw]
     nesting = _nesting_steps(tokens, profile) if raw else None
     units = []
@@ -189,15 +185,28 @@ def extract_units(
     return units, diagnostics
 
 
-def _extract_brace(tokens, profile, file):
+def _scan_units(tokens, profile, file):
+    """Raw unit entries and diagnostics: one header walk, one body rule per mode.
+
+    Every mode reads a header as unit keyword, name and optional ``(...)``
+    parameter list. Brace and indent units need that list; a keyword-pair
+    unit counts an absent or unclosed one as zero parameters. The body rule
+    then finds where the unit ends. A unit keyword before ``resume`` lies in
+    a header already read or inside an extracted keyword-pair unit.
+    """
     ids, keys, lines, end_lines = tokens.ids, tokens.keys, tokens.lines, tokens.end_lines
+    mode = profile.unit_detection
     comments = _kind_ids(keys, COMMENT)
     identifiers = _kind_ids(keys, IDENTIFIER)
     params, bodies = _bracket_partners(tokens)
+    if mode == INDENT_BLOCK:
+        first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
+    elif mode == KEYWORD_PAIR:
+        ends = _positions(ids, _keyword_ids(keys, profile, profile.unit_end_keywords))
     raw = []
     diagnostics = []
     n = len(ids)
-    resume = 0  # unit keywords before it were skipped over
+    resume = 0
     for i in _positions(ids, _keyword_ids(keys, profile, profile.unit_keywords)):
         if i < resume:
             continue
@@ -206,41 +215,99 @@ def _extract_brace(tokens, profile, file):
             continue
         name = keys[ids[name_idx]][1]
         paren_idx = _next_code(ids, comments, name_idx + 1)
-        if paren_idx >= n or keys[ids[paren_idx]][1] != "(":
+        has_paren = paren_idx < n and keys[ids[paren_idx]][1] == "("
+        matched = params.get(paren_idx) if has_paren else None
+        if matched is not None:
+            close_paren, commas = matched
+            param_count = _param_count(ids, comments, paren_idx, close_paren, commas)
+        elif mode == KEYWORD_PAIR:
+            param_count = 0
+        else:
+            if has_paren:
+                diagnostics.append(Diagnostic(
+                    code="unbalanced-delimiters",
+                    message=f"unclosed parameter list for '{name}'",
+                    file=file, line=lines[paren_idx]))
+                resume = paren_idx + 1
             continue
-        matched = params.get(paren_idx)
-        if matched is None:
-            diagnostics.append(Diagnostic(
-                code="unbalanced-delimiters",
-                message=f"unclosed parameter list for '{name}'",
-                file=file, line=lines[paren_idx]))
-            resume = paren_idx + 1
-            continue
-        close_paren, commas = matched
-        # Skip trailing signature tokens (const, throws X, ...) up to body or ';'.
-        j = _next_code(ids, comments, close_paren + 1)
-        while j < n and keys[ids[j]][1] not in ("{", ";") and keys[ids[j]][0] in (IDENTIFIER, KEYWORD, COMMENT):
-            j = _next_code(ids, comments, j + 1)
-        if j >= n or keys[ids[j]][1] != "{":
-            resume = close_paren + 1  # declaration or mismatch, keep scanning
-            continue
-        body = bodies.get(j)
-        if body is None:
-            diagnostics.append(Diagnostic(
-                code="unbalanced-delimiters",
-                message=f"unclosed body for '{name}'",
-                file=file, line=lines[j]))
-            resume = j + 1
-            continue
-        raw.append({
-            "name": name,
-            "start_line": lines[i],
-            "end_line": end_lines[body],
-            "param_count": _param_count(ids, comments, paren_idx, close_paren, commas),
-            "token_range": (i, body + 1),
-            "body_range": (j + 1, body),
-        })
-        resume = j + 1  # scan inside the body for nested units
+
+        if mode == BRACE_BLOCK:
+            # Skip trailing signature tokens (const, throws X, ...) up to body or ';'.
+            j = _next_code(ids, comments, close_paren + 1)
+            while j < n and keys[ids[j]][1] not in ("{", ";") and keys[ids[j]][0] in (IDENTIFIER, KEYWORD, COMMENT):
+                j = _next_code(ids, comments, j + 1)
+            if j >= n or keys[ids[j]][1] != "{":
+                resume = close_paren + 1  # declaration or mismatch, keep scanning
+                continue
+            body = bodies.get(j)
+            resume = j + 1  # scan inside the body for nested units
+            if body is None:
+                diagnostics.append(Diagnostic(
+                    code="unbalanced-delimiters",
+                    message=f"unclosed body for '{name}'",
+                    file=file, line=lines[j]))
+                continue
+            entry = {
+                "end_line": end_lines[body],
+                "token_range": (i, body + 1),
+                "body_range": (j + 1, body),
+            }
+        elif mode == INDENT_BLOCK:
+            colon_idx = _next_code(ids, comments, close_paren + 1)
+            while colon_idx < n and keys[ids[colon_idx]][1] != ":":
+                if keys[ids[colon_idx]][1] == ";" or lines[colon_idx] > end_lines[close_paren] + 2:
+                    colon_idx = n
+                    break
+                colon_idx = _next_code(ids, comments, colon_idx + 1)
+            if colon_idx >= n:
+                continue
+            header_line = lines[i]
+            header_col = first_col[header_line]
+            header_end_line = end_lines[colon_idx]
+
+            end_line = header_end_line  # inline bodies keep the unit on the header line
+            line = header_end_line + 1
+            while line <= max_line:
+                if line in continuation:
+                    if line in code_lines:
+                        end_line = line
+                    line += 1
+                    continue
+                col = first_code_col.get(line)
+                if col is None:
+                    line += 1  # blank or comment-only line: block may continue below
+                    continue
+                if col > header_col:
+                    end_line = line
+                    line += 1
+                    continue
+                break
+
+            start_idx = i
+            while start_idx > 0 and lines[start_idx - 1] == header_line:
+                start_idx -= 1  # pull in 'async' etc. on the header line
+            entry = {
+                "end_line": end_line,
+                "token_range": (start_idx, bisect_right(lines, end_line, i)),
+                "header_end_line": header_end_line,
+                "continuation": continuation,
+            }
+        else:
+            k = bisect_left(ends, name_idx + 1)
+            if k == len(ends):
+                diagnostics.append(Diagnostic(
+                    code="unbalanced-delimiters",
+                    message=f"missing end keyword for '{name}'",
+                    file=file, line=lines[i]))
+                continue
+            close_idx = ends[k]
+            resume = close_idx + 1
+            entry = {
+                "end_line": end_lines[close_idx],
+                "token_range": (i, close_idx + 1),
+                "body_range": (name_idx + 1, close_idx),
+            }
+        raw.append({"name": name, "start_line": lines[i], "param_count": param_count, **entry})
     return raw, diagnostics
 
 
@@ -286,122 +353,6 @@ def _line_table(tokens):
             depth = max(0, depth + facts[2])
     max_line = tokens.end_lines[-1] if len(tokens) else 0  # end lines never decrease either
     return first_col, first_code_col, code_lines, continuation, max_line
-
-
-def _extract_indent(tokens, profile, file):
-    ids, keys, lines, end_lines = tokens.ids, tokens.keys, tokens.lines, tokens.end_lines
-    comments = _kind_ids(keys, COMMENT)
-    identifiers = _kind_ids(keys, IDENTIFIER)
-    first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
-    params, _ = _bracket_partners(tokens)
-    raw = []
-    diagnostics = []
-    n = len(ids)
-    for i in _positions(ids, _keyword_ids(keys, profile, profile.unit_keywords)):
-        header_line = lines[i]
-        header_col = first_col.get(header_line, tokens.columns[i])
-        name_idx = _next_code(ids, comments, i + 1)
-        if name_idx >= n or ids[name_idx] not in identifiers:
-            continue
-        name = keys[ids[name_idx]][1]
-        paren_idx = _next_code(ids, comments, name_idx + 1)
-        if paren_idx >= n or keys[ids[paren_idx]][1] != "(":
-            continue
-        matched = params.get(paren_idx)
-        if matched is None:
-            diagnostics.append(Diagnostic(
-                code="unbalanced-delimiters",
-                message=f"unclosed parameter list for '{name}'",
-                file=file, line=lines[paren_idx]))
-            continue
-        close_paren, commas = matched
-        colon_idx = _next_code(ids, comments, close_paren + 1)
-        while colon_idx < n and keys[ids[colon_idx]][1] != ":":
-            if keys[ids[colon_idx]][1] == ";" or lines[colon_idx] > end_lines[close_paren] + 2:
-                colon_idx = n
-                break
-            colon_idx = _next_code(ids, comments, colon_idx + 1)
-        if colon_idx >= n:
-            continue
-        header_end_line = end_lines[colon_idx]
-
-        end_line = header_end_line  # inline bodies keep the unit on the header line
-        line = header_end_line + 1
-        while line <= max_line:
-            if line in continuation:
-                if line in code_lines:
-                    end_line = line
-                line += 1
-                continue
-            col = first_code_col.get(line)
-            if col is None:
-                line += 1  # blank or comment-only line: block may continue below
-                continue
-            if col > header_col:
-                end_line = line
-                line += 1
-                continue
-            break
-
-        start_idx = i
-        while start_idx > 0 and lines[start_idx - 1] == header_line:
-            start_idx -= 1  # pull in 'async' etc. on the header line
-        end_idx = bisect_right(lines, end_line, i)
-        raw.append({
-            "name": name,
-            "start_line": header_line,
-            "end_line": end_line,
-            "param_count": _param_count(ids, comments, paren_idx, close_paren, commas),
-            "token_range": (start_idx, end_idx),
-            "header_end_line": header_end_line,
-            "header_col": header_col,
-            "continuation": continuation,
-        })
-    return raw, diagnostics
-
-
-def _extract_keyword_pair(tokens, profile, file):
-    ids, keys, lines, end_lines = tokens.ids, tokens.keys, tokens.lines, tokens.end_lines
-    comments = _kind_ids(keys, COMMENT)
-    identifiers = _kind_ids(keys, IDENTIFIER)
-    params, _ = _bracket_partners(tokens)
-    ends = _positions(ids, _keyword_ids(keys, profile, profile.unit_end_keywords))
-    raw = []
-    diagnostics = []
-    n = len(ids)
-    resume = 0  # unit keywords before it lie inside an extracted unit
-    for i in _positions(ids, _keyword_ids(keys, profile, profile.unit_keywords)):
-        if i < resume:
-            continue
-        name_idx = _next_code(ids, comments, i + 1)
-        if name_idx >= n or ids[name_idx] not in identifiers:
-            continue
-        name = keys[ids[name_idx]][1]
-        param_count = 0
-        after = _next_code(ids, comments, name_idx + 1)
-        if after < n and keys[ids[after]][1] == "(":
-            matched = params.get(after)
-            if matched is not None:
-                close_paren, commas = matched
-                param_count = _param_count(ids, comments, after, close_paren, commas)
-        k = bisect_left(ends, name_idx + 1)
-        if k == len(ends):
-            diagnostics.append(Diagnostic(
-                code="unbalanced-delimiters",
-                message=f"missing end keyword for '{name}'",
-                file=file, line=lines[i]))
-            continue
-        close_idx = ends[k]
-        raw.append({
-            "name": name,
-            "start_line": lines[i],
-            "end_line": end_lines[close_idx],
-            "param_count": param_count,
-            "token_range": (i, close_idx + 1),
-            "body_range": (name_idx + 1, close_idx),
-        })
-        resume = close_idx + 1
-    return raw, diagnostics
 
 
 def _nesting_steps(tokens, profile):

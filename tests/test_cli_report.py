@@ -442,6 +442,35 @@ def test_report_digest_is_pinned(tmp_path, capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(strip_generated(out).encode()).hexdigest() == digest
 
 
+def strip_paths(text):
+    """The canonical JSON report without generated_at and the fields naming
+    the machine's paths: each project's root and the path flags."""
+    data = json.loads(text)
+    data.pop("generated_at")
+    for project in data["projects"]:
+        project.pop("root")
+    flags = data["effective_config"]["flags"]
+    flags.pop("path", None)
+    flags.pop("paths", None)
+    return json.dumps(data, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("compare", str(FIXTURES / "parity" / "py"), str(FIXTURES / "parity" / "cfam"), "--sensitivity"),
+     "dea606534792e74b9d334e4161271258bf6a48bb934e0683181a1268ea7a695e"),
+    (("analyze", "mixed"), "c58b28b5e2bf8738e983d34eceb32e95c7dbe2dcfeda84096c0610e6f5dcdb00"),
+], ids=["parity-py-cfam-sensitivity", "mixed-1200-all-modes"])
+def test_golden_report_digest_without_paths(tmp_path, capsys, monkeypatch, argv, digest):
+    # the same reports from any checkout location; the mixed corpus runs
+    # all three unit detection modes
+    monkeypatch.delenv("XMAINT_CONFIG", raising=False)
+    _mixed_corpus(tmp_path / "mixed", lines_target=1200)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(strip_paths(out).encode()).hexdigest() == digest
+
+
 # --- discovery ---
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from xmaint.errors import Diagnostic
 from xmaint.lexing import tokenize
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
 from xmaint.units import extract_units
@@ -184,6 +185,36 @@ def test_cobol_missing_end_keyword_reports_and_continues():
     _, units, diagnostics = units_of(src, COBOL_LIKE)
     assert units == []
     assert [d.code for d in diagnostics] == ["unbalanced-delimiters"]
+
+
+@pytest.mark.parametrize("src, profile, units_found, message, line", [
+    (
+        "int a;\nint f(int a,\n  int b {\n}\nint g(int b) { return b; }\n", C_FAMILY,
+        [("g", 5, 5, 1)], "unclosed parameter list for 'f'", 2,
+    ),
+    (
+        "int broken(int a)\n{\n  if (a) {\nint fine(int b) { return b; }\n", C_FAMILY,
+        [("fine", 4, 4, 1)], "unclosed body for 'broken'", 2,
+    ),
+    (
+        "x = 1\ndef f(a,\n    b:\n    pass\ndef g(x):\n    return x\n", PYTHON,
+        [("g", 5, 6, 1)], "unclosed parameter list for 'f'", 2,
+    ),
+    (
+        "PARAGRAPH A-1.\n    MOVE A TO B.\nEND-PARAGRAPH.\n\nPARAGRAPH B-2.\n    MOVE B TO C.\n",
+        COBOL_LIKE, [("A-1", 1, 3, 0)], "missing end keyword for 'B-2'", 5,
+    ),
+], ids=["brace-params", "brace-body", "indent-params", "keyword-pair-end"])
+def test_unbalanced_delimiter_diagnostics(src, profile, units_found, message, line):
+    _, units, diagnostics = units_of(src, profile)
+    assert [(u.name, u.start_line, u.end_line, u.param_count) for u in units] == units_found
+    assert diagnostics == [Diagnostic("unbalanced-delimiters", message, "f", line)]
+
+
+def test_cobol_unclosed_parameter_list_counts_zero_without_diagnostic():
+    _, units, diagnostics = units_of("PARAGRAPH P (A.\nEND-PARAGRAPH.\n", COBOL_LIKE)
+    assert [(u.name, u.start_line, u.end_line, u.param_count) for u in units] == [("P", 1, 2, 0)]
+    assert diagnostics == []
 
 
 def test_cross_profile_unit_parity(parity_roots):
