@@ -1,11 +1,28 @@
 """End-to-end project analysis: discovery, lexing, metrics, clones, rules, models.
 
-Files are analyzed one after another in one loop. The per-file results are
-sorted by relative path before any project-level stage, so every report
-depends on the file set alone, never on discovery order.
+The per-file stage (read, tokenize, classify lines, extract units, unit
+metrics, normalize) runs in one loop, or, when the source holds at least
+two shares of ``_MIN_SHARE_BYTES``, on up to one core per share: the files
+are split into shares of near-equal size, the largest file first, each to
+the lightest share. One forked worker per share after the first analyzes
+its files and pickles each result back through a pipe, while this process
+analyzes the first share. The clone rows of a share get their ids from the
+share's own table. The merge then walks the files in discovery order and
+gives each row's ids project ids in the order they first occur in it,
+which is the order the one loop hands them out, so the reports are the
+same bytes either way. The loop runs whenever ``os.fork`` is missing, the
+process may use one core, or another thread is alive, since a forked child
+holds only the thread that forked it.
+
+The per-file results are sorted by relative path before any project-level
+stage, so every report depends on the file set alone, never on discovery
+order.
 """
 
 import fnmatch
+import os
+import sys
+from array import array
 from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
@@ -13,8 +30,8 @@ from typing import NamedTuple
 from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
 from .debt_models import MiResult, SigResult, TdrResult
-from .errors import Diagnostic, EmptyProject, UnknownLanguage, ZeroProductionEffort
-from .lexing import LineClassification, TokenStream, classify_lines, physical_line_count, tokenize
+from .errors import Diagnostic, EmptyProject, UnknownLanguage, XmaintError, ZeroProductionEffort
+from .lexing import LineCounts, TokenStream, classify_lines, physical_line_count, tokenize
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
 from .rules import RuleSet, Violation
@@ -25,11 +42,18 @@ DEFAULT_EXCLUDES = (
     "target", ".venv", "venv", ".idea", ".vscode", ".tox", ".eggs",
 )
 
+# The per-file stage uses one process per this many bytes of source, up to
+# the process's cores. On a 2-core machine two workers and one loop were
+# even up to 128 KiB of source and two gained from 192 KiB (CHANGES.md logs
+# the series); two shares of this, 512 KiB, keep a small gain from turning
+# into a loss when the second core is busy.
+_MIN_SHARE_BYTES = 256 * 1024
+
 
 class FileAnalysis(NamedTuple):
     path: str  # POSIX-style path relative to the project root
     profile_id: str
-    lines: LineClassification
+    lines: LineCounts
     unit_metrics: tuple[UnitMetrics, ...]
     diagnostics: tuple[Diagnostic, ...]
     clone_row: duplication.CloneRow
@@ -149,8 +173,8 @@ def analyze_file(
     file_scope: bool = False,
 ) -> FileAnalysis:
     """Everything the project stages need of one file; its tokens are dropped
-    on return. The clone row's ids come from ``ids``, the project's table (a
-    fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
+    on return. The clone row's ids come from ``ids``, the project's table
+    or a worker share's (a fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
     and McCabe count for file-level MI."""
     tokens = TokenStream()
     unit_metrics = ()
@@ -171,7 +195,7 @@ def analyze_file(
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,
-        lines=lines,
+        lines=lines.counts(),  # the per-line classes were read by the unit metrics
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
         clone_row=duplication.normalize_tokens(
@@ -180,6 +204,167 @@ def analyze_file(
         halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
         cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
     )
+
+
+def _analyze_files(
+    found: list[tuple[Path, str, LanguageProfile]], dup_mode: str, file_scope: bool
+) -> list[FileAnalysis]:
+    """``analyze_file`` for every discovered file, in discovery order, with
+    clone row ids from one project table: in one loop, or in forked workers
+    when ``_worker_count`` allows more than one. The rows keep their ids;
+    the table, and the texts behind its keys, go on return."""
+    workers, sizes, cpus = _worker_count(found)
+    if workers < 2:
+        ids = duplication.token_ids()
+        return [analyze_file(*item, dup_mode, ids, file_scope) for item in found]
+    shares = _balanced_shares(sizes, workers)
+    results = _analyze_shares(found, shares, cpus, dup_mode, file_scope)
+    ids = duplication.token_ids()
+    for index, (fa, keys) in enumerate(results):
+        # the row's share ids in the order they first occur in it, given
+        # project ids in that order, as normalize_tokens gives them
+        row = fa.clone_row
+        project = {local: ids[keys[local]] for local in dict.fromkeys(row.ids)}
+        row.ids = list(map(project.__getitem__, row.ids))
+        results[index] = fa
+    return results
+
+
+def _worker_count(
+    found: list[tuple[Path, str, LanguageProfile]],
+) -> tuple[int, list[int], list[int]]:
+    """How many processes the per-file stage should use and, when that is
+    more than one, the files' sizes in bytes and the CPUs this process may
+    run on."""
+    threading = sys.modules.get("threading")  # not imported just to ask
+    if not hasattr(os, "fork") or len(found) < 2 or (
+        threading is not None and threading.active_count() > 1
+    ):
+        return 1, [], []
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = list(range(os.cpu_count() or 1))
+    if len(cpus) < 2:
+        return 1, [], []
+    sizes = []
+    for path, _, _ in found:
+        try:
+            sizes.append(path.stat().st_size)
+        except OSError:
+            sizes.append(0)  # analyze_file reports it
+    return min(len(cpus), len(found), sum(sizes) // _MIN_SHARE_BYTES), sizes, cpus
+
+
+def _start_on(cpu: int, cpus: list[int]) -> None:
+    """Move this process to ``cpu``, then let it run on any of ``cpus``
+    again. A kernel that does not balance load across CPUs (a cpuset with
+    ``sched_load_balance`` off) leaves a forked worker on its parent's CPU
+    for good; one that does may still move it later."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        return  # the CPU has left the set since it was read
+    os.sched_setaffinity(0, cpus)
+
+
+def _balanced_shares(sizes: list[int], count: int) -> list[list[int]]:
+    """File indices split into ``count`` shares of near-equal total size:
+    the largest file first, each to the share that is lightest so far."""
+    shares = [[] for _ in range(count)]
+    loads = [0] * count
+    for index in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+        lightest = loads.index(min(loads))
+        shares[lightest].append(index)
+        loads[lightest] += sizes[index]
+    return shares
+
+
+def _analyze_shares(found, shares, cpus, dup_mode, file_scope) -> list[tuple[FileAnalysis, list]]:
+    """(analysis, key list) of every file, in discovery order: this process
+    analyzes ``shares[0]`` and one forked worker each later share, each
+    started on its own CPU of ``cpus``. A file's clone row holds ids from
+    its share's own table, whose keys the list gives in id order. A
+    worker's exception is raised here; a worker that exits without a result,
+    killed for memory say, is an XmaintError. No worker or pipe outlives
+    the call.
+    """
+    import pickle
+    import signal
+
+    def analyze_share(share):
+        table = duplication.token_ids()
+        analyses = [(index, analyze_file(*found[index], dup_mode, table, file_scope))
+                    for index in share]
+        return analyses, list(table)
+
+    results = [None] * len(found)
+    workers = {}  # pid -> the read end of its pipe
+    _start_on(cpus[0], cpus)
+    try:
+        for worker, share in enumerate(shares[1:], 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the worker: never returns into the caller's code
+                status = 1
+                try:
+                    os.close(read_fd)
+                    _start_on(cpus[worker], cpus)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        try:
+                            analyses, keys = analyze_share(share)
+                        except BaseException as exc:  # raised again by the parent
+                            pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+                        else:
+                            # one pickle per file keeps each load's memo
+                            # small; an array sends 4 bytes an id and makes
+                            # no int object per id on the other side
+                            for index, fa in analyses:
+                                fa.clone_row.ids = array("i", fa.clone_row.ids)
+                                pickle.dump((index, fa), pipe, pickle.HIGHEST_PROTOCOL)
+                            pickle.dump(keys, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            workers[pid] = os.fdopen(read_fd, "rb")
+        analyses, keys = analyze_share(shares[0])
+        for index, fa in analyses:
+            results[index] = fa, keys
+        for pid, pipe in list(workers.items()):
+            analyses = []  # (index, analysis) pickles, then the key list
+            with pipe:
+                try:
+                    last = pickle.load(pipe)
+                    while isinstance(last, tuple):
+                        analyses.append(last)
+                        last = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    last = None
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if isinstance(last, BaseException):
+                raise last
+            if not isinstance(last, list):
+                raise XmaintError(
+                    f"per-file worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without its result"
+                )
+            for index, fa in analyses:
+                results[index] = fa, last
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _file_level_means(files: list[FileAnalysis]):
@@ -294,10 +479,8 @@ def analyze_project(
         raise EmptyProject(f"no analyzable files under {root}")
 
     dup_cfg = config["duplication"]
-    ids = duplication.token_ids()
     file_scope = config["models"]["mi"]["scope"] == "file"
-    files = [analyze_file(*item, dup_cfg["mode"], ids, file_scope) for item in found]
-    del ids  # the rows keep their ids; the texts behind them can go
+    files = _analyze_files(found, dup_cfg["mode"], file_scope)
     files.sort(key=lambda fa: fa.path)
 
     diagnostics = [d for fa in files for d in fa.diagnostics]

@@ -164,6 +164,28 @@ def test_lock_file_that_is_a_directory_is_unwritable(tmp_path):
     assert store.list_snapshots() == []
 
 
+def test_failed_flock_ends_snapshot_save_and_closes_the_lock(tmp_path, monkeypatch, capsys):
+    # a kernel without lock support refuses flock with ENOLCK
+    locked = []
+
+    def no_locks(fd, operation):
+        locked.append(fd)
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(fcntl, "flock", no_locks)
+    (tmp_path / "proj").mkdir()
+    (tmp_path / "proj" / "a.py").write_text("def f(x):\n    return x\n", encoding="utf-8")
+    code = main(["snapshot", "save", str(tmp_path / "proj"), "--store", str(tmp_path / "store")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot lock store: ") and "No locks available" in err
+    (fd,) = locked
+    with pytest.raises(OSError) as closed:
+        os.fstat(fd)
+    assert closed.value.errno == errno.EBADF
+    assert SnapshotStore(tmp_path / "store").list_snapshots() == []
+
+
 def test_failed_snapshot_write_is_unwritable(tmp_path, monkeypatch):
     # permission bits do not stop a write by root, so the write itself fails
     def disk_full(*args, **kwargs):

@@ -39,7 +39,8 @@ print(json.dumps({"loaded_after_import": loaded, "hashing": [hashing, hashing_af
                   "store_class": store_class, "codes": codes}))
 """
 
-_NOT_AT_START = ("dataclasses", "inspect", "csv", "datetime", "xmaint.snapshots")
+# pickle serves only the forked workers of a large per-file stage
+_NOT_AT_START = ("dataclasses", "inspect", "csv", "datetime", "xmaint.snapshots", "pickle")
 
 
 def _child_env():
