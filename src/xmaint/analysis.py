@@ -31,7 +31,7 @@ from . import debt_models, duplication, metrics, rules
 from .composite import ProjectIndicators
 from .debt_models import MiResult, SigResult, TdrResult
 from .errors import Diagnostic, EmptyProject, UnknownLanguage, XmaintError, ZeroProductionEffort
-from .lexing import LineCounts, TokenStream, classify_lines, physical_line_count, tokenize
+from .lexing import LineClassification, TokenStream, classify_lines, physical_line_count, tokenize
 from .metrics import ProjectMetrics, UnitMetrics
 from .profiles import LanguageProfile, ProfileRegistry, detect_profile
 from .rules import RuleSet, Violation
@@ -43,17 +43,17 @@ DEFAULT_EXCLUDES = (
 )
 
 # The per-file stage uses one process per this many bytes of source, up to
-# the process's cores. On a 2-core machine two workers and one loop were
-# even up to 128 KiB of source and two gained from 192 KiB (CHANGES.md logs
-# the series); two shares of this, 512 KiB, keep a small gain from turning
-# into a loss when the second core is busy.
-_MIN_SHARE_BYTES = 256 * 1024
+# the process's cores. Two shares, 224 KiB, is where two processes began to
+# gain clearly over one loop in a break-even series on stdlib prefixes
+# (CHANGES.md logs it): below it their median time was 0.93 to 1.02 of the
+# loop's, from it up 0.82 to 0.89 at all but one size.
+_MIN_SHARE_BYTES = 112 * 1024
 
 
 class FileAnalysis(NamedTuple):
     path: str  # POSIX-style path relative to the project root
     profile_id: str
-    lines: LineCounts
+    lines: LineClassification  # counts only: the per-line classes are dropped
     unit_metrics: tuple[UnitMetrics, ...]
     diagnostics: tuple[Diagnostic, ...]
     clone_row: duplication.CloneRow
@@ -174,8 +174,8 @@ def analyze_file(
 ) -> FileAnalysis:
     """Everything the project stages need of one file; its tokens are dropped
     on return. The clone row's ids come from ``ids``, the project's table
-    or a worker share's (a fresh one when omitted). ``file_scope`` keeps the file's Halstead volume
-    and McCabe count for file-level MI."""
+    or a worker share's (a fresh one when omitted). ``file_scope`` keeps the
+    file's Halstead volume and McCabe count for file-level MI."""
     tokens = TokenStream()
     unit_metrics = ()
     try:
@@ -195,7 +195,7 @@ def analyze_file(
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,
-        lines=lines.counts(),  # the per-line classes were read by the unit metrics
+        lines=lines._replace(classes=()),  # the unit metrics have read them
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
         clone_row=duplication.normalize_tokens(
@@ -289,15 +289,21 @@ def _analyze_shares(found, shares, cpus, dup_mode, file_scope) -> list[tuple[Fil
     its share's own table, whose keys the list gives in id order. A
     worker's exception is raised here; a worker that exits without a result,
     killed for memory say, is an XmaintError. No worker or pipe outlives
-    the call.
+    the call, and a worker whose parent is gone, killed by a signal say,
+    exits before its next file.
     """
     import pickle
     import signal
 
-    def analyze_share(share):
+    parent = os.getpid()
+
+    def analyze_share(share, worker):
         table = duplication.token_ids()
-        analyses = [(index, analyze_file(*found[index], dup_mode, table, file_scope))
-                    for index in share]
+        analyses = []
+        for index in share:
+            if worker and os.getppid() != parent:  # nobody reads this share
+                os._exit(1)
+            analyses.append((index, analyze_file(*found[index], dup_mode, table, file_scope)))
         return analyses, list(table)
 
     results = [None] * len(found)
@@ -319,7 +325,7 @@ def _analyze_shares(found, shares, cpus, dup_mode, file_scope) -> list[tuple[Fil
                     _start_on(cpus[worker], cpus)
                     with os.fdopen(write_fd, "wb") as pipe:
                         try:
-                            analyses, keys = analyze_share(share)
+                            analyses, keys = analyze_share(share, True)
                         except BaseException as exc:  # raised again by the parent
                             pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
                         else:
@@ -335,7 +341,7 @@ def _analyze_shares(found, shares, cpus, dup_mode, file_scope) -> list[tuple[Fil
                     os._exit(status)
             os.close(write_fd)
             workers[pid] = os.fdopen(read_fd, "rb")
-        analyses, keys = analyze_share(shares[0])
+        analyses, keys = analyze_share(shares[0], False)
         for index, fa in analyses:
             results[index] = fa, keys
         for pid, pipe in list(workers.items()):

@@ -64,15 +64,6 @@ class TokenStream:
         return len(self.ids)
 
 
-class LineCounts(NamedTuple):
-    """A file's line totals: what a project keeps of its ``LineClassification``."""
-    code: int
-    comment: int
-    blank: int
-    mixed: int
-    physical_lines: int
-
-
 class LineClassification(NamedTuple):
     classes: tuple[str, ...]  # index 0 = line 1
     code: int
@@ -80,9 +71,6 @@ class LineClassification(NamedTuple):
     blank: int
     mixed: int
     physical_lines: int
-
-    def counts(self) -> LineCounts:
-        return LineCounts(*self[1:])
 
 
 _BASE_PUNCTUATION = ("(", ")", "[", "]", "{", "}", ";", ",", ".", ":")

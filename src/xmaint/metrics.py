@@ -24,7 +24,6 @@ from .lexing import (
     PUNCTUATION,
     STRING_LITERAL,
     LineClassification,
-    LineCounts,
     TokenStream,
 )
 from .profiles import LanguageProfile, folded_tokens
@@ -141,7 +140,7 @@ def halstead(tokens: TokenStream, profile: LanguageProfile) -> HalsteadCounts:
     return _count(tokens.ids, id_classes(tokens, profile))[1]
 
 
-def comment_ratio(lines: LineCounts) -> float:
+def comment_ratio(lines: LineClassification) -> float:
     """(comment + mixed) / (code + comment + mixed); 0 for an all-blank file."""
     denominator = lines.code + lines.comment + lines.mixed
     if denominator == 0:
@@ -209,7 +208,7 @@ def file_unit_metrics(
 
 
 def aggregate_project(
-    file_lines: list[LineCounts],
+    file_lines: list[LineClassification],
     all_unit_metrics: list[UnitMetrics],
     weighted: bool = False,
 ) -> ProjectMetrics:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from xmaint import analysis
 from xmaint.analysis import analyze_project
 from xmaint.config import load_config
 from xmaint.errors import XmaintError
-from xmaint.lexing import LineCounts
 from xmaint.profiles import ProfileRegistry
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
@@ -78,8 +78,8 @@ def test_file_analyses_keep_line_counts_only(mixed, forks, monkeypatch, share):
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", share)
     result = analyze_project(mixed, load_config(), ProfileRegistry())
     for fa in result.files:
-        assert type(fa.lines) is LineCounts
-        assert all(type(value) is int for value in fa.lines)
+        assert fa.lines.classes == ()
+        assert fa.lines.physical_lines > 0
 
 
 _FORCED_RUN = """
@@ -149,6 +149,67 @@ def test_a_worker_that_dies_without_a_result_is_an_error(mixed, forks, monkeypat
     _no_child_left()
 
 
+_ORPHANED_RUN = """
+import os, sys, time
+from xmaint import analysis
+from xmaint.config import load_config
+from xmaint.profiles import ProfileRegistry
+analysis._MIN_SHARE_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
+parent, real = os.getpid(), analysis.analyze_file
+
+def slow(*args):
+    if os.getpid() == parent:
+        time.sleep(120)  # killed in its own share
+    print(os.getpid(), flush=True)
+    time.sleep(0.5)
+    return real(*args)
+
+analysis.analyze_file = slow
+analysis.analyze_project(sys.argv[1], load_config(), ProfileRegistry())
+"""
+
+
+def _gone(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_worker_whose_parent_is_killed_stops(tmp_path):
+    # the worker's share holds 20 files of half a second each; it must stop
+    # at its next file once the parent is gone, not finish the share
+    import signal
+    import xmaint
+
+    for i in range(40):
+        (tmp_path / f"m{i:02d}.py").write_text(f"x = {i}\n")
+    src = str(Path(xmaint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.Popen([sys.executable, "-c", _ORPHANED_RUN, str(tmp_path)],
+                           stdout=subprocess.PIPE, text=True, env=env)
+    worker = None
+    try:
+        worker = int(run.stdout.readline())
+        assert worker != run.pid  # printed by a worker, not by the loop
+        run.kill()
+        run.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while not _gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _gone(worker)
+    finally:
+        run.kill()
+        run.wait(timeout=30)
+        run.stdout.close()
+        if worker is not None and not _gone(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
 def test_a_second_live_thread_keeps_the_loop(mixed, forks, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
     release = threading.Event()
@@ -164,22 +225,25 @@ def test_a_second_live_thread_keeps_the_loop(mixed, forks, monkeypatch):
 
 
 def test_a_project_below_two_shares_keeps_the_loop(tmp_path, monkeypatch):
-    # 30 copies of a 14,020-byte file, the largest source the benchmark's
-    # clone_copies workload draws from Python 3.11's stdlib, and one file of
-    # any size, as each unit_dense_compare project holds, stay in one
-    # process however many cores there are
+    # 30 copies of a 5,999-byte file, the benchmark's clone_copies input at
+    # seed 1 on Python 3.11, lie below two shares, and a one-file project,
+    # as each unit_dense_compare project is, never forks; one byte short of
+    # two shares is one process, two shares are two, however many cores
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     registry = ProfileRegistry()
     copies = tmp_path / "copies"
     copies.mkdir()
     for i in range(30):
-        (copies / f"copy{i:03d}.py").write_text("x = 1\n" * 2336 + "y=2\n")  # 14,020 B
+        (copies / f"copy{i:03d}.py").write_text("x = 1\n" * 999 + "y=2\n\n")  # 5,999 B
     found = analysis.discover_files(copies, registry)
-    assert sum(path.stat().st_size for path, _, _ in found) == 30 * 14_020
+    assert sum(path.stat().st_size for path, _, _ in found) == 179_970
     assert analysis._worker_count(found)[0] == 1
-    (copies / "copy030.py").write_text("x = 1\n" * 40_000)
+    rest = 2 * analysis._MIN_SHARE_BYTES - 179_970
+    (copies / "rest.py").write_text("#" * (rest - 2) + "\n")
+    assert analysis._worker_count(analysis.discover_files(copies, registry))[0] == 1
+    (copies / "rest.py").write_text("#" * (rest - 1) + "\n")
     assert analysis._worker_count(analysis.discover_files(copies, registry))[0] == 2
-    single = analysis.discover_files(copies / "copy030.py", registry)
+    single = analysis.discover_files(copies / "rest.py", registry)
     assert analysis._worker_count(single)[0] == 1
 
 
