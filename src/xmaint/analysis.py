@@ -1,18 +1,20 @@
 """End-to-end project analysis: discovery, lexing, metrics, clones, rules, models.
 
 The per-file stage (read, tokenize, classify lines, extract units, unit
-metrics, normalize) runs in one loop, or, when the source holds at least
-two shares of ``_MIN_SHARE_BYTES``, on up to one core per share: the files
-are split into shares of near-equal size, the largest file first, each to
-the lightest share. One forked worker per share after the first analyzes
-its files and pickles each result back through a pipe, while this process
-analyzes the first share. The clone rows of a share get their ids from the
-share's own table. The merge then walks the files in discovery order and
-gives each row's ids project ids in the order they first occur in it,
-which is the order the one loop hands them out, so the reports are the
-same bytes either way. The loop runs whenever ``os.fork`` is missing, the
-process may use one core, or another thread is alive, since a forked child
-holds only the thread that forked it.
+metrics, normalize) runs in shares of the files: one share, in this
+process, or, when the source holds at least two shares of
+``_MIN_SHARE_BYTES``, up to one share per core, of near-equal size, the
+largest file first, each to the lightest share. This process analyzes the
+first share against the project's id table. One forked worker per later
+share analyzes its files against a table of its own and pickles that
+table's keys and then each result back through a pipe; the parent maps the
+worker's ids to project ids once per share. Project ids then come out in
+another order than one process gives them, and the reports are still the
+same bytes: the clone stage only compares ids for equality and hashes
+them, a hash collision is settled by comparing window contents, and blocks
+are sorted by a key that holds no id. One share is used whenever
+``os.fork`` is missing, the process may use one core, or another thread is
+alive, since a forked child holds only the thread that forked it.
 
 The per-file results are sorted by relative path before any project-level
 stage, so every report depends on the file set alone, never on discovery
@@ -168,14 +170,14 @@ def analyze_file(
     abs_path: Path,
     rel: str,
     profile: LanguageProfile,
+    ids: duplication.TokenIds,
     dup_mode: str = duplication.EXACT,
-    ids: duplication.TokenIds | None = None,
     file_scope: bool = False,
 ) -> FileAnalysis:
     """Everything the project stages need of one file; its tokens are dropped
     on return. The clone row's ids come from ``ids``, the project's table
-    or a worker share's (a fresh one when omitted). ``file_scope`` keeps the
-    file's Halstead volume and McCabe count for file-level MI."""
+    or a worker share's. ``file_scope`` keeps the file's Halstead volume and
+    McCabe count for file-level MI."""
     tokens = TokenStream()
     unit_metrics = ()
     try:
@@ -198,9 +200,7 @@ def analyze_file(
         lines=lines._replace(classes=()),  # the unit metrics have read them
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
-        clone_row=duplication.normalize_tokens(
-            tokens, dup_mode, profile.case_sensitive, duplication.token_ids() if ids is None else ids
-        ),
+        clone_row=duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids),
         halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
         cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
     )
@@ -210,50 +210,119 @@ def _analyze_files(
     found: list[tuple[Path, str, LanguageProfile]], dup_mode: str, file_scope: bool
 ) -> list[FileAnalysis]:
     """``analyze_file`` for every discovered file, in discovery order, with
-    clone row ids from one project table: in one loop, or in forked workers
-    when ``_worker_count`` allows more than one. The rows keep their ids;
-    the table, and the texts behind its keys, go on return."""
-    workers, sizes, cpus = _worker_count(found)
-    if workers < 2:
+    clone row ids from one project table. This process analyzes the first
+    of ``_shares`` against that table, and one forked worker each later
+    share, each started on its own CPU. A worker's exception is raised here;
+    a worker that exits before its last result, killed for memory say, is
+    an XmaintError. No worker or pipe outlives the call, and a worker whose
+    parent is gone, killed by a signal say, exits before its next file. The
+    rows keep their ids; the table, and the texts behind its keys, go on
+    return."""
+    shares, cpus = _shares(found)
+    results = [None] * len(found)
+    workers = {}  # pid -> (the read end of its pipe, its share)
+    if len(shares) > 1:
+        import pickle
+        import signal
+
+        parent = os.getpid()
+        _start_on(cpus[0], cpus)
+    try:
+        for worker, share in enumerate(shares[1:], 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the worker: never returns into the caller's code
+                status = 1
+                try:
+                    os.close(read_fd)
+                    _start_on(cpus[worker], cpus)
+                    table = duplication.token_ids()
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        try:
+                            analyses = []
+                            for index in share:
+                                if os.getppid() != parent:  # nobody reads this share
+                                    os._exit(1)
+                                analyses.append(analyze_file(*found[index], table, dup_mode, file_scope))
+                        except BaseException as exc:  # raised again by the parent
+                            pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+                        else:
+                            # the table's keys, then one pickle per file, which
+                            # keeps each load's memo small; an array sends 4
+                            # bytes an id and makes no int object per id on
+                            # the other side
+                            pickle.dump(list(table), pipe, pickle.HIGHEST_PROTOCOL)
+                            for fa in analyses:
+                                fa.clone_row.ids = array("i", fa.clone_row.ids)
+                                pickle.dump(fa, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            workers[pid] = os.fdopen(read_fd, "rb"), share
         ids = duplication.token_ids()
-        return [analyze_file(*item, dup_mode, ids, file_scope) for item in found]
-    shares = _balanced_shares(sizes, workers)
-    results = _analyze_shares(found, shares, cpus, dup_mode, file_scope)
-    ids = duplication.token_ids()
-    for index, (fa, keys) in enumerate(results):
-        # the row's share ids in the order they first occur in it, given
-        # project ids in that order, as normalize_tokens gives them
-        row = fa.clone_row
-        project = {local: ids[keys[local]] for local in dict.fromkeys(row.ids)}
-        row.ids = list(map(project.__getitem__, row.ids))
-        results[index] = fa
+        for index in shares[0]:
+            results[index] = analyze_file(*found[index], ids, dup_mode, file_scope)
+        for pid, (pipe, share) in list(workers.items()):
+            with pipe:
+                try:
+                    keys = pickle.load(pipe)  # or the worker's exception
+                    if isinstance(keys, list):
+                        to_project = [ids[key] for key in keys]
+                        for index in share:
+                            fa = results[index] = pickle.load(pipe)
+                            fa.clone_row.ids = list(map(to_project.__getitem__, fa.clone_row.ids))
+                except (EOFError, pickle.UnpicklingError):
+                    keys = None  # the stream ended early
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if isinstance(keys, BaseException):
+                raise keys
+            if keys is None:
+                raise XmaintError(
+                    f"per-file worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without its result"
+                )
+    finally:
+        for pid, (pipe, _) in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return results
 
 
-def _worker_count(
+def _shares(
     found: list[tuple[Path, str, LanguageProfile]],
-) -> tuple[int, list[int], list[int]]:
-    """How many processes the per-file stage should use and, when that is
-    more than one, the files' sizes in bytes and the CPUs this process may
-    run on."""
+) -> tuple[list[list[int]], list[int]]:
+    """The per-file stage's shares, as indices into ``found``, and the CPUs
+    this process may run on. Every file is in one share, in discovery order,
+    unless the process can fork onto two CPUs or more and the files hold at
+    least two shares of ``_MIN_SHARE_BYTES``."""
+    whole = [list(range(len(found)))], []
     threading = sys.modules.get("threading")  # not imported just to ask
     if not hasattr(os, "fork") or len(found) < 2 or (
         threading is not None and threading.active_count() > 1
     ):
-        return 1, [], []
+        return whole
     try:
         cpus = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = list(range(os.cpu_count() or 1))
     if len(cpus) < 2:
-        return 1, [], []
+        return whole
     sizes = []
     for path, _, _ in found:
         try:
             sizes.append(path.stat().st_size)
         except OSError:
             sizes.append(0)  # analyze_file reports it
-    return min(len(cpus), len(found), sum(sizes) // _MIN_SHARE_BYTES), sizes, cpus
+    count = min(len(cpus), len(found), sum(sizes) // _MIN_SHARE_BYTES)
+    return (_balanced_shares(sizes, count), cpus) if count > 1 else whole
 
 
 def _start_on(cpu: int, cpus: list[int]) -> None:
@@ -280,97 +349,6 @@ def _balanced_shares(sizes: list[int], count: int) -> list[list[int]]:
         shares[lightest].append(index)
         loads[lightest] += sizes[index]
     return shares
-
-
-def _analyze_shares(found, shares, cpus, dup_mode, file_scope) -> list[tuple[FileAnalysis, list]]:
-    """(analysis, key list) of every file, in discovery order: this process
-    analyzes ``shares[0]`` and one forked worker each later share, each
-    started on its own CPU of ``cpus``. A file's clone row holds ids from
-    its share's own table, whose keys the list gives in id order. A
-    worker's exception is raised here; a worker that exits without a result,
-    killed for memory say, is an XmaintError. No worker or pipe outlives
-    the call, and a worker whose parent is gone, killed by a signal say,
-    exits before its next file.
-    """
-    import pickle
-    import signal
-
-    parent = os.getpid()
-
-    def analyze_share(share, worker):
-        table = duplication.token_ids()
-        analyses = []
-        for index in share:
-            if worker and os.getppid() != parent:  # nobody reads this share
-                os._exit(1)
-            analyses.append((index, analyze_file(*found[index], dup_mode, table, file_scope)))
-        return analyses, list(table)
-
-    results = [None] * len(found)
-    workers = {}  # pid -> the read end of its pipe
-    _start_on(cpus[0], cpus)
-    try:
-        for worker, share in enumerate(shares[1:], 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the worker: never returns into the caller's code
-                status = 1
-                try:
-                    os.close(read_fd)
-                    _start_on(cpus[worker], cpus)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        try:
-                            analyses, keys = analyze_share(share, True)
-                        except BaseException as exc:  # raised again by the parent
-                            pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
-                        else:
-                            # one pickle per file keeps each load's memo
-                            # small; an array sends 4 bytes an id and makes
-                            # no int object per id on the other side
-                            for index, fa in analyses:
-                                fa.clone_row.ids = array("i", fa.clone_row.ids)
-                                pickle.dump((index, fa), pipe, pickle.HIGHEST_PROTOCOL)
-                            pickle.dump(keys, pipe, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            workers[pid] = os.fdopen(read_fd, "rb")
-        analyses, keys = analyze_share(shares[0], False)
-        for index, fa in analyses:
-            results[index] = fa, keys
-        for pid, pipe in list(workers.items()):
-            analyses = []  # (index, analysis) pickles, then the key list
-            with pipe:
-                try:
-                    last = pickle.load(pipe)
-                    while isinstance(last, tuple):
-                        analyses.append(last)
-                        last = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    last = None
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            if isinstance(last, BaseException):
-                raise last
-            if not isinstance(last, list):
-                raise XmaintError(
-                    f"per-file worker {pid} exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} without its result"
-                )
-            for index, fa in analyses:
-                results[index] = fa, last
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
 
 
 def _file_level_means(files: list[FileAnalysis]):

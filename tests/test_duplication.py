@@ -25,6 +25,11 @@ from xmaint.config import load_config
 from xmaint.lexing import tokenize
 from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON, ProfileRegistry
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the id relabeling test needs Hypothesis
+    given = None
+
 
 def ident_stream(texts, line_per_token=True):
     return stream(("identifier", t, (i + 1) if line_per_token else 1, 1) for i, t in enumerate(texts))
@@ -479,6 +484,42 @@ def test_deterministic_ordering():
     keys = [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b) for b in blocks]
     assert keys == sorted(keys)
     assert blocks == find_clone_blocks(seqs, 3)
+
+
+def _clone_row(tokens):
+    """The clone row of (id, step, span) triples: each token starts ``step``
+    lines after the one before it ends and ends ``span`` lines later."""
+    ids, lines, end_lines, end = [], array("i"), array("i"), 1
+    for token, step, span in tokens:
+        ids.append(token)
+        lines.append(end + step)
+        end = lines[-1] + span
+        end_lines.append(end)
+    return duplication.CloneRow(ids, lines, end_lines)
+
+
+if given is not None:
+    _triples = st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(_triples, max_size=60), min_size=1, max_size=4),
+           min_tokens=st.integers(3, 6), data=st.data())
+    def test_reports_do_not_depend_on_which_ids_the_rows_hold(rows, min_tokens, data):
+        # the per-file stage's workers give a project other ids than one
+        # process does: any bijection of the ids onto non-negative ints must
+        # leave blocks, ratios and counts as they are
+        sequences = {f"f{i}": _clone_row(tokens) for i, tokens in enumerate(rows)}
+        distinct = sorted({token for seq in sequences.values() for token in seq.ids})
+        targets = data.draw(st.lists(st.integers(0, 2**62), min_size=len(distinct),
+                                     max_size=len(distinct), unique=True))
+        relabel = dict(zip(distinct, targets))
+        relabeled = {
+            name: duplication.CloneRow([relabel[token] for token in seq.ids], seq.lines, seq.end_lines)
+            for name, seq in sequences.items()
+        }
+        code_lines = sum(seq.end_lines[-1] for seq in sequences.values() if seq)
+        expected = build_report(sequences, min_tokens, EXACT, code_lines)
+        assert build_report(relabeled, min_tokens, EXACT, code_lines) == expected
 
 
 def gapped_stream(rng, n, alphabet):

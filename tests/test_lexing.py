@@ -2,6 +2,7 @@ import random
 
 from token_rows import rows
 from xmaint.analysis import analyze_file, read_source
+from xmaint.duplication import token_ids
 from xmaint.lexing import (
     COMMENT,
     IDENTIFIER,
@@ -242,7 +243,7 @@ def test_physical_line_count_counts_a_last_line_without_break():
 def _analyze_bytes(tmp_path, name, data, profile):
     path = tmp_path / name
     path.write_bytes(data)
-    return analyze_file(path, name, profile)
+    return analyze_file(path, name, profile, token_ids())
 
 
 def _lex_bytes(tmp_path, name, data, profile):

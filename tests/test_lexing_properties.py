@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from token_rows import rows  # noqa: E402
 from xmaint.analysis import analyze_file, read_source  # noqa: E402
+from xmaint.duplication import token_ids  # noqa: E402
 from xmaint.lexing import classify_lines, physical_line_count, tokenize  # noqa: E402
 from xmaint.profiles import BUILTIN_PROFILES  # noqa: E402
 
@@ -103,7 +104,7 @@ def _analyze(workdir, text, profile):
     """The analysis of ``text`` as a file, and the tokens analyze_file lexes from it."""
     path = workdir / "src.txt"
     path.write_bytes(text.encode("utf-8"))
-    return analyze_file(path, "src.txt", profile), rows(tokenize(read_source(path), profile)[0])
+    return analyze_file(path, "src.txt", profile, token_ids()), rows(tokenize(read_source(path), profile)[0])
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES, ids=lambda p: p.id)

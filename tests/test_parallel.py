@@ -1,9 +1,12 @@
-"""The per-file stage in forked workers gives the one loop's results.
+"""The per-file stage in forked workers gives the one-share run's results.
 
-Workers analyze each file against an id table of its own, and the merge
-hands out project ids in discovery order, so a forked run must equal the
-serial one field by field, clone rows included, under any hash seed. A
-worker's failure must reach the caller, and no worker may outlive the call.
+This process analyzes the first share against the project's id table and
+each worker its share against a table of its own, whose ids the parent maps
+to project ids once per share. So a forked run hands out other project ids
+than a one-share run, and must equal it field by field once each run's ids
+are renumbered in the order they first occur, and in its report bytes
+under any hash seed. A worker's failure must reach the caller, and no
+worker may outlive the call.
 """
 
 import hashlib
@@ -56,20 +59,32 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _renumbered(files):
+    """Each file's clone row ids, every id renumbered by the order it first
+    occurs in, taking the files in path order."""
+    first = {}
+    return [[first.setdefault(i, len(first)) for i in fa.clone_row.ids] for fa in files]
+
+
 def test_forked_shares_equal_the_loop_field_by_field(mixed, forks, monkeypatch):
     forked = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(forks) == 2  # three shares: this process and two workers
     _no_child_left()
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the loop must not fork"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("one share must not fork"))
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
     serial = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(serial.files) == len(forked.files) > 3
     for a, b in zip(serial.files, forked.files):
         for name in a._fields:
-            assert getattr(a, name) == getattr(b, name), (a.path, name)
-        assert a.clone_row.ids == b.clone_row.ids
+            if name != "clone_row":
+                assert getattr(a, name) == getattr(b, name), (a.path, name)
+        assert (a.clone_row.lines, a.clone_row.end_lines) == (b.clone_row.lines, b.clone_row.end_lines)
+    assert _renumbered(serial.files) == _renumbered(forked.files)
+    # the forked ids are other ids, and only the renumbering equates them
+    assert [fa.clone_row.ids for fa in serial.files] != [fa.clone_row.ids for fa in forked.files]
     for name in serial._fields:
-        assert getattr(serial, name) == getattr(forked, name), name
+        if name != "files":
+            assert getattr(serial, name) == getattr(forked, name), name
 
 
 @pytest.mark.parametrize("share", [1, SERIAL], ids=["forked", "serial"])
@@ -113,7 +128,7 @@ def test_forked_report_is_the_same_under_any_hash_seed(mixed, capsys):
         assert result.returncode in (0, 2), result.stderr
         digests.add(digest(result.stdout))
     assert len(digests) == 1
-    main(["analyze", str(mixed), "--min-tokens", "20"])  # this process, in one loop
+    main(["analyze", str(mixed), "--min-tokens", "20"])  # this process, in one share
     assert digests == {digest(capsys.readouterr().out)}
 
 
@@ -146,6 +161,31 @@ def test_a_worker_that_dies_without_a_result_is_an_error(mixed, forks, monkeypat
     monkeypatch.setattr(analysis, "analyze_file", dying)
     with pytest.raises(XmaintError, match="exited with status 3 without its result"):
         analyze_project(mixed, load_config(), ProfileRegistry())
+    _no_child_left()
+
+
+def test_a_worker_that_stops_after_its_keys_is_an_error(mixed, forks, monkeypatch):
+    # a worker sends its table's keys, then one pickle per file: it exits
+    # on the second file, after the keys and the first file have reached
+    # the parent
+    import pickle
+
+    parent = os.getpid()
+    real = pickle.dump
+    dumps = []
+
+    def dump(obj, file, *args):
+        if os.getpid() != parent:
+            dumps.append(obj)
+            if len(dumps) == 3:
+                os._exit(4)
+        real(obj, file, *args)
+        file.flush()
+
+    monkeypatch.setattr(pickle, "dump", dump)
+    with pytest.raises(XmaintError, match="exited with status 4 without its result"):
+        analyze_project(mixed, load_config(), ProfileRegistry())
+    assert len(forks) == 2
     _no_child_left()
 
 
@@ -195,7 +235,7 @@ def test_a_worker_whose_parent_is_killed_stops(tmp_path):
     worker = None
     try:
         worker = int(run.stdout.readline())
-        assert worker != run.pid  # printed by a worker, not by the loop
+        assert worker != run.pid  # printed by a worker, not by this process's share
         run.kill()
         run.wait(timeout=30)
         deadline = time.monotonic() + 5
@@ -237,14 +277,14 @@ def test_a_project_below_two_shares_keeps_the_loop(tmp_path, monkeypatch):
         (copies / f"copy{i:03d}.py").write_text("x = 1\n" * 999 + "y=2\n\n")  # 5,999 B
     found = analysis.discover_files(copies, registry)
     assert sum(path.stat().st_size for path, _, _ in found) == 179_970
-    assert analysis._worker_count(found)[0] == 1
+    assert len(analysis._shares(found)[0]) == 1
     rest = 2 * analysis._MIN_SHARE_BYTES - 179_970
     (copies / "rest.py").write_text("#" * (rest - 2) + "\n")
-    assert analysis._worker_count(analysis.discover_files(copies, registry))[0] == 1
+    assert len(analysis._shares(analysis.discover_files(copies, registry))[0]) == 1
     (copies / "rest.py").write_text("#" * (rest - 1) + "\n")
-    assert analysis._worker_count(analysis.discover_files(copies, registry))[0] == 2
+    assert len(analysis._shares(analysis.discover_files(copies, registry))[0]) == 2
     single = analysis.discover_files(copies / "rest.py", registry)
-    assert analysis._worker_count(single)[0] == 1
+    assert len(analysis._shares(single)[0]) == 1
 
 
 def test_balanced_shares_take_the_largest_file_first():

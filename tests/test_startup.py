@@ -36,10 +36,12 @@ codes = [
 ]
 hashing_after_commands = sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)
 print(json.dumps({"loaded_after_import": loaded, "hashing": [hashing, hashing_after_commands],
+                  "pickle_after_commands": "pickle" in sys.modules,
                   "store_class": store_class, "codes": codes}))
 """
 
-# pickle serves only the forked workers of a large per-file stage
+# pickle serves only the forked workers of a large per-file stage, so the
+# fixtures' one-share runs never load it
 _NOT_AT_START = ("dataclasses", "inspect", "csv", "datetime", "xmaint.snapshots", "pickle")
 
 
@@ -60,6 +62,7 @@ def test_cli_import_loads_no_subcommand_only_module(tmp_path):
     found = json.loads(result.stdout.strip().splitlines()[-1])
     assert found["loaded_after_import"] == []
     assert found["hashing"] == [[], []]
+    assert found["pickle_after_commands"] is False
     assert found["store_class"] == "xmaint.snapshots.SnapshotStore"
     assert found["codes"] == [0, 0, 0]
     report = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
