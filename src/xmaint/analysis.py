@@ -16,15 +16,23 @@ are sorted by a key that holds no id. One share is used whenever
 ``os.fork`` is missing, the process may use one core, or another thread is
 alive, since a forked child holds only the thread that forked it.
 
+``analyze_projects``, which ``compare`` runs, discovers every project
+first and runs one per-file stage over the files of all of them, each
+project with an id table of its own in every process, so a large project's
+files spread over every share and many small projects share the cores. The
+project-level stages then run in this process, project by project. The
+error raised is the one a process analyzing the projects one after another
+raises: that of the first failing project in the order given.
+
 The per-file results are sorted by relative path before any project-level
 stage, so every report depends on the file set alone, never on discovery
-order.
+order. The clone rows live beside the file analyses until their project's
+analysis is built; a ``ProjectAnalysis`` holds none.
 """
 
 import fnmatch
 import os
 import sys
-from array import array
 from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
@@ -58,7 +66,6 @@ class FileAnalysis(NamedTuple):
     lines: LineClassification  # counts only: the per-line classes are dropped
     unit_metrics: tuple[UnitMetrics, ...]
     diagnostics: tuple[Diagnostic, ...]
-    clone_row: duplication.CloneRow
     # the whole file's Halstead volume and McCabe count, kept under mi.scope "file" only
     halstead_volume: float | None = None
     cyclomatic: int | None = None
@@ -173,11 +180,11 @@ def analyze_file(
     ids: duplication.TokenIds,
     dup_mode: str = duplication.EXACT,
     file_scope: bool = False,
-) -> FileAnalysis:
-    """Everything the project stages need of one file; its tokens are dropped
-    on return. The clone row's ids come from ``ids``, the project's table
-    or a worker share's. ``file_scope`` keeps the file's Halstead volume and
-    McCabe count for file-level MI."""
+) -> tuple[FileAnalysis, duplication.CloneRow]:
+    """Everything the project stages need of one file, and its clone row;
+    its tokens are dropped on return. The row's ids come from ``ids``, the
+    project's table or a worker share's. ``file_scope`` keeps the file's
+    Halstead volume and McCabe count for file-level MI."""
     tokens = TokenStream()
     unit_metrics = ()
     try:
@@ -200,26 +207,35 @@ def analyze_file(
         lines=lines._replace(classes=()),  # the unit metrics have read them
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
-        clone_row=duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids),
         halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
         cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
-    )
+    ), duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids)
 
 
 def _analyze_files(
-    found: list[tuple[Path, str, LanguageProfile]], dup_mode: str, file_scope: bool
-) -> list[FileAnalysis]:
-    """``analyze_file`` for every discovered file, in discovery order, with
-    clone row ids from one project table. This process analyzes the first
-    of ``_shares`` against that table, and one forked worker each later
-    share, each started on its own CPU. A worker's exception is raised here;
-    a worker that exits before its last result, killed for memory say, is
-    an XmaintError. No worker or pipe outlives the call, and a worker whose
+    projects: list[list[tuple[Path, str, LanguageProfile]]], dup_mode: str, file_scope: bool
+) -> tuple[list[tuple[list[FileAnalysis], dict[str, duplication.CloneRow]]], Exception | None]:
+    """``analyze_file`` for every discovered file of ``projects``, in
+    ``_shares`` of all their files, each project's rows with ids from a table
+    of its own. Returns, for each project before the first whose files fail,
+    its analyses sorted by path and their clone rows by path in the same
+    order; and that failure, or None. This process analyzes the first share,
+    and one forked worker each later share, each started on its own CPU.
+
+    A share analyzes its files in discovery order, project by project, and
+    stops at its first failure; once every share has ended, the failure of
+    the first failing file in that order is returned, as one process would
+    meet it. A worker pickles the keys of each of its tables, then each
+    result, back through a pipe, and its rows are mapped to project ids once
+    per share and project. A worker that exits before its last result,
+    killed for memory say, fails at its first missing file with an
+    XmaintError. No worker or pipe outlives the call, and a worker whose
     parent is gone, killed by a signal say, exits before its next file. The
-    rows keep their ids; the table, and the texts behind its keys, go on
-    return."""
-    shares, cpus = _shares(found)
-    results = [None] * len(found)
+    tables, and the texts behind their keys, go on return."""
+    items = [(project, item) for project, found in enumerate(projects) for item in found]
+    shares, cpus = _shares([item for _, item in items])
+    results = [None] * len(items)
+    failures = []  # (index, exception)
     workers = {}  # pid -> (the read end of its pipe, its share)
     if len(shares) > 1:
         import pickle
@@ -241,68 +257,79 @@ def _analyze_files(
                 try:
                     os.close(read_fd)
                     _start_on(cpus[worker], cpus)
-                    table = duplication.token_ids()
+                    tables = defaultdict(duplication.token_ids)  # project -> its ids here
+                    done, failure = [], None
+                    try:
+                        for index in share:
+                            if os.getppid() != parent:  # nobody reads this share
+                                os._exit(1)
+                            project, item = items[index]
+                            done.append(analyze_file(*item, tables[project], dup_mode, file_scope))
+                    except BaseException as exc:  # raised again by the parent
+                        failure = exc
+                    # one pickle per result keeps each load's memo small
                     with os.fdopen(write_fd, "wb") as pipe:
-                        try:
-                            analyses = []
-                            for index in share:
-                                if os.getppid() != parent:  # nobody reads this share
-                                    os._exit(1)
-                                analyses.append(analyze_file(*found[index], table, dup_mode, file_scope))
-                        except BaseException as exc:  # raised again by the parent
-                            pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
-                        else:
-                            # the table's keys, then one pickle per file, which
-                            # keeps each load's memo small; an array sends 4
-                            # bytes an id and makes no int object per id on
-                            # the other side
-                            pickle.dump(list(table), pipe, pickle.HIGHEST_PROTOCOL)
-                            for fa in analyses:
-                                fa.clone_row.ids = array("i", fa.clone_row.ids)
-                                pickle.dump(fa, pipe, pickle.HIGHEST_PROTOCOL)
+                        keys = {project: list(table) for project, table in tables.items()}
+                        pickle.dump((keys, len(done), failure), pipe, pickle.HIGHEST_PROTOCOL)
+                        for result in done:
+                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             workers[pid] = os.fdopen(read_fd, "rb"), share
-        ids = duplication.token_ids()
-        for index in shares[0]:
-            results[index] = analyze_file(*found[index], ids, dup_mode, file_scope)
+        tables = defaultdict(duplication.token_ids)
+        try:
+            for index in shares[0]:
+                project, item = items[index]
+                results[index] = analyze_file(*item, tables[project], dup_mode, file_scope)
+        except Exception as exc:
+            failures.append((index, exc))
         for pid, (pipe, share) in list(workers.items()):
+            loaded, failure = 0, None
             with pipe:
                 try:
-                    keys = pickle.load(pipe)  # or the worker's exception
-                    if isinstance(keys, list):
-                        to_project = [ids[key] for key in keys]
-                        for index in share:
-                            fa = results[index] = pickle.load(pipe)
-                            fa.clone_row.ids = list(map(to_project.__getitem__, fa.clone_row.ids))
+                    keys, count, failure = pickle.load(pipe)
+                    to_ids = {project: list(map(tables[project].__getitem__, project_keys))
+                              for project, project_keys in keys.items()}
+                    for index in share[:count]:
+                        results[index] = pickle.load(pipe)
+                        row = results[index][1]
+                        row.ids = list(map(to_ids[items[index][0]].__getitem__, row.ids))
+                        loaded += 1
                 except (EOFError, pickle.UnpicklingError):
-                    keys = None  # the stream ended early
+                    count = None  # the stream ended early
             _, status = os.waitpid(pid, 0)
             del workers[pid]
-            if isinstance(keys, BaseException):
-                raise keys
-            if keys is None:
-                raise XmaintError(
+            if count is None:
+                failure = XmaintError(
                     f"per-file worker {pid} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} without its result"
                 )
+            if failure is not None:
+                failures.append((share[loaded], failure))
     finally:
         for pid, (pipe, _) in workers.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    first, failure = min(failures, key=lambda failure: failure[0], default=(len(items), None))
+    analyzed, start = [], 0
+    for found in projects[:items[first][0] if failure else len(projects)]:
+        done = sorted(results[start:start + len(found)], key=lambda result: result[0].path)
+        start += len(found)
+        analyzed.append(([fa for fa, _ in done], {fa.path: row for fa, row in done}))
+    return analyzed, failure
 
 
-def _shares(
-    found: list[tuple[Path, str, LanguageProfile]],
-) -> tuple[list[list[int]], list[int]]:
-    """The per-file stage's shares, as indices into ``found``, and the CPUs
-    this process may run on. Every file is in one share, in discovery order,
-    unless the process can fork onto two CPUs or more and the files hold at
-    least two shares of ``_MIN_SHARE_BYTES``."""
+def _shares(found: list[tuple[Path, str, LanguageProfile]]) -> tuple[list[list[int]], list[int]]:
+    """The per-file stage's shares, as ascending indices into ``found``, and
+    the CPUs this process may run on. Every file is in one share unless the
+    process can fork onto two CPUs or more and the files hold at least two
+    shares of ``_MIN_SHARE_BYTES``. There are at most as many shares as CPUs
+    and as files, and at most the total size over the largest file's,
+    rounded up: the share that holds that file takes as long as it at least,
+    and that many shares can already end no later."""
     whole = [list(range(len(found)))], []
     threading = sys.modules.get("threading")  # not imported just to ask
     if not hasattr(os, "fork") or len(found) < 2 or (
@@ -321,8 +348,11 @@ def _shares(
             sizes.append(path.stat().st_size)
         except OSError:
             sizes.append(0)  # analyze_file reports it
-    count = min(len(cpus), len(found), sum(sizes) // _MIN_SHARE_BYTES)
-    return (_balanced_shares(sizes, count), cpus) if count > 1 else whole
+    total = sum(sizes)
+    count = min(len(cpus), len(found), total // _MIN_SHARE_BYTES, -(-total // (max(sizes) or 1)))
+    if count < 2:
+        return whole
+    return [sorted(share) for share in _balanced_shares(sizes, count)], cpus
 
 
 def _start_on(cpu: int, cpus: list[int]) -> None:
@@ -340,15 +370,16 @@ def _start_on(cpu: int, cpus: list[int]) -> None:
 
 
 def _balanced_shares(sizes: list[int], count: int) -> list[list[int]]:
-    """File indices split into ``count`` shares of near-equal total size:
-    the largest file first, each to the share that is lightest so far."""
+    """File indices split into at most ``count`` shares of near-equal total
+    size: the largest file first, each to the share that is lightest so far.
+    No share is empty."""
     shares = [[] for _ in range(count)]
     loads = [0] * count
     for index in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
         lightest = loads.index(min(loads))
         shares[lightest].append(index)
         loads[lightest] += sizes[index]
-    return shares
+    return [share for share in shares if share]
 
 
 def _file_level_means(files: list[FileAnalysis]):
@@ -456,17 +487,63 @@ def analyze_project(
     excludes: tuple[str, ...] = (),
 ) -> ProjectAnalysis:
     """Full pipeline for one code base."""
-    root = Path(root)
-    project_id = project_id or root.name
-    found = discover_files(root, registry, forced_profile, includes, excludes)
-    if not found:
-        raise EmptyProject(f"no analyzable files under {root}")
+    return analyze_projects(
+        [root], [project_id or Path(root).name], config, registry, forced_profile, includes, excludes
+    )[0]
 
+
+def analyze_projects(
+    roots: list[str | Path],
+    project_ids: list[str],
+    config: dict,
+    registry: ProfileRegistry,
+    forced_profile: str | None = None,
+    includes: tuple[str, ...] = (),
+    excludes: tuple[str, ...] = (),
+) -> list[ProjectAnalysis]:
+    """The full pipeline for each root, in the order given. Every project
+    is discovered first; then one per-file stage runs over the files of all
+    of them, and the project-level stages run here, project by project. A
+    project's clone rows go once its analysis is built. The error raised is
+    the one a process analyzing the projects one after another in the order
+    given raises: that of the first failing project, discovery included."""
+    roots = [Path(root) for root in roots]
+    found, failure = [], None
+    for root in roots:
+        try:
+            files = discover_files(root, registry, forced_profile, includes, excludes)
+            if not files:
+                raise EmptyProject(f"no analyzable files under {root}")
+        except Exception as exc:  # raised once every earlier project is analyzed
+            failure = exc
+            break
+        found.append(files)
     dup_cfg = config["duplication"]
     file_scope = config["models"]["mi"]["scope"] == "file"
-    files = _analyze_files(found, dup_cfg["mode"], file_scope)
-    files.sort(key=lambda fa: fa.path)
+    analyzed, file_failure = _analyze_files(found, dup_cfg["mode"], file_scope)
+    analyses = []
+    for index, (files, rows) in enumerate(analyzed):
+        analyzed[index] = None  # the rows go once the loop moves on
+        analyses.append(_project_analysis(roots[index], project_ids[index], files, rows, config, registry))
+    if file_failure is not None:
+        raise file_failure
+    if failure is not None:
+        raise failure
+    return analyses
 
+
+def _project_analysis(
+    root: Path,
+    project_id: str,
+    files: list[FileAnalysis],
+    rows: dict[str, duplication.CloneRow],
+    config: dict,
+    registry: ProfileRegistry,
+) -> ProjectAnalysis:
+    """The project-level stages over a project's file analyses, sorted by
+    path, and their clone rows."""
+    dup_cfg = config["duplication"]
+    file_scope = config["models"]["mi"]["scope"] == "file"
     diagnostics = [d for fa in files for d in fa.diagnostics]
 
     all_unit_metrics = [m for fa in files for m in fa.unit_metrics]
@@ -477,10 +554,7 @@ def analyze_project(
     )
 
     dup_report = duplication.build_report(
-        {fa.path: fa.clone_row for fa in files},
-        dup_cfg["min_tokens"],
-        dup_cfg["mode"],
-        project_metrics.total_loc,
+        rows, dup_cfg["min_tokens"], dup_cfg["mode"], project_metrics.total_loc
     )
 
     profile_ids = sorted({fa.profile_id for fa in files})

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__, report as report_mod
-from .analysis import analyze_project, shared_rules
+from .analysis import analyze_project, analyze_projects, shared_rules
 from .composite import composite_score, sensitivity_analysis
 from .config import REPORT_FORMATS, composite_mappings, config_hash, load_config
 from .duplication import DUPLICATION_MODES
@@ -236,6 +236,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Analyze two or more projects and rank them. One per-file stage runs
+    over the files of every project, in this process and in forked workers
+    when their source is large enough to fork for
+    (``analysis.analyze_projects``); the report keeps the argument order. A
+    failure is reported as one process analyzing the projects in argument
+    order reports it: the first failing project's error."""
     if len(args.paths) < 2:
         raise XmaintError("compare needs at least two project paths")
     ids = [Path(p).name for p in args.paths]
@@ -247,9 +253,12 @@ def cmd_compare(args) -> int:
     _check_out(args.out)
     config, registry, digest = _prepare(args)
 
-    analyses = [
-        _analyze(args, path, pid, config, registry) for path, pid in zip(args.paths, ids)
-    ]
+    analyses = analyze_projects(
+        args.paths, ids, config, registry,
+        forced_profile=args.profile,
+        includes=tuple(args.include),
+        excludes=tuple(args.exclude),
+    )
     shared, warning = shared_rules(analyses)
 
     mappings = composite_mappings(config)

@@ -103,6 +103,11 @@ class CloneRow:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __reduce__(self):
+        # a pickled row, as a forked worker sends it, carries its ids as
+        # array('i'): 4 bytes an id and no int object per id on load
+        return CloneRow, (array("i", self.ids), self.lines, self.end_lines)
+
 
 class CloneBlock(NamedTuple):
     file_a: str

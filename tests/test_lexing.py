@@ -241,6 +241,7 @@ def test_physical_line_count_counts_a_last_line_without_break():
 
 
 def _analyze_bytes(tmp_path, name, data, profile):
+    """The file analysis of these bytes and its clone row."""
     path = tmp_path / name
     path.write_bytes(data)
     return analyze_file(path, name, profile, token_ids())
@@ -255,7 +256,7 @@ def _lex_bytes(tmp_path, name, data, profile):
 
 def test_cr_only_file_counts_every_line(tmp_path):
     data = b"int a = 1;\rint b = 2;\rint c = 3;\r"
-    fa = _analyze_bytes(tmp_path, "cr.c", data, C_FAMILY)
+    fa, _ = _analyze_bytes(tmp_path, "cr.c", data, C_FAMILY)
     assert (fa.lines.code, fa.lines.physical_lines) == (3, 3)
     tokens = _lex_bytes(tmp_path, "cr.c", data, C_FAMILY)
     assert [t.line for t in tokens if t.text == ";"] == [1, 2, 3]
@@ -265,7 +266,7 @@ def test_crlf_and_lf_give_the_same_analysis(tmp_path):
     src = "int f(int a) {\n    /* two\n       lines */\n    return a;\n}\n"
     lf = _analyze_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
     crlf = _analyze_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
-    assert crlf == lf and lf.lines.physical_lines == 5
+    assert crlf == lf and lf[0].lines.physical_lines == 5
     lf_tokens = _lex_bytes(tmp_path, "m.c", src.encode(), C_FAMILY)
     crlf_tokens = _lex_bytes(tmp_path, "m.c", src.replace("\n", "\r\n").encode(), C_FAMILY)
     assert [t.end_line for t in crlf_tokens] == [t.end_line for t in lf_tokens]
@@ -274,5 +275,5 @@ def test_crlf_and_lf_give_the_same_analysis(tmp_path):
 def test_unicode_line_separator_in_string_adds_no_line(tmp_path):
     src = 's = "a\u2028b"\nt = 1\n'
     assert physical_line_count(src) == 2
-    fa = _analyze_bytes(tmp_path, "u.py", src.encode(), PYTHON)
+    fa, _ = _analyze_bytes(tmp_path, "u.py", src.encode(), PYTHON)
     assert (fa.lines.code, fa.lines.physical_lines) == (2, 2)

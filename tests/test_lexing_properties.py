@@ -101,7 +101,8 @@ def workdir(tmp_path_factory):
 
 
 def _analyze(workdir, text, profile):
-    """The analysis of ``text`` as a file, and the tokens analyze_file lexes from it."""
+    """The analysis of ``text`` as a file with its clone row, and the tokens
+    analyze_file lexes from it."""
     path = workdir / "src.txt"
     path.write_bytes(text.encode("utf-8"))
     return analyze_file(path, "src.txt", profile, token_ids()), rows(tokenize(read_source(path), profile)[0])
@@ -111,7 +112,7 @@ def _analyze(workdir, text, profile):
 @settings(max_examples=200, deadline=None)
 @given(text=mixed_texts)
 def test_line_classes_sum_to_the_physical_count(workdir, profile, text):
-    fa, tokens = _analyze(workdir, text, profile)
+    (fa, _), tokens = _analyze(workdir, text, profile)
     lines = fa.lines
     assert lines.code + lines.comment + lines.blank + lines.mixed == lines.physical_lines
     # the line of each token's last character (a token may swallow the final break)

@@ -1,12 +1,14 @@
-"""The per-file stage in forked workers gives the one-share run's results.
+"""The per-file stage in forked workers gives the one-share run's results,
+and so does ``compare``, whose one per-file stage spans all its projects.
 
 This process analyzes the first share against the project's id table and
 each worker its share against a table of its own, whose ids the parent maps
 to project ids once per share. So a forked run hands out other project ids
 than a one-share run, and must equal it field by field once each run's ids
 are renumbered in the order they first occur, and in its report bytes
-under any hash seed. A worker's failure must reach the caller, and no
-worker may outlive the call.
+under any hash seed. A failure must reach the caller as one process would
+raise it, no worker may outlive the call, and no more processes may run
+than there are CPUs.
 """
 
 import hashlib
@@ -37,12 +39,30 @@ def mixed(tmp_path_factory):
     return _mixed_corpus(tmp_path_factory.mktemp("parallel") / "mixed", lines_target=3000)
 
 
+@pytest.fixture(scope="module")
+def projects(tmp_path_factory):
+    """Three mixed-language projects of different sizes."""
+    root = tmp_path_factory.mktemp("projects")
+    return [_mixed_corpus(root / name, lines_target=lines)
+            for name, lines in (("small", 600), ("large", 2400), ("medium", 1200))]
+
+
+def _fake_cpus(monkeypatch, cpus):
+    """Fake CPUs for the affinity calls. Like the kernel's, the faked
+    affinity is each process's own: a forked child starts with its parent's
+    and changes only its own."""
+    allowed = [set(cpus)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed[0]), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: allowed.__setitem__(0, set(cpus)),
+                        raising=False)
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """Force three workers whatever the machine's cores, and count forks."""
+    """Fork at any size on three faked CPUs, whatever the machine's cores,
+    and count this process's forks."""
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    _fake_cpus(monkeypatch, {0, 1, 2})
     calls = []
     real_fork = os.fork
 
@@ -59,32 +79,34 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _renumbered(files):
-    """Each file's clone row ids, every id renumbered by the order it first
-    occurs in, taking the files in path order."""
+def _renumbered(rows):
+    """Each clone row's ids, every id renumbered by the order it first
+    occurs in, taking the rows in path order."""
     first = {}
-    return [[first.setdefault(i, len(first)) for i in fa.clone_row.ids] for fa in files]
+    return [[first.setdefault(i, len(first)) for i in row.ids] for row in rows.values()]
 
 
 def test_forked_shares_equal_the_loop_field_by_field(mixed, forks, monkeypatch):
+    # the clone rows live beside the file analyses until the clone stage
+    found = analysis.discover_files(mixed, ProfileRegistry())
+    [(forked_files, forked_rows)], failure = analysis._analyze_files([found], "exact", False)
+    assert failure is None
     forked = analyze_project(mixed, load_config(), ProfileRegistry())
-    assert len(forks) == 2  # three shares: this process and two workers
+    assert len(forks) == 4  # three shares a run: this process and two workers
     _no_child_left()
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("one share must not fork"))
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    [(serial_files, serial_rows)], _ = analysis._analyze_files([found], "exact", False)
     serial = analyze_project(mixed, load_config(), ProfileRegistry())
-    assert len(serial.files) == len(forked.files) > 3
-    for a, b in zip(serial.files, forked.files):
-        for name in a._fields:
-            if name != "clone_row":
-                assert getattr(a, name) == getattr(b, name), (a.path, name)
-        assert (a.clone_row.lines, a.clone_row.end_lines) == (b.clone_row.lines, b.clone_row.end_lines)
-    assert _renumbered(serial.files) == _renumbered(forked.files)
+    assert len(serial_files) == len(forked_files) > 3
+    assert serial_files == forked_files == list(serial.files)
+    assert list(serial_rows) == list(forked_rows) == [fa.path for fa in serial_files]
+    for a, b in zip(serial_rows.values(), forked_rows.values()):
+        assert (a.lines, a.end_lines) == (b.lines, b.end_lines)
+    assert _renumbered(serial_rows) == _renumbered(forked_rows)
     # the forked ids are other ids, and only the renumbering equates them
-    assert [fa.clone_row.ids for fa in serial.files] != [fa.clone_row.ids for fa in forked.files]
-    for name in serial._fields:
-        if name != "files":
-            assert getattr(serial, name) == getattr(forked, name), name
+    assert [row.ids for row in serial_rows.values()] != [row.ids for row in forked_rows.values()]
+    assert serial == forked
 
 
 @pytest.mark.parametrize("share", [1, SERIAL], ids=["forked", "serial"])
@@ -207,7 +229,7 @@ def slow(*args):
     return real(*args)
 
 analysis.analyze_file = slow
-analysis.analyze_project(sys.argv[1], load_config(), ProfileRegistry())
+analysis.analyze_projects(sys.argv[1:], sys.argv[1:], load_config(), ProfileRegistry())
 """
 
 
@@ -221,16 +243,28 @@ def _gone(pid):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
 def test_a_worker_whose_parent_is_killed_stops(tmp_path):
-    # the worker's share holds 20 files of half a second each; it must stop
-    # at its next file once the parent is gone, not finish the share
+    _orphaned_worker_stops(tmp_path, 1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_compare_worker_whose_parent_is_killed_stops(tmp_path):
+    _orphaned_worker_stops(tmp_path, 2)
+
+
+def _orphaned_worker_stops(tmp_path, count):
+    # the worker's share holds 20 files of half a second each, of ``count``
+    # projects; it must stop at its next file once the parent is gone, not
+    # finish the share
     import signal
     import xmaint
 
+    roots = [tmp_path / f"p{project}" for project in range(count)]
     for i in range(40):
-        (tmp_path / f"m{i:02d}.py").write_text(f"x = {i}\n")
+        roots[i % count].mkdir(exist_ok=True)
+        (roots[i % count] / f"m{i:02d}.py").write_text(f"x = {i}\n")
     src = str(Path(xmaint.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.Popen([sys.executable, "-c", _ORPHANED_RUN, str(tmp_path)],
+    run = subprocess.Popen([sys.executable, "-c", _ORPHANED_RUN, *map(str, roots)],
                            stdout=subprocess.PIPE, text=True, env=env)
     worker = None
     try:
@@ -290,3 +324,165 @@ def test_a_project_below_two_shares_keeps_the_loop(tmp_path, monkeypatch):
 def test_balanced_shares_take_the_largest_file_first():
     assert analysis._balanced_shares([5, 1, 9, 4, 4], 2) == [[2, 4], [0, 3, 1]]
     assert analysis._balanced_shares([3, 3, 3], 3) == [[0], [1], [2]]
+
+
+def test_balanced_shares_make_no_empty_share():
+    assert analysis._balanced_shares([400, 0, 0], 3) == [[0], [1, 2]]
+
+
+def test_a_project_whose_bytes_sit_in_one_file_forks_no_idle_worker(tmp_path, forks):
+    # three CPUs and three files, but only one holds any bytes: a worker
+    # could only end at once while this process analyzes that file
+    (tmp_path / "big.py").write_text("x = 1\n" * 100)
+    for package in ("a", "b"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "__init__.py").write_text("")
+    result = analyze_project(tmp_path, load_config(), ProfileRegistry())
+    assert len(result.files) == 3 and forks == []
+    # a second file as large is worth one worker, which gets it
+    (tmp_path / "big2.py").write_text("y = 2\n" * 100)
+    found = analysis.discover_files(tmp_path, ProfileRegistry())
+    shares, _ = analysis._shares(found)
+    assert [[found[index][1] for index in share] for share in shares] == [
+        ["a/__init__.py", "b/__init__.py", "big.py"], ["big2.py"]]
+    assert len(analyze_project(tmp_path, load_config(), ProfileRegistry()).files) == 4
+    assert len(forks) == 1
+    _no_child_left()
+
+
+_FORCED_COMPARE = """
+import os, sys
+from xmaint import analysis, cli
+analysis._MIN_SHARE_BYTES = 1
+allowed = [{0, 1, 2}]
+os.sched_getaffinity = lambda pid: set(allowed[0])
+os.sched_setaffinity = lambda pid, cpus: allowed.__setitem__(0, set(cpus))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+code = cli.main(["compare", *sys.argv[1:], "--sensitivity"])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _without_generated_at(text):
+    return "".join(line for line in text.splitlines(True) if '"generated_at"' not in line)
+
+
+def test_forked_compare_gives_the_one_process_report_under_any_hash_seed(projects, monkeypatch, capsys):
+    # three faked CPUs: the files of all three projects in three shares
+    import xmaint
+    from xmaint.cli import main
+
+    src = str(Path(xmaint.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    reports = set()
+    for seed in ("0", "424242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        env.pop("XMAINT_CONFIG", None)
+        result = subprocess.run([sys.executable, "-c", _FORCED_COMPARE, *map(str, projects)],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode in (0, 2), result.stderr
+        assert result.stderr.splitlines()[-1] == "2"  # two workers
+        reports.add(_without_generated_at(result.stdout))
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("one process must not fork"))
+    main(["compare", *map(str, projects), "--sensitivity"])
+    assert reports == {_without_generated_at(capsys.readouterr().out)}
+
+
+def test_a_large_project_beside_a_small_one_spreads_over_every_share(projects, tmp_path, monkeypatch):
+    # a project is not a unit of work: the large one's files fill both shares
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", 1)
+    _fake_cpus(monkeypatch, {0, 1})
+    (tmp_path / "small.py").write_text("x = 1\n")
+    registry = ProfileRegistry()
+    large = analysis.discover_files(projects[1], registry)
+    shares, _ = analysis._shares(large + analysis.discover_files(tmp_path, registry))
+    assert len(shares) == 2 and all(min(share) < len(large) for share in shares)
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({"small": "project", "large": "files"}, "small"),
+    ({"large": "project", "medium": "files"}, "large"),
+    ({"large": "files", "medium": "files"}, "large"),
+], ids=["project-then-files", "project-then-later-files", "files-then-files"])
+def test_the_first_failing_project_in_order_is_raised(projects, forks, monkeypatch, failing, raised):
+    # a project fails in its files, in any share, or in its project-level
+    # stages, which run here after every share has ended
+    roots = {str(root): root.name for root in projects}
+    real_file, real_project = analysis.analyze_file, analysis._project_analysis
+
+    def failing_file(abs_path, *args):
+        project = next(name for root, name in roots.items() if str(abs_path).startswith(root + os.sep))
+        if failing.get(project) == "files":
+            raise ValueError(f"{project} failed")
+        return real_file(abs_path, *args)
+
+    def failing_project(root, project_id, *args):
+        if failing.get(project_id) == "project":
+            raise ValueError(f"{project_id} failed")
+        return real_project(root, project_id, *args)
+
+    monkeypatch.setattr(analysis, "analyze_file", failing_file)
+    monkeypatch.setattr(analysis, "_project_analysis", failing_project)
+    with pytest.raises(ValueError, match=f"^{raised} failed$"):
+        analysis.analyze_projects(projects, [p.name for p in projects], load_config(), ProfileRegistry())
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("missing", [1, 2], ids=["second", "third"])
+def test_a_missing_path_fails_as_in_one_process(projects, forks, monkeypatch, capsys, tmp_path, missing):
+    from xmaint.cli import main
+
+    paths = [str(p) for p in projects]
+    paths[missing] = str(tmp_path / "missing")
+    assert main(["compare", *paths]) == 1
+    forked = capsys.readouterr()
+    # the projects before the missing one are analyzed in three shares
+    assert len(forks) == 2
+    _no_child_left()
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    assert main(["compare", *paths]) == 1
+    assert forked == capsys.readouterr()
+    assert forked.out == "" and forked.err == f"error: path does not exist: {tmp_path / 'missing'}\n"
+
+
+def test_no_more_processes_run_at_once_than_cpus(projects, monkeypatch, tmp_path):
+    # four faked CPUs: a process is counted from its fork to its reaping
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", 1)
+    _fake_cpus(monkeypatch, range(4))
+    log = tmp_path / "processes.log"
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def note(event, pid):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{time.monotonic()} {event} {pid}\n".encode())
+        finally:
+            os.close(fd)
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            note("start", pid)
+        return pid
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        if reaped[0] > 0:
+            note("stop", reaped[0])
+        return reaped
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    analyses = analysis.analyze_projects(projects, [p.name for p in projects], load_config(), ProfileRegistry())
+    assert [pa.project_id for pa in analyses] == ["small", "large", "medium"]
+    events = sorted((float(t), event != "start") for t, event, _ in map(str.split, log.read_text().splitlines()))
+    assert sum(not stop for _, stop in events) == 3
+    running = most = 1
+    for _, stop in events:
+        running += -1 if stop else 1
+        most = max(most, running)
+    assert running == 1 and most <= 4

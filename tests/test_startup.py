@@ -40,8 +40,10 @@ print(json.dumps({"loaded_after_import": loaded, "hashing": [hashing, hashing_af
                   "store_class": store_class, "codes": codes}))
 """
 
-# pickle serves only the forked workers of a large per-file stage, so the
-# fixtures' one-share runs never load it
+# pickle serves only the forked workers of a large per-file stage, which a
+# compare may now reach with its projects' files together even where no
+# project alone would. The fixtures' runs stay in one share and must never
+# load it
 _NOT_AT_START = ("dataclasses", "inspect", "csv", "datetime", "xmaint.snapshots", "pickle")
 
 
