@@ -19,9 +19,13 @@ alive, since a forked child holds only the thread that forked it.
 ``analyze_projects``, which ``compare`` runs, discovers every project
 first and runs one per-file stage over the files of all of them, each
 project with an id table of its own in every process, so a large project's
-files spread over every share and many small projects share the cores. The
-project-level stages then run in this process, project by project. The
-error raised is the one a process analyzing the projects one after another
+files spread over every share and many small projects share the cores. A
+project whose files all lie in one share gets its project-level stages in
+that share's process, right after its last file, and a worker sends back
+its finished ``ProjectAnalysis``; a project whose files are split over
+shares gets them in this process once every share has ended. One share
+thus finishes each project before it reads the next one's files. The error
+raised is the one a process analyzing the projects one after another
 raises: that of the first failing project in the order given.
 
 The per-file results are sorted by relative path before any project-level
@@ -33,7 +37,8 @@ analysis is built; a ``ProjectAnalysis`` holds none.
 import fnmatch
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
@@ -213,35 +218,85 @@ def analyze_file(
 
 
 def _analyze_files(
-    projects: list[list[tuple[Path, str, LanguageProfile]]], dup_mode: str, file_scope: bool
-) -> tuple[list[tuple[list[FileAnalysis], dict[str, duplication.CloneRow]]], Exception | None]:
+    projects: list[list[tuple[Path, str, LanguageProfile]]],
+    dup_mode: str,
+    file_scope: bool,
+    finish: Callable[[int, list[FileAnalysis], dict[str, duplication.CloneRow]], object],
+) -> tuple[dict, dict, int, Exception | None]:
     """``analyze_file`` for every discovered file of ``projects``, in
     ``_shares`` of all their files, each project's rows with ids from a table
-    of its own. Returns, for each project before the first whose files fail,
-    its analyses sorted by path and their clone rows by path in the same
-    order; and that failure, or None. This process analyzes the first share,
-    and one forked worker each later share, each started on its own CPU.
+    of its own, and ``finish(project, files, rows)`` over the file analyses,
+    sorted by path, and the clone rows by path of each project that one
+    share holds whole. Returns, by project, what ``finish`` returned for each
+    project held whole, and the file analyses and rows, in the same form, of
+    each project split over shares; then the number of projects before the
+    first that fails, and that failure, or None. This process runs the first
+    share, and one forked worker each later share, each started on its own
+    CPU.
 
-    A share analyzes its files in discovery order, project by project, and
-    stops at its first failure; once every share has ended, the failure of
-    the first failing file in that order is returned, as one process would
-    meet it. A worker pickles the keys of each of its tables, then each
-    result, back through a pipe, and its rows are mapped to project ids once
-    per share and project. A worker that exits before its last result,
-    killed for memory say, fails at its first missing file with an
-    XmaintError. No worker or pipe outlives the call, and a worker whose
-    parent is gone, killed by a signal say, exits before its next file. The
-    tables, and the texts behind their keys, go on return."""
+    A share analyzes its files in discovery order, project by project,
+    finishes each project it holds whole right after that project's last
+    file, where the project's rows and id table go, and stops at its first
+    failure, in a file or in ``finish``; a failure in ``finish`` orders
+    after the project's files and before the next project's. The first
+    failure in that order, once every share has ended, is the one returned,
+    as one process would meet it. A worker pickles the keys of each split
+    project's table, then each result, a finished project or a split
+    project's file, back through a pipe, and a split project's rows are
+    mapped to project ids once per share and project. A worker that exits
+    before its last result, killed for memory say, fails at its first
+    missing result with an XmaintError. No worker or pipe outlives the call,
+    and a worker whose parent is gone, killed by a signal say, exits before
+    its next file. The tables, the per-file results and the texts behind the
+    tables' keys all go on return, so a split project finished next reuses
+    their memory."""
     items = [(project, item) for project, found in enumerate(projects) for item in found]
     shares, cpus = _shares([item for _, item in items])
-    results = [None] * len(items)
-    failures = []  # (index, exception)
-    workers = {}  # pid -> (the read end of its pipe, its share)
+    holders = Counter(project for share in shares for project in {items[index][0] for index in share})
+    split = {project for project, count in holders.items() if count > 1}  # held by two shares or more
+    # per share, the file each result follows: every file of a split
+    # project, and the last file of each project it holds whole
+    slots = [[index for index, after in zip(share, share[1:] + [None])
+              if items[index][0] in split or after is None or items[after][0] != items[index][0]]
+             for share in shares]
+    parent = os.getpid()
+
+    def run(share, share_slots, tables):
+        """A share's results up to its first failure, and that failure or None."""
+        done, whole = [], []  # results; the current whole project's files
+        try:
+            for index in share:
+                if os.getpid() != parent and os.getppid() != parent:  # nobody reads this share
+                    os._exit(1)
+                project, item = items[index]
+                result = analyze_file(*item, tables[project], dup_mode, file_scope)
+                if project in split:
+                    done.append(result)
+                    continue
+                whole.append(result)
+                if index == share_slots[len(done)]:
+                    del tables[project]
+                    done.append(finish(project, *_by_path(whole)))
+                    whole = []
+        except Exception as exc:
+            return done, exc
+        return done, None
+
+    finished, pieces = {}, defaultdict(list)  # project -> finish's result; split project -> its files'
+    failures = []  # (slot, exception)
+    workers = {}  # pid -> (the read end of its pipe, its share's slots)
+
+    def keep(index, result):
+        project = items[index][0]
+        if project in split:
+            pieces[project].append(result)
+        else:
+            finished[project] = result
+
     if len(shares) > 1:
         import pickle
         import signal
 
-        parent = os.getpid()
         _start_on(cpus[0], cpus)
     try:
         for worker, share in enumerate(shares[1:], 1):
@@ -258,18 +313,10 @@ def _analyze_files(
                     os.close(read_fd)
                     _start_on(cpus[worker], cpus)
                     tables = defaultdict(duplication.token_ids)  # project -> its ids here
-                    done, failure = [], None
-                    try:
-                        for index in share:
-                            if os.getppid() != parent:  # nobody reads this share
-                                os._exit(1)
-                            project, item = items[index]
-                            done.append(analyze_file(*item, tables[project], dup_mode, file_scope))
-                    except BaseException as exc:  # raised again by the parent
-                        failure = exc
+                    done, failure = run(share, slots[worker], tables)
                     # one pickle per result keeps each load's memo small
                     with os.fdopen(write_fd, "wb") as pipe:
-                        keys = {project: list(table) for project, table in tables.items()}
+                        keys = {project: list(table) for project, table in tables.items() if project in split}
                         pickle.dump((keys, len(done), failure), pipe, pickle.HIGHEST_PROTOCOL)
                         for result in done:
                             pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
@@ -277,25 +324,26 @@ def _analyze_files(
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            workers[pid] = os.fdopen(read_fd, "rb"), share
+            workers[pid] = os.fdopen(read_fd, "rb"), slots[worker]
         tables = defaultdict(duplication.token_ids)
-        try:
-            for index in shares[0]:
-                project, item = items[index]
-                results[index] = analyze_file(*item, tables[project], dup_mode, file_scope)
-        except Exception as exc:
-            failures.append((index, exc))
-        for pid, (pipe, share) in list(workers.items()):
+        done, failure = run(shares[0], slots[0], tables)
+        for index, result in zip(slots[0], done):
+            keep(index, result)
+        if failure is not None:
+            failures.append((slots[0][len(done)], failure))
+        for pid, (pipe, share_slots) in list(workers.items()):
             loaded, failure = 0, None
             with pipe:
                 try:
                     keys, count, failure = pickle.load(pipe)
                     to_ids = {project: list(map(tables[project].__getitem__, project_keys))
                               for project, project_keys in keys.items()}
-                    for index in share[:count]:
-                        results[index] = pickle.load(pipe)
-                        row = results[index][1]
-                        row.ids = list(map(to_ids[items[index][0]].__getitem__, row.ids))
+                    for index in share_slots[:count]:
+                        result = pickle.load(pipe)
+                        if items[index][0] in split:
+                            row = result[1]
+                            row.ids = list(map(to_ids[items[index][0]].__getitem__, row.ids))
+                        keep(index, result)
                         loaded += 1
                 except (EOFError, pickle.UnpicklingError):
                     count = None  # the stream ended early
@@ -307,19 +355,21 @@ def _analyze_files(
                     f"{os.waitstatus_to_exitcode(status)} without its result"
                 )
             if failure is not None:
-                failures.append((share[loaded], failure))
+                failures.append((share_slots[loaded], failure))
     finally:
         for pid, (pipe, _) in workers.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     first, failure = min(failures, key=lambda failure: failure[0], default=(len(items), None))
-    analyzed, start = [], 0
-    for found in projects[:items[first][0] if failure else len(projects)]:
-        done = sorted(results[start:start + len(found)], key=lambda result: result[0].path)
-        start += len(found)
-        analyzed.append(([fa for fa, _ in done], {fa.path: row for fa, row in done}))
-    return analyzed, failure
+    pieces = {project: _by_path(results) for project, results in pieces.items()}
+    return finished, pieces, items[first][0] if failure else len(projects), failure
+
+
+def _by_path(results: list[tuple[FileAnalysis, duplication.CloneRow]]):
+    """A project's file analyses sorted by path, and their clone rows by path."""
+    results.sort(key=lambda result: result[0].path)
+    return [fa for fa, _ in results], {fa.path: row for fa, row in results}
 
 
 def _shares(found: list[tuple[Path, str, LanguageProfile]]) -> tuple[list[list[int]], list[int]]:
@@ -503,10 +553,12 @@ def analyze_projects(
 ) -> list[ProjectAnalysis]:
     """The full pipeline for each root, in the order given. Every project
     is discovered first; then one per-file stage runs over the files of all
-    of them, and the project-level stages run here, project by project. A
-    project's clone rows go once its analysis is built. The error raised is
-    the one a process analyzing the projects one after another in the order
-    given raises: that of the first failing project, discovery included."""
+    of them, and each project's project-level stages run in the process
+    that analyzed its files, right after its last file, or here once the
+    stage has ended when its files are split over processes. A project's
+    clone rows go once its analysis is built. The error raised is the one a
+    process analyzing the projects one after another in the order given
+    raises: that of the first failing project, discovery included."""
     roots = [Path(root) for root in roots]
     found, failure = [], None
     for root in roots:
@@ -518,13 +570,18 @@ def analyze_projects(
             failure = exc
             break
         found.append(files)
-    dup_cfg = config["duplication"]
+
+    def finish(project, files, rows):
+        return _project_analysis(roots[project], project_ids[project], files, rows, config, registry)
+
     file_scope = config["models"]["mi"]["scope"] == "file"
-    analyzed, file_failure = _analyze_files(found, dup_cfg["mode"], file_scope)
-    analyses = []
-    for index, (files, rows) in enumerate(analyzed):
-        analyzed[index] = None  # the rows go once the loop moves on
-        analyses.append(_project_analysis(roots[index], project_ids[index], files, rows, config, registry))
+    finished, split, count, file_failure = _analyze_files(
+        found, config["duplication"]["mode"], file_scope, finish
+    )
+    # a project split over processes is finished once the per-file stage has
+    # let go of its tables and results
+    analyses = [finished.pop(project) if project in finished else finish(project, *split.pop(project))
+                for project in range(count)]
     if file_failure is not None:
         raise file_failure
     if failure is not None:

@@ -239,7 +239,9 @@ def cmd_compare(args) -> int:
     """Analyze two or more projects and rank them. One per-file stage runs
     over the files of every project, in this process and in forked workers
     when their source is large enough to fork for
-    (``analysis.analyze_projects``); the report keeps the argument order. A
+    (``analysis.analyze_projects``), and each project's project-level stages
+    run in the process that analyzed all of its files, or here when its
+    files were split over processes; the report keeps the argument order. A
     failure is reported as one process analyzing the projects in argument
     order reports it: the first failing project's error."""
     if len(args.paths) < 2:

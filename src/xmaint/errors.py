@@ -53,6 +53,10 @@ class SingleCountingViolation(XmaintError):
         named = "; ".join(f"indicator '{ind}' conflicts with rule '{rule}'" for ind, rule in self.pairs)
         super().__init__(f"single-counting violation: {named}")
 
+    def __reduce__(self):
+        # rebuilt from its pairs, not its message, when a forked worker relays it
+        return type(self), (self.pairs,)
+
 
 class StoreUnwritable(XmaintError):
     pass

@@ -86,17 +86,26 @@ def _renumbered(rows):
     return [[first.setdefault(i, len(first)) for i in row.ids] for row in rows.values()]
 
 
+def _files_and_rows(project, files, rows):
+    return files, rows
+
+
 def test_forked_shares_equal_the_loop_field_by_field(mixed, forks, monkeypatch):
     # the clone rows live beside the file analyses until the clone stage
     found = analysis.discover_files(mixed, ProfileRegistry())
-    [(forked_files, forked_rows)], failure = analysis._analyze_files([found], "exact", False)
-    assert failure is None
+    # one project over three shares is split, and left to the caller to finish
+    finished, split, count, failure = analysis._analyze_files([found], "exact", False, _files_and_rows)
+    assert (finished, count, failure) == ({}, 1, None)
+    forked_files, forked_rows = split[0]
     forked = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(forks) == 4  # three shares a run: this process and two workers
     _no_child_left()
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("one share must not fork"))
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
-    [(serial_files, serial_rows)], _ = analysis._analyze_files([found], "exact", False)
+    # in one share it is held whole, and finished there
+    finished, split, _, _ = analysis._analyze_files([found], "exact", False, _files_and_rows)
+    assert split == {}
+    serial_files, serial_rows = finished[0]
     serial = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(serial_files) == len(forked_files) > 3
     assert serial_files == forked_files == list(serial.files)
@@ -391,6 +400,28 @@ def test_forked_compare_gives_the_one_process_report_under_any_hash_seed(project
     assert reports == {_without_generated_at(capsys.readouterr().out)}
 
 
+def test_a_compare_of_split_and_whole_projects_gives_the_one_process_report(
+        projects, one_file_projects, forks, monkeypatch, capsys):
+    # the large project's files fill all three shares and are finished here;
+    # each one-file project is finished by the share that holds it
+    from xmaint.cli import main
+
+    paths = [str(one_file_projects[0]), str(projects[1]), str(one_file_projects[2])]
+    registry = ProfileRegistry()
+    items = [(project, item) for project, path in enumerate(paths)
+             for item in analysis.discover_files(Path(path), registry)]
+    shares, _ = analysis._shares([item for _, item in items])
+    holders = [sum(any(items[index][0] == project for index in share) for share in shares) for project in range(3)]
+    assert holders == [1, 3, 1]
+    assert main(["compare", *paths, "--sensitivity"]) in (0, 2)
+    forked = capsys.readouterr().out
+    assert len(forks) == 2
+    _no_child_left()
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    assert main(["compare", *paths, "--sensitivity"]) in (0, 2)
+    assert _without_generated_at(forked) == _without_generated_at(capsys.readouterr().out)
+
+
 def test_a_large_project_beside_a_small_one_spreads_over_every_share(projects, tmp_path, monkeypatch):
     # a project is not a unit of work: the large one's files fill both shares
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", 1)
@@ -402,14 +433,37 @@ def test_a_large_project_beside_a_small_one_spreads_over_every_share(projects, t
     assert len(shares) == 2 and all(min(share) < len(large) for share in shares)
 
 
-@pytest.mark.parametrize("failing, raised", [
-    ({"small": "project", "large": "files"}, "small"),
-    ({"large": "project", "medium": "files"}, "large"),
-    ({"large": "files", "medium": "files"}, "large"),
-], ids=["project-then-files", "project-then-later-files", "files-then-files"])
-def test_the_first_failing_project_in_order_is_raised(projects, forks, monkeypatch, failing, raised):
+@pytest.fixture
+def one_file_projects(tmp_path):
+    """Three one-file projects. On two shares this process holds the large
+    one whole and a worker the small and the medium one."""
+    roots = []
+    for name, lines in (("small", 10), ("large", 30), ("medium", 15)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / f"{name}.py").write_text("".join(f"x{i} = {i}\n" for i in range(lines)))
+        roots.append(tmp_path / name)
+    return roots
+
+
+@pytest.mark.parametrize("layout, failing, raised", [
+    ("projects", {"small": "project", "large": "files"}, "small"),
+    ("projects", {"large": "project", "medium": "files"}, "large"),
+    ("projects", {"large": "files", "medium": "files"}, "large"),
+    ("one_file_projects", {"small": "project", "large": "files"}, "small"),
+    ("one_file_projects", {"large": "project", "medium": "files"}, "large"),
+], ids=["project-then-files", "project-then-later-files", "files-then-files",
+        "worker-project-then-files-here", "project-here-then-worker-files"])
+def test_the_first_failing_project_in_order_is_raised(request, forks, monkeypatch, layout, failing, raised):
     # a project fails in its files, in any share, or in its project-level
-    # stages, which run here after every share has ended
+    # stages, which run in the share that holds all of its files right after
+    # the last of them, or here once every share has ended when its files
+    # are split over shares
+    projects = request.getfixturevalue(layout)
+    registry = ProfileRegistry()
+    found = [item for root in projects for item in analysis.discover_files(root, registry)]
+    shares, _ = analysis._shares(found)
+    if layout == "one_file_projects":
+        assert shares == [[1], [0, 2]]
     roots = {str(root): root.name for root in projects}
     real_file, real_project = analysis.analyze_file, analysis._project_analysis
 
@@ -427,9 +481,79 @@ def test_the_first_failing_project_in_order_is_raised(projects, forks, monkeypat
     monkeypatch.setattr(analysis, "analyze_file", failing_file)
     monkeypatch.setattr(analysis, "_project_analysis", failing_project)
     with pytest.raises(ValueError, match=f"^{raised} failed$"):
-        analysis.analyze_projects(projects, [p.name for p in projects], load_config(), ProfileRegistry())
-    assert len(forks) == 2
+        analysis.analyze_projects(projects, [p.name for p in projects], load_config(), registry)
+    assert len(forks) == len(shares) - 1
     _no_child_left()
+
+
+def test_a_serial_compare_finishes_each_project_before_the_next_one_s_files(projects, monkeypatch):
+    # in one share a project's rows go before the next project's files are read
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    names = {str(root): root.name for root in projects}
+    events = []
+    real_file, real_project = analysis.analyze_file, analysis._project_analysis
+
+    def logged_file(abs_path, *args):
+        name = next(name for root, name in names.items() if str(abs_path).startswith(root + os.sep))
+        events.append(("file", name))
+        return real_file(abs_path, *args)
+
+    def logged_project(root, project_id, *args):
+        events.append(("project", project_id))
+        return real_project(root, project_id, *args)
+
+    monkeypatch.setattr(analysis, "analyze_file", logged_file)
+    monkeypatch.setattr(analysis, "_project_analysis", logged_project)
+    analysis.analyze_projects(projects, [p.name for p in projects], load_config(), ProfileRegistry())
+    order = [event for index, event in enumerate(events) if index == 0 or events[index - 1] != event]
+    assert order == [(stage, name) for name in ("small", "large", "medium") for stage in ("file", "project")]
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a worker relays its failure by pickling it
+    import pickle
+
+    from xmaint import errors
+
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.XmaintError)]
+    assert len(classes) > 10 and errors.SingleCountingViolation in classes
+    for cls in classes:
+        if cls is errors.SingleCountingViolation:
+            exc = cls([("commentRatio", "comment-density")])
+        else:
+            exc = cls(f"{cls.__name__} raised")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is cls and str(copy) == str(exc)
+
+
+def test_a_worker_s_project_level_error_gives_the_one_process_error_line(
+        one_file_projects, forks, monkeypatch, capsys):
+    # the small project is held whole by a worker, which relays the error
+    from xmaint.cli import main
+    from xmaint.errors import SingleCountingViolation
+
+    parent = os.getpid()
+    real = analysis._project_analysis
+    anywhere = []
+
+    def failing(root, project_id, *args):
+        if project_id == "small" and (anywhere or os.getpid() != parent):
+            raise SingleCountingViolation([("commentRatio", "comment-density")])
+        return real(root, project_id, *args)
+
+    monkeypatch.setattr(analysis, "_project_analysis", failing)
+    paths = [str(root) for root in one_file_projects]
+    assert main(["compare", *paths]) == 1
+    forked = capsys.readouterr()
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
+    anywhere.append(True)
+    assert main(["compare", *paths]) == 1
+    assert forked == capsys.readouterr()
+    assert forked.out == "" and forked.err == (
+        "error: single-counting violation: indicator 'commentRatio' conflicts with rule 'comment-density'\n")
 
 
 @pytest.mark.parametrize("missing", [1, 2], ids=["second", "third"])
