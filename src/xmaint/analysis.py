@@ -247,7 +247,8 @@ def _analyze_files(
     before its last result, killed for memory say, fails at its first
     missing result with an XmaintError. No worker or pipe outlives the call,
     and a worker whose parent is gone, killed by a signal say, exits before
-    its next file. The tables, the per-file results and the texts behind the
+    its next file, so after the project-level stages of a project whose last
+    file it has just analyzed. The tables, the per-file results and the texts behind the
     tables' keys all go on return, so a split project finished next reuses
     their memory."""
     items = [(project, item) for project, found in enumerate(projects) for item in found]

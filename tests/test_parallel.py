@@ -260,6 +260,13 @@ def test_a_compare_worker_whose_parent_is_killed_stops(tmp_path):
     _orphaned_worker_stops(tmp_path, 2)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_worker_that_finishes_whole_projects_stops_when_its_parent_is_killed(tmp_path):
+    # one-file projects are held whole, so the worker runs each one's
+    # project-level stages right after its file
+    _orphaned_worker_stops(tmp_path, 40)
+
+
 def _orphaned_worker_stops(tmp_path, count):
     # the worker's share holds 20 files of half a second each, of ``count``
     # projects; it must stop at its next file once the parent is gone, not
@@ -462,7 +469,9 @@ def test_the_first_failing_project_in_order_is_raised(request, forks, monkeypatc
     registry = ProfileRegistry()
     found = [item for root in projects for item in analysis.discover_files(root, registry)]
     shares, _ = analysis._shares(found)
-    if layout == "one_file_projects":
+    if layout == "projects":
+        assert len(shares) == 3  # every project's files spread over this process and two workers
+    else:
         assert shares == [[1], [0, 2]]
     roots = {str(root): root.name for root in projects}
     real_file, real_project = analysis.analyze_file, analysis._project_analysis
