@@ -7,8 +7,9 @@ process, or, when the source holds at least two shares of
 largest file first, each to the lightest share. This process analyzes the
 first share against the project's id table. One forked worker per later
 share analyzes its files against a table of its own and pickles that
-table's keys and then each result back through a pipe; the parent maps the
-worker's ids to project ids once per share. Project ids then come out in
+table's keys and then each result, tagged by file index, back through a
+pipe; the parent maps the worker's ids to project ids once per share and
+keeps every result in one dict by index. Project ids then come out in
 another order than one process gives them, and the reports are still the
 same bytes: the clone stage only compares ids for equality and hashes
 them, a hash collision is settled by comparing window contents, and blocks
@@ -22,11 +23,12 @@ project with an id table of its own in every process, so a large project's
 files spread over every share and many small projects share the cores. A
 project whose files all lie in one share gets its project-level stages in
 that share's process, right after its last file, and a worker sends back
-its finished ``ProjectAnalysis``; a project whose files are split over
-shares gets them in this process once every share has ended. One share
-thus finishes each project before it reads the next one's files. The error
-raised is the one a process analyzing the projects one after another
-raises: that of the first failing project in the order given.
+its finished ``ProjectAnalysis``, tagged by that file; a project whose
+files are split over shares gets them in this process once every share has
+ended. One share thus finishes each project before it reads the next one's
+files. The error raised is the one a process analyzing the projects one
+after another raises: that of the first failing project in the order
+given, found as the failure at the lowest file index.
 
 The per-file results are sorted by relative path before any project-level
 stage, so every report depends on the file set alone, never on discovery
@@ -34,7 +36,9 @@ order. The clone rows live beside the file analyses until their project's
 analysis is built; a ``ProjectAnalysis`` holds none.
 """
 
+import bisect
 import fnmatch
+import itertools
 import os
 import sys
 from collections import Counter, defaultdict
@@ -82,7 +86,6 @@ class ProjectAnalysis(NamedTuple):
     files: tuple[FileAnalysis, ...]
     metrics: ProjectMetrics
     duplication: duplication.DuplicationReport
-    rule_sets: dict[str, RuleSet]
     shared_rule_ids: tuple[str, ...]
     violations: tuple[Violation, ...]
     mi: MiResult | None
@@ -222,78 +225,77 @@ def _analyze_files(
     dup_mode: str,
     file_scope: bool,
     finish: Callable[[int, list[FileAnalysis], dict[str, duplication.CloneRow]], object],
-) -> tuple[dict, dict, int, Exception | None]:
+) -> tuple[list, Exception | None]:
     """``analyze_file`` for every discovered file of ``projects``, in
     ``_shares`` of all their files, each project's rows with ids from a table
-    of its own, and ``finish(project, files, rows)`` over the file analyses,
-    sorted by path, and the clone rows by path of each project that one
-    share holds whole. Returns, by project, what ``finish`` returned for each
-    project held whole, and the file analyses and rows, in the same form, of
-    each project split over shares; then the number of projects before the
-    first that fails, and that failure, or None. This process runs the first
-    share, and one forked worker each later share, each started on its own
-    CPU.
+    of its own, and ``finish(project, files, rows)`` over each project's file
+    analyses, sorted by path, and its rows by path. Returns what ``finish``
+    returned for each project before the first that fails, in project order,
+    and that failure, or None. This process runs the first share, and one
+    forked worker each later share, each started on its own CPU.
 
-    A share analyzes its files in discovery order, project by project,
-    finishes each project it holds whole right after that project's last
-    file, where the project's rows and id table go, and stops at its first
-    failure, in a file or in ``finish``; a failure in ``finish`` orders
-    after the project's files and before the next project's. The first
-    failure in that order, once every share has ended, is the one returned,
-    as one process would meet it. A worker pickles the keys of each split
-    project's table, then each result, a finished project or a split
-    project's file, back through a pipe, and a split project's rows are
-    mapped to project ids once per share and project. A worker that exits
-    before its last result, killed for memory say, fails at its first
-    missing result with an XmaintError. No worker or pipe outlives the call,
-    and a worker whose parent is gone, killed by a signal say, exits before
-    its next file, so after the project-level stages of a project whose last
-    file it has just analyzed. The tables, the per-file results and the texts behind the
-    tables' keys all go on return, so a split project finished next reuses
-    their memory."""
+    A share yields ``(file index, result)`` pairs in discovery order: one per
+    file of a project split over shares, and for a project it holds whole,
+    what ``finish`` returned, tagged with the project's last file; the
+    project's rows and id table go there. Its first failure, in a
+    file or in ``finish``, ends it as ``(file index, exception)``. A worker
+    pickles the keys of each split project's table, then its pairs, and the
+    parent maps a split project's rows to project ids once per share and
+    project. A worker whose stream ends early, killed for memory say, fails
+    with an XmaintError at the first file of its share after its last pair.
+    The failure at the lowest index is the one a lone process would meet; each
+    split project before it is finished here once the id tables have gone,
+    so it reuses their memory. No worker or pipe outlives the call, and a
+    worker whose parent is gone exits before its next file, so after the
+    project-level stages of a project whose last file it has just analyzed."""
     items = [(project, item) for project, found in enumerate(projects) for item in found]
+    ends = list(itertools.accumulate(map(len, projects)))  # one past each project's last file
     shares, cpus = _shares([item for _, item in items])
     holders = Counter(project for share in shares for project in {items[index][0] for index in share})
     split = {project for project, count in holders.items() if count > 1}  # held by two shares or more
-    # per share, the file each result follows: every file of a split
-    # project, and the last file of each project it holds whole
-    slots = [[index for index, after in zip(share, share[1:] + [None])
-              if items[index][0] in split or after is None or items[after][0] != items[index][0]]
-             for share in shares]
     parent = os.getpid()
+    results = {}  # file index -> the result of its pair, or the exception a share stopped at
+    received = []  # each worker's keys and the project ids they map to
 
-    def run(share, share_slots, tables):
-        """A share's results up to its first failure, and that failure or None."""
-        done, whole = [], []  # results; the current whole project's files
-        try:
-            for index in share:
-                if os.getpid() != parent and os.getppid() != parent:  # nobody reads this share
-                    os._exit(1)
-                project, item = items[index]
+    def run(share, tables):
+        """The share's pairs, the last one its failure if it fails."""
+        whole = []  # the current whole project's files
+        for index in share:
+            if os.getpid() != parent and os.getppid() != parent:  # nobody reads this share
+                os._exit(1)
+            project, item = items[index]
+            try:
                 result = analyze_file(*item, tables[project], dup_mode, file_scope)
-                if project in split:
-                    done.append(result)
-                    continue
-                whole.append(result)
-                if index == share_slots[len(done)]:
+                if project not in split:
+                    whole.append(result)
+                    if index + 1 < ends[project]:
+                        continue
                     del tables[project]
-                    done.append(finish(project, *_by_path(whole)))
-                    whole = []
-        except Exception as exc:
-            return done, exc
-        return done, None
+                    result, whole = finish(project, *_by_path(whole)), []
+            except Exception as exc:
+                yield index, exc
+                return
+            yield index, result
 
-    finished, pieces = {}, defaultdict(list)  # project -> finish's result; split project -> its files'
-    failures = []  # (slot, exception)
-    workers = {}  # pid -> (the read end of its pipe, its share's slots)
+    def receive(pipe, tables):
+        """A worker's pairs, its ids mapped to project ids, into ``results``
+        to the end of its stream; the index of its last pair, or -1."""
+        last = -1
+        try:
+            keys = pickle.load(pipe)
+            to_ids = {project: list(map(tables[project].__getitem__, project_keys))
+                      for project, project_keys in keys.items()}
+            received.append((keys, to_ids))
+            while True:
+                last, result = pickle.load(pipe)
+                project = items[last][0]
+                if project in split and not isinstance(result, Exception):
+                    result[1].ids = list(map(to_ids[project].__getitem__, result[1].ids))
+                results[last] = result
+        except (EOFError, pickle.UnpicklingError):
+            return last
 
-    def keep(index, result):
-        project = items[index][0]
-        if project in split:
-            pieces[project].append(result)
-        else:
-            finished[project] = result
-
+    workers = {}  # pid -> (the read end of its pipe, its share)
     if len(shares) > 1:
         import pickle
         import signal
@@ -314,57 +316,52 @@ def _analyze_files(
                     os.close(read_fd)
                     _start_on(cpus[worker], cpus)
                     tables = defaultdict(duplication.token_ids)  # project -> its ids here
-                    done, failure = run(share, slots[worker], tables)
-                    # one pickle per result keeps each load's memo small
+                    pairs = list(run(share, tables))
+                    # one pickle per pair keeps each load's memo small
                     with os.fdopen(write_fd, "wb") as pipe:
-                        keys = {project: list(table) for project, table in tables.items() if project in split}
-                        pickle.dump((keys, len(done), failure), pipe, pickle.HIGHEST_PROTOCOL)
-                        for result in done:
-                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump({project: list(table) for project, table in tables.items() if project in split},
+                                    pipe, pickle.HIGHEST_PROTOCOL)
+                        for pair in pairs:
+                            pickle.dump(pair, pipe, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            workers[pid] = os.fdopen(read_fd, "rb"), slots[worker]
+            workers[pid] = os.fdopen(read_fd, "rb"), share
         tables = defaultdict(duplication.token_ids)
-        done, failure = run(shares[0], slots[0], tables)
-        for index, result in zip(slots[0], done):
-            keep(index, result)
-        if failure is not None:
-            failures.append((slots[0][len(done)], failure))
-        for pid, (pipe, share_slots) in list(workers.items()):
-            loaded, failure = 0, None
+        results.update(run(shares[0], tables))
+        for pid, (pipe, share) in list(workers.items()):
             with pipe:
-                try:
-                    keys, count, failure = pickle.load(pipe)
-                    to_ids = {project: list(map(tables[project].__getitem__, project_keys))
-                              for project, project_keys in keys.items()}
-                    for index in share_slots[:count]:
-                        result = pickle.load(pipe)
-                        if items[index][0] in split:
-                            row = result[1]
-                            row.ids = list(map(to_ids[items[index][0]].__getitem__, row.ids))
-                        keep(index, result)
-                        loaded += 1
-                except (EOFError, pickle.UnpicklingError):
-                    count = None  # the stream ended early
+                last = receive(pipe, tables)
             _, status = os.waitpid(pid, 0)
             del workers[pid]
-            if count is None:
-                failure = XmaintError(
+            if last != share[-1] and not isinstance(results.get(last), Exception):  # the stream ended early
+                results[share[bisect.bisect(share, last)]] = XmaintError(
                     f"per-file worker {pid} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} without its result"
                 )
-            if failure is not None:
-                failures.append((share_slots[loaded], failure))
     finally:
         for pid, (pipe, _) in workers.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    first, failure = min(failures, key=lambda failure: failure[0], default=(len(items), None))
-    pieces = {project: _by_path(results) for project, results in pieces.items()}
-    return finished, pieces, items[first][0] if failure else len(projects), failure
+    # freed together: freed one by one, with small objects allocated in
+    # between, they leave the small-object allocator's arenas partly used
+    del tables, received
+    failed = min((index for index, result in results.items() if isinstance(result, Exception)),
+                 default=len(items))
+    analyses = []
+    for project, end in enumerate(ends):
+        if end > failed:
+            return analyses, results[failed]
+        if project in split:
+            try:
+                results[end - 1] = finish(project, *_by_path(
+                    [results.pop(index) for index in range(end - len(projects[project]), end)]))
+            except Exception as exc:
+                return analyses, exc
+        analyses.append(results.pop(end - 1))
+    return analyses, None
 
 
 def _by_path(results: list[tuple[FileAnalysis, duplication.CloneRow]]):
@@ -553,13 +550,15 @@ def analyze_projects(
     excludes: tuple[str, ...] = (),
 ) -> list[ProjectAnalysis]:
     """The full pipeline for each root, in the order given. Every project
-    is discovered first; then one per-file stage runs over the files of all
-    of them, and each project's project-level stages run in the process
-    that analyzed its files, right after its last file, or here once the
-    stage has ended when its files are split over processes. A project's
-    clone rows go once its analysis is built. The error raised is the one a
-    process analyzing the projects one after another in the order given
-    raises: that of the first failing project, discovery included."""
+    is discovered first, and each registered profile's rule set is loaded
+    once; then ``_analyze_files`` runs one per-file stage over the files of
+    all of them and hands back each finished project: its project-level
+    stages run in the process that analyzed its files, right after its last
+    file, or here once the stage has ended when its files are split over
+    processes. A project's clone rows go once its analysis is built. The
+    error raised is the one a process analyzing the projects one after
+    another in the order given raises: that of the first failing project,
+    discovery included."""
     roots = [Path(root) for root in roots]
     found, failure = [], None
     for root in roots:
@@ -572,17 +571,16 @@ def analyze_projects(
             break
         found.append(files)
 
+    # rule enablement is config-wide, so every project shares the run's ids
+    rule_sets = {profile.id: rules.load_rule_set(config["rules"], profile) for profile in registry.profiles()}
+    shared_rule_ids = tuple(rules.intersect_rule_sets(list(rule_sets.values())))
+
     def finish(project, files, rows):
-        return _project_analysis(roots[project], project_ids[project], files, rows, config, registry)
+        return _project_analysis(roots[project], project_ids[project], files, rows, config, registry,
+                                 rule_sets, shared_rule_ids)
 
     file_scope = config["models"]["mi"]["scope"] == "file"
-    finished, split, count, file_failure = _analyze_files(
-        found, config["duplication"]["mode"], file_scope, finish
-    )
-    # a project split over processes is finished once the per-file stage has
-    # let go of its tables and results
-    analyses = [finished.pop(project) if project in finished else finish(project, *split.pop(project))
-                for project in range(count)]
+    analyses, file_failure = _analyze_files(found, config["duplication"]["mode"], file_scope, finish)
     if file_failure is not None:
         raise file_failure
     if failure is not None:
@@ -597,9 +595,12 @@ def _project_analysis(
     rows: dict[str, duplication.CloneRow],
     config: dict,
     registry: ProfileRegistry,
+    rule_sets: dict[str, RuleSet],
+    shared_rule_ids: tuple[str, ...],
 ) -> ProjectAnalysis:
     """The project-level stages over a project's file analyses, sorted by
-    path, and their clone rows."""
+    path, and their clone rows, with the run's rule set of each profile and
+    the ids they all enable."""
     dup_cfg = config["duplication"]
     file_scope = config["models"]["mi"]["scope"] == "file"
     diagnostics = [d for fa in files for d in fa.diagnostics]
@@ -614,12 +615,6 @@ def _project_analysis(
     dup_report = duplication.build_report(
         rows, dup_cfg["min_tokens"], dup_cfg["mode"], project_metrics.total_loc
     )
-
-    profile_ids = sorted({fa.profile_id for fa in files})
-    rule_sets = {
-        pid: rules.load_rule_set(config["rules"], registry.get(pid)) for pid in profile_ids
-    }
-    shared_rule_ids = tuple(rules.intersect_rule_sets(list(rule_sets.values())))
 
     cost_per_line = float(config["models"]["sqale"]["cost_per_line_minutes"])
     violations, tdr, debt_diags = evaluate_debt(
@@ -651,7 +646,6 @@ def _project_analysis(
         files=tuple(files),
         metrics=project_metrics,
         duplication=dup_report,
-        rule_sets=rule_sets,
         shared_rule_ids=shared_rule_ids,
         violations=violations,
         mi=mi_result,
@@ -666,9 +660,9 @@ def _project_analysis(
 def shared_rules(analyses: list[ProjectAnalysis]) -> tuple[list[str], Diagnostic | None]:
     """The rule ids enabled for every profile of two or more compared
     projects, plus a warning when there are none. Rule enablement is
-    config-wide, so every rule set of one run enables the same ids: each
-    project was already billed against exactly these."""
-    shared = rules.intersect_rule_sets([rs for pa in analyses for rs in pa.rule_sets.values()])
+    config-wide, so these are the run's ids, which every project holds and
+    was billed against."""
+    shared = list(analyses[0].shared_rule_ids)
     warning = None
     if not shared:
         warning = Diagnostic(

@@ -237,13 +237,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     """Analyze two or more projects and rank them. One per-file stage runs
-    over the files of every project, in this process and in forked workers
-    when their source is large enough to fork for
-    (``analysis.analyze_projects``), and each project's project-level stages
-    run in the process that analyzed all of its files, or here when its
-    files were split over processes; the report keeps the argument order. A
-    failure is reported as one process analyzing the projects in argument
-    order reports it: the first failing project's error."""
+    over the files of every project (``analysis.analyze_projects``), in this
+    process and in forked workers when their source is large enough to fork
+    for, and each project comes back finished by the process that analyzed
+    all of its files, or by this one when its files were split over
+    processes; the report keeps the argument order. A failure is reported as
+    one process analyzing the projects in argument order reports it: the
+    first failing project's error."""
     if len(args.paths) < 2:
         raise XmaintError("compare needs at least two project paths")
     ids = [Path(p).name for p in args.paths]

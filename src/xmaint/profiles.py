@@ -66,9 +66,6 @@ class LanguageProfile(_ProfileFields):
         """Canonical casing for token-text comparisons."""
         return text if self.case_sensitive else text.upper()
 
-    def is_decision(self, text: str) -> bool:
-        return self.fold(text) in folded_tokens(self).decisions
-
     def as_dict(self) -> dict:
         return {name: _plain(value) for name, value in zip(self._fields, self)}
 

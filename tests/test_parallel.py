@@ -93,19 +93,18 @@ def _files_and_rows(project, files, rows):
 def test_forked_shares_equal_the_loop_field_by_field(mixed, forks, monkeypatch):
     # the clone rows live beside the file analyses until the clone stage
     found = analysis.discover_files(mixed, ProfileRegistry())
-    # one project over three shares is split, and left to the caller to finish
-    finished, split, count, failure = analysis._analyze_files([found], "exact", False, _files_and_rows)
-    assert (finished, count, failure) == ({}, 1, None)
-    forked_files, forked_rows = split[0]
+    # one project over three shares is split, and finished here once every
+    # share has ended
+    [(forked_files, forked_rows)], failure = analysis._analyze_files([found], "exact", False, _files_and_rows)
+    assert failure is None
     forked = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(forks) == 4  # three shares a run: this process and two workers
     _no_child_left()
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("one share must not fork"))
     monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", SERIAL)
-    # in one share it is held whole, and finished there
-    finished, split, _, _ = analysis._analyze_files([found], "exact", False, _files_and_rows)
-    assert split == {}
-    serial_files, serial_rows = finished[0]
+    # in one share it is held whole, and finished right after its last file
+    [(serial_files, serial_rows)], failure = analysis._analyze_files([found], "exact", False, _files_and_rows)
+    assert failure is None
     serial = analyze_project(mixed, load_config(), ProfileRegistry())
     assert len(serial_files) == len(forked_files) > 3
     assert serial_files == forked_files == list(serial.files)
@@ -452,29 +451,46 @@ def one_file_projects(tmp_path):
     return roots
 
 
+_STOPPED = r"^per-file worker \d+ exited with status 4 without its result$"
+
+
 @pytest.mark.parametrize("layout, failing, raised", [
-    ("projects", {"small": "project", "large": "files"}, "small"),
-    ("projects", {"large": "project", "medium": "files"}, "large"),
-    ("projects", {"large": "files", "medium": "files"}, "large"),
-    ("one_file_projects", {"small": "project", "large": "files"}, "small"),
-    ("one_file_projects", {"large": "project", "medium": "files"}, "large"),
-], ids=["project-then-files", "project-then-later-files", "files-then-files",
-        "worker-project-then-files-here", "project-here-then-worker-files"])
+    ("projects", {"small": "project", "large": "files"}, "^small failed$"),
+    ("projects", {"large": "project", "medium": "files"}, "^large failed$"),
+    ("projects", {"large": "files", "medium": "files"}, "^large failed$"),
+    ("projects", {"small": "sent", "large": "files"}, _STOPPED),
+    ("small large medium", {"small": "project", "large": "files"}, "^small failed$"),
+    ("small large medium", {"large": "project", "medium": "files"}, "^large failed$"),
+    ("small medium large", {"small": "sent", "large": "files"}, _STOPPED),
+    ("medium large small", {"medium": "sent", "large": "project"}, "^large failed$"),
+], ids=["project-then-files", "project-then-later-files", "files-then-files", "worker-stops-then-files",
+        "worker-project-then-files-here", "project-here-then-worker-files",
+        "worker-stops-then-files-here", "project-here-then-worker-stops"])
 def test_the_first_failing_project_in_order_is_raised(request, forks, monkeypatch, layout, failing, raised):
     # a project fails in its files, in any share, or in its project-level
     # stages, which run in the share that holds all of its files right after
     # the last of them, or here once every share has ended when its files
-    # are split over shares
-    projects = request.getfixturevalue(layout)
+    # are split over shares; a worker whose stream ends right after it sent
+    # its first result of a project ("sent") fails at the next file of its
+    # share
+    import pickle
+
+    if layout == "projects":
+        projects = request.getfixturevalue(layout)
+    else:  # one-file projects in this order; this process holds the large one
+        by_name = {root.name: root for root in request.getfixturevalue("one_file_projects")}
+        projects = [by_name[name] for name in layout.split()]
     registry = ProfileRegistry()
-    found = [item for root in projects for item in analysis.discover_files(root, registry)]
-    shares, _ = analysis._shares(found)
+    found = {root.name: analysis.discover_files(root, registry) for root in projects}
+    names = [name for name, files in found.items() for _ in files]  # by file index
+    shares, _ = analysis._shares([item for files in found.values() for item in files])
     if layout == "projects":
         assert len(shares) == 3  # every project's files spread over this process and two workers
     else:
-        assert shares == [[1], [0, 2]]
+        large = layout.split().index("large")
+        assert shares == [[large], [index for index in range(3) if index != large]]
     roots = {str(root): root.name for root in projects}
-    real_file, real_project = analysis.analyze_file, analysis._project_analysis
+    real_file, real_project, real_dump = analysis.analyze_file, analysis._project_analysis, pickle.dump
 
     def failing_file(abs_path, *args):
         project = next(name for root, name in roots.items() if str(abs_path).startswith(root + os.sep))
@@ -487,9 +503,16 @@ def test_the_first_failing_project_in_order_is_raised(request, forks, monkeypatc
             raise ValueError(f"{project_id} failed")
         return real_project(root, project_id, *args)
 
+    def stopping_dump(obj, file, *args):
+        real_dump(obj, file, *args)
+        if isinstance(obj, tuple) and failing.get(names[obj[0]]) == "sent":  # a (file index, result) pair
+            file.flush()
+            os._exit(4)
+
     monkeypatch.setattr(analysis, "analyze_file", failing_file)
     monkeypatch.setattr(analysis, "_project_analysis", failing_project)
-    with pytest.raises(ValueError, match=f"^{raised} failed$"):
+    monkeypatch.setattr(pickle, "dump", stopping_dump)
+    with pytest.raises((ValueError, XmaintError), match=raised):
         analysis.analyze_projects(projects, [p.name for p in projects], load_config(), registry)
     assert len(forks) == len(shares) - 1
     _no_child_left()

@@ -12,6 +12,7 @@ from xmaint.profiles import (
     ProfileRegistry,
     build_registry,
     detect_profile,
+    folded_tokens,
     load_profiles_file,
     _REQUIRED_KEYS,
     _WHITESPACE,
@@ -119,9 +120,11 @@ def test_load_profiles_file_and_override(tmp_path, registry):
 
 def test_case_insensitive_fold():
     cobol = next(p for p in BUILTIN_PROFILES if p.id == "cobol-like")
-    assert cobol.is_decision("if") and cobol.is_decision("IF")
+    decisions = folded_tokens(cobol).decisions
+    assert cobol.fold("if") in decisions and cobol.fold("IF") in decisions
     c = next(p for p in BUILTIN_PROFILES if p.id == "c-family")
-    assert c.is_decision("if") and not c.is_decision("IF")
+    decisions = folded_tokens(c).decisions
+    assert c.fold("if") in decisions and c.fold("IF") not in decisions
 
 
 def test_schema_matches_profile_fields():
