@@ -255,7 +255,7 @@ def _analyze_files(
     split = {project for project, count in holders.items() if count > 1}  # held by two shares or more
     parent = os.getpid()
     results = {}  # file index -> the result of its pair, or the exception a share stopped at
-    received = []  # each worker's keys and the project ids they map to
+    received = []  # the last worker's keys and the project ids they map to
 
     def run(share, tables):
         """The share's pairs, the last one its failure if it fails."""
@@ -285,7 +285,7 @@ def _analyze_files(
             keys = pickle.load(pipe)
             to_ids = {project: list(map(tables[project].__getitem__, project_keys))
                       for project, project_keys in keys.items()}
-            received.append((keys, to_ids))
+            received[:] = keys, to_ids  # an earlier worker's go now
             while True:
                 last, result = pickle.load(pipe)
                 project = items[last][0]
@@ -558,7 +558,9 @@ def analyze_projects(
     processes. A project's clone rows go once its analysis is built. The
     error raised is the one a process analyzing the projects one after
     another in the order given raises: that of the first failing project,
-    discovery included."""
+    discovery included. ``config`` is one ``load_config`` has validated: the
+    rule sets are loaded before any file is analyzed, so an invalid ``rules``
+    section raises ahead of every project's error."""
     roots = [Path(root) for root in roots]
     found, failure = [], None
     for root in roots:

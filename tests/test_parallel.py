@@ -455,14 +455,14 @@ _STOPPED = r"^per-file worker \d+ exited with status 4 without its result$"
 
 
 @pytest.mark.parametrize("layout, failing, raised", [
-    ("projects", {"small": "project", "large": "files"}, "^small failed$"),
-    ("projects", {"large": "project", "medium": "files"}, "^large failed$"),
-    ("projects", {"large": "files", "medium": "files"}, "^large failed$"),
-    ("projects", {"small": "sent", "large": "files"}, _STOPPED),
-    ("small large medium", {"small": "project", "large": "files"}, "^small failed$"),
-    ("small large medium", {"large": "project", "medium": "files"}, "^large failed$"),
-    ("small medium large", {"small": "sent", "large": "files"}, _STOPPED),
-    ("medium large small", {"medium": "sent", "large": "project"}, "^large failed$"),
+    ("projects", {"small": "project", "large": "files"}, (ValueError, "^small failed$")),
+    ("projects", {"large": "project", "medium": "files"}, (ValueError, "^large failed$")),
+    ("projects", {"large": "files", "medium": "files"}, (ValueError, "^large failed$")),
+    ("projects", {"small": "sent", "large": "files"}, (XmaintError, _STOPPED)),
+    ("small large medium", {"small": "project", "large": "files"}, (ValueError, "^small failed$")),
+    ("small large medium", {"large": "project", "medium": "files"}, (ValueError, "^large failed$")),
+    ("small medium large", {"small": "sent", "large": "files"}, (XmaintError, _STOPPED)),
+    ("medium large small", {"medium": "sent", "large": "project"}, (ValueError, "^large failed$")),
 ], ids=["project-then-files", "project-then-later-files", "files-then-files", "worker-stops-then-files",
         "worker-project-then-files-here", "project-here-then-worker-files",
         "worker-stops-then-files-here", "project-here-then-worker-stops"])
@@ -512,8 +512,10 @@ def test_the_first_failing_project_in_order_is_raised(request, forks, monkeypatc
     monkeypatch.setattr(analysis, "analyze_file", failing_file)
     monkeypatch.setattr(analysis, "_project_analysis", failing_project)
     monkeypatch.setattr(pickle, "dump", stopping_dump)
-    with pytest.raises((ValueError, XmaintError), match=raised):
+    kind, message = raised
+    with pytest.raises(kind, match=message) as error:
         analysis.analyze_projects(projects, [p.name for p in projects], load_config(), registry)
+    assert error.type is kind  # a worker relays the exception it met, not a stand-in
     assert len(forks) == len(shares) - 1
     _no_child_left()
 
