@@ -41,6 +41,7 @@ import fnmatch
 import itertools
 import os
 import sys
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from pathlib import Path
@@ -290,7 +291,8 @@ def _analyze_files(
                 last, result = pickle.load(pipe)
                 project = items[last][0]
                 if project in split and not isinstance(result, Exception):
-                    result[1].ids = list(map(to_ids[project].__getitem__, result[1].ids))
+                    # an array fills faster from a list than from an iterator
+                    result[1].ids = array("i", list(map(to_ids[project].__getitem__, result[1].ids)))
                 results[last] = result
         except (EOFError, pickle.UnpicklingError):
             return last

@@ -172,20 +172,10 @@ def _single_score(analysis, config):
     )
 
 
-def _flags_block(args, extra=None) -> dict:
-    flags = {
-        "profile": args.profile,
-        "config": args.config,
-        "format": args.format,
-        "min_tokens": args.min_tokens,
-        "dup_mode": args.dup_mode,
-        "cost_per_line": args.cost_per_line,
-        "coverage": args.coverage,
-        "include": sorted(args.include),
-        "exclude": sorted(args.exclude),
-        "out": args.out,
-    }
-    flags.update(extra or {})
+def _flags_block(args, **extra) -> dict:
+    flags = {name: getattr(args, name) for name in
+             ("profile", "config", "format", "min_tokens", "dup_mode", "cost_per_line", "coverage")}
+    flags.update(include=sorted(args.include), exclude=sorted(args.exclude), out=args.out, **extra)
     return flags
 
 
@@ -227,7 +217,7 @@ def cmd_analyze(args) -> int:
         [analysis],
         tool_version=__version__,
         generated_at=utc_now_iso(),
-        effective_config={"config": config, "flags": _flags_block(args, {"path": args.path, "project_id": args.project_id})},
+        effective_config={"config": config, "flags": _flags_block(args, path=args.path, project_id=args.project_id)},
         config_hash=digest,
         composite=scores,
     )
@@ -278,7 +268,7 @@ def cmd_compare(args) -> int:
         tool_version=__version__,
         generated_at=utc_now_iso(),
         effective_config={"config": config, "flags": _flags_block(
-            args, {"paths": list(args.paths), "sensitivity": args.sensitivity})},
+            args, paths=list(args.paths), sensitivity=args.sensitivity)},
         config_hash=digest,
         composite=scores,
         sensitivity=sensitivity,

@@ -216,6 +216,11 @@ def validate_config(config: dict) -> None:
     enabled debt rule; such configs are rejected outright with the
     conflicting pair named.
     """
+    files, definitions = config["profiles"]["files"], config["profiles"]["definitions"]
+    if not (isinstance(files, list) and all(isinstance(path, str) for path in files)):
+        raise InvalidConfig("profiles.files must be a list of paths")
+    if not isinstance(definitions, list):
+        raise InvalidConfig("profiles.definitions must be a list of profile objects")
     check_rule_config(config["rules"])
     mappings = composite_mappings(config)
     try:

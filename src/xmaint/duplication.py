@@ -7,12 +7,12 @@ overlap. Self-overlapping repeats are therefore capped at their period,
 which splits a periodic run into non-overlapping blocks greedily from the
 left.
 
-The clone stage reads each file as a ``CloneRow``: one int id per
-normalized token, equal ids for equal (kind, compared text) across the
-project, and the tokens' start and end lines. Rows are built file by file
-from the file's token columns: each local id gets its project id once, and
-the code tokens' id column is mapped through that table, so no token
-outlives its file's analysis.
+The clone stage reads each file as a ``CloneRow``: three array('i')
+columns, 4 bytes a token each, of the normalized tokens' ids, equal ids for
+equal (kind, compared text) across the project, and their start and end
+lines. Rows are built file by file from the file's token columns: each
+local id gets its project id once, and the code tokens' id column is mapped
+through that table, so no token outlives its file's analysis.
 
 Detection groups the windows of ``min_tokens`` tokens into classes of equal
 content (after Kamiya, Kusumoto & Inoue's CCFinder). Each window is hashed
@@ -30,10 +30,10 @@ repeated windows keeps their positions, 4 bytes each, and the distinct
 compared exactly, keyed by their content, so a hash collision never joins
 two different windows. The stage holds 8 bytes per window plus a table of 8
 to 16 bytes per window, not a count per distinct key or a class entry per
-repeated window: its tracemalloc peak is about 23 bytes per window on 30
-copies of one file, where every window repeats, and 25 on a sample of the
+repeated window: its tracemalloc peak is 22.5 bytes per window on 30
+copies of one file, where every window repeats, and 25.2 on a sample of the
 standard library, where few do. Each left-maximal pair is extended to its
-full match length by galloping over list-slice comparisons. The cost is
+full match length by galloping over array-slice comparisons. The cost is
 linear in the number of windows plus the number of blocks emitted, and two
 terms of that output are quadratic: k copies of one file emit C(k, 2) pair
 blocks, and a periodic run of n tokens inside one file (a table of n equal
@@ -51,7 +51,7 @@ from array import array
 from collections import Counter, defaultdict
 from itertools import combinations, compress, count, islice, product
 from operator import itemgetter, ne
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, TokenStream
 
@@ -79,19 +79,18 @@ def token_ids() -> TokenIds:
 
 
 class CloneRow:
-    """One file's normalized token stream as the clone stage reads it.
-
-    ``ids`` holds one int per token (equal ids, equal (kind, compared text));
-    ``lines`` and ``end_lines`` are array('i') columns of each token's start
-    and end line. Tokens do not overlap, so end lines never decrease along a
-    row: a run of tokens ends on its last token's end line. Its length is its
-    token count.
+    """One file's normalized token stream as the clone stage reads it, as
+    three array('i') columns that pickle as they are: ``ids`` (equal ids,
+    equal (kind, compared text)), made from any iterable of ints, and each
+    token's start and end line. Tokens do not overlap, so end lines never
+    decrease along a row: a run of tokens ends on its last token's end line.
+    Its length is its token count.
     """
 
     __slots__ = ("ids", "lines", "end_lines")
 
-    def __init__(self, ids: list[int], lines: array, end_lines: array):
-        self.ids = ids
+    def __init__(self, ids: Iterable[int], lines: array, end_lines: array):
+        self.ids = array("i", ids)
         self.lines = lines
         self.end_lines = end_lines
 
@@ -102,11 +101,6 @@ class CloneRow:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __reduce__(self):
-        # a pickled row, as a forked worker sends it, carries its ids as
-        # array('i'): 4 bytes an id and no int object per id on load
-        return CloneRow, (array("i", self.ids), self.lines, self.end_lines)
 
 
 class CloneBlock(NamedTuple):
@@ -156,6 +150,7 @@ def normalize_tokens(
     ]
     mask = list(map(is_code.__getitem__, tokens.ids))
     return CloneRow(
+        # an array fills faster from a list than from an iterator
         list(map(project.__getitem__, compress(tokens.ids, mask))),
         array("i", compress(tokens.lines, mask)),
         array("i", compress(tokens.end_lines, mask)),
@@ -212,7 +207,7 @@ def _repeated_keys(keys: array) -> set[int]:
     return {key for key, n in counts.items() if n > 1}
 
 
-def _common_length(row_a: list[int], pa: int, row_b: list[int], pb: int, known: int) -> int:
+def _common_length(row_a: array, pa: int, row_b: array, pb: int, known: int) -> int:
     """Length of the longest common run of row_a[pa:] and row_b[pb:], given
     that its first ``known`` tokens match: gallop, then bisect."""
     limit = min(len(row_a) - pa, len(row_b) - pb)
@@ -250,11 +245,12 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     starts = [0]
     for row in rows:
         # a segment at a time, so a long file's sub-window keys are never
-        # all held at once; a list converts into the array faster than an
-        # iterator does
+        # all held at once; its ids go in as a list, which iterates faster
+        # than an array, and its keys come out as one, which converts into
+        # the array faster than an iterator does
         for start in range(0, len(row) - min_tokens + 1, _KEY_SEGMENT):
-            segment = row[start : start + _KEY_SEGMENT + min_tokens - 1]
-            keys.fromlist(list(_window_keys(segment, min_tokens)))
+            end = start + _KEY_SEGMENT + min_tokens - 1
+            keys.fromlist(list(_window_keys(row[start:end].tolist(), min_tokens)))
         starts.append(len(keys))
     repeated = _repeated_keys(keys)
     if not repeated:
@@ -277,15 +273,15 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     del repeated
     diverse = {key for key, n in Counter(map(itemgetter(0), pairs)).items() if n > 1}
     del pairs
-    # keyed by window content, so windows whose keys merely collide land in
-    # different classes
-    classes: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
+    # keyed by window content, its ids' bytes, so windows whose keys merely
+    # collide land in different classes
+    classes: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
     for f_idx, row in enumerate(rows):
         file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
         positions = where[f_idx]
         kept = map(diverse.__contains__, map(file_keys.__getitem__, positions))
         for pos in compress(positions, kept):
-            classes[tuple(row[pos : pos + min_tokens])].append((f_idx, pos))
+            classes[row[pos : pos + min_tokens].tobytes()].append((f_idx, pos))
     del keys, where, diverse
 
     blocks: list[CloneBlock] = []

@@ -45,8 +45,8 @@ class LanguageProfile(_ProfileFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.verbosity_factor <= 0:
-            raise InvalidProfileConfig(f"profile '{self.id}': verbosity_factor must be > 0")
+        if not 0 < self.verbosity_factor < float("inf"):  # NaN too
+            raise InvalidProfileConfig(f"profile '{self.id}': verbosity_factor must be a finite number > 0")
         if self.unit_detection not in _UNIT_DETECTIONS:
             raise InvalidProfileConfig(
                 f"profile '{self.id}': unit_detection must be one of {_UNIT_DETECTIONS}"
@@ -301,7 +301,7 @@ _REQUIRED_KEYS = ("id", "file_extensions", "unit_detection")
 
 
 def profile_from_dict(data: dict) -> LanguageProfile:
-    """Build a profile from a JSON-style dict, validating keys and shapes."""
+    """Build a profile from a JSON-style dict, checking keys, types and shapes."""
     if not isinstance(data, dict):
         raise InvalidProfileConfig("profile definition must be an object")
     unknown = set(data) - set(LanguageProfile._fields)
@@ -317,33 +317,40 @@ def profile_from_dict(data: dict) -> LanguageProfile:
             raise InvalidProfileConfig(f"profile key '{key}' must be a list of strings")
         return tuple(value)
 
-    def pair_tuple(key, arity):
-        value = data.get(key, ())
-        out = []
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != arity:
-                raise InvalidProfileConfig(f"profile key '{key}' entries must have {arity} strings")
-            out.append(tuple(str(x) for x in item))
-        return tuple(out)
-
     defaults = LanguageProfile._field_defaults
+
+    def typed(key, kinds, what):
+        value = data.get(key, defaults.get(key, ()))
+        # a bool is an int to isinstance, but not a JSON number
+        if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+            raise InvalidProfileConfig(f"profile key '{key}' must be {what}")
+        return value
+
+    def pair_tuple(key, arity):
+        value = typed(key, (list, tuple), "a list")
+        for item in value:
+            if not (isinstance(item, (list, tuple)) and len(item) == arity
+                    and all(isinstance(x, str) for x in item)):
+                raise InvalidProfileConfig(f"profile key '{key}' entries must have {arity} strings")
+        return tuple(map(tuple, value))
+
     return LanguageProfile(
-        id=str(data["id"]),
+        id=typed("id", str, "a string"),
         file_extensions=str_tuple("file_extensions"),
         line_comment_markers=str_tuple("line_comment_markers"),
         block_comment_delimiters=pair_tuple("block_comment_delimiters", 2),
         string_delimiters=pair_tuple("string_delimiters", 3),
         decision_tokens=frozenset(str_tuple("decision_tokens")),
         operator_tokens=frozenset(str_tuple("operator_tokens")),
-        unit_detection=str(data["unit_detection"]),
+        unit_detection=data["unit_detection"],  # checked against _UNIT_DETECTIONS
         unit_keywords=str_tuple("unit_keywords"),
         unit_end_keywords=str_tuple("unit_end_keywords"),
         nesting_keywords=pair_tuple("nesting_keywords", 2),
         keywords=frozenset(str_tuple("keywords")),
-        identifier_pattern=data.get("identifier_pattern", defaults["identifier_pattern"]),
-        naming_pattern=str(data.get("naming_pattern", defaults["naming_pattern"])),
-        case_sensitive=bool(data.get("case_sensitive", defaults["case_sensitive"])),
-        verbosity_factor=float(data.get("verbosity_factor", defaults["verbosity_factor"])),
+        identifier_pattern=typed("identifier_pattern", str, "a string"),
+        naming_pattern=typed("naming_pattern", str, "a string"),
+        case_sensitive=typed("case_sensitive", bool, "true or false"),
+        verbosity_factor=float(typed("verbosity_factor", (int, float), "a number")),
     )
 
 

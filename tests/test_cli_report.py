@@ -383,6 +383,10 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("analyze", {"composite": {"indicators": {"tdr": {"weight": 0.5}}}},
      "composite.indicators: indicator weights must sum to 1"),
     ("analyze", [], "config root must be a JSON object"),
+    ("analyze", {"profiles": {"files": 5}}, "profiles.files"),
+    ("compare", {"profiles": {"definitions": [
+        {"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block", "verbosity_factor": "big"}]}},
+     "profile key 'verbosity_factor' must be a number"),
 ], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
         "min-tokens-fraction", "min-tokens-numeric-text", "min-tokens-bool", "min-tokens-float",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
@@ -392,7 +396,7 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
         "min-tokens-below-3", "cost-per-line-zero", "mi-scope", "indicator-weight-above-1",
         "indicator-bounds-equal", "indicator-shape-unknown", "relative-min-off-volumetry",
         "volumetry-not-relative-min", "delta-pp-100", "section-not-object",
-        "weights-sum-not-1", "root-not-object"])
+        "weights-sum-not-1", "root-not-object", "profile-files-not-list", "profile-factor-text"])
 def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(override))

@@ -51,3 +51,16 @@ def test_unreadable_config_file(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(InvalidConfig, match=r"^cannot load config .*bad\.json: "):
         load_config(path)
+
+
+@pytest.mark.parametrize("profiles, message", [
+    ({"files": 5}, "profiles.files must be a list of paths"),
+    ({"files": ["a.json", 5]}, "profiles.files must be a list of paths"),
+    ({"definitions": 5}, "profiles.definitions must be a list of profile objects"),
+    ({"definitions": {"id": "x"}}, "profiles.definitions must be a list of profile objects"),
+])
+def test_profiles_section_holds_lists(tmp_path, profiles, message):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"profiles": profiles}))
+    with pytest.raises(InvalidConfig, match=rf"^{message}$"):
+        load_config(path)

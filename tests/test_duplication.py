@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -54,7 +55,7 @@ def as_keys(blocks):
 def test_normalize_drops_comments():
     tokens, _ = tokenize("// only a comment\n/* and another */", C_FAMILY)
     normalized = row(tokens)
-    assert (normalized.ids, list(normalized.lines), list(normalized.end_lines)) == ([], [], [])
+    assert (normalized.ids, list(normalized.lines), list(normalized.end_lines)) == (array("i"), [], [])
 
 
 def test_identifier_blind_equates_renamed_code():
@@ -72,7 +73,7 @@ def test_normalize_keeps_backreferences():
     assert listed[3].kind == "comment"
     code = listed[:3] + listed[4:]
     normalized = row(tokens)
-    assert normalized.ids == [_IDS[(t.kind, t.text)] for t in code]
+    assert normalized.ids == array("i", [_IDS[(t.kind, t.text)] for t in code])
     assert list(normalized.lines) == [t.line for t in code]
     assert list(normalized.end_lines) == [t.end_line for t in code]
 
@@ -83,17 +84,26 @@ def test_exact_case_sensitive_row_keys_code_tokens_by_their_own_text():
     normalized = normalize_tokens(tokens, EXACT, C_FAMILY.case_sensitive, ids)
     code = [t for t in rows(tokens) if t.kind != "comment"]
     assert len(normalized) == len(code) == len(tokens) - 1
-    assert normalized.ids == [ids[(t.kind, t.text)] for t in code]
+    assert normalized.ids == array("i", [ids[(t.kind, t.text)] for t in code])
 
 
 def test_clone_rows_equal_by_their_columns_and_never_equal_another_type():
     ids, lines = [1, 2, 3], array("i", [1, 1, 2])
     row = duplication.CloneRow(ids, lines, lines)
-    assert row == duplication.CloneRow(list(ids), array("i", lines), array("i", lines))
+    # ids from a list, an iterator or an array are held as one array('i')
+    for same in (duplication.CloneRow(iter(ids), array("i", lines), array("i", lines)),
+                 duplication.CloneRow(array("i", ids), lines, lines)):
+        assert row == same and same.ids.typecode == "i"
+    assert row.ids.typecode == "i"
     assert row != duplication.CloneRow(ids, lines, array("i", [1, 2, 2]))
     assert row.__eq__(object()) is NotImplemented
     assert (row == object()) is False
     assert (row == (ids, lines, lines)) is False
+    # a worker pickles its rows as they are: three array('i') columns
+    loaded = pickle.loads(pickle.dumps(row, pickle.HIGHEST_PROTOCOL))
+    assert loaded == row
+    assert [(type(column), column.typecode) for column in (loaded.ids, loaded.lines, loaded.end_lines)] == [
+        (array, "i")] * 3
 
 
 @pytest.mark.parametrize("profile, equal", [(COBOL_LIKE, True), (C_FAMILY, False)])
@@ -128,7 +138,7 @@ def test_replaced_token_keeps_its_position():
         ids = token_ids()
         normalized = normalize_tokens(tokens, mode, case_sensitive, ids)
         listed = rows(tokens)
-        assert normalized.ids == [ids[(t.kind, text)] for t, text in zip(listed, compared_texts)]
+        assert normalized.ids == array("i", [ids[(t.kind, text)] for t, text in zip(listed, compared_texts)])
         assert list(normalized.lines) == [t.line for t in listed]
         assert list(normalized.end_lines) == [t.end_line for t in listed] == [1, 1, 2, 3, 3, 3]
 
@@ -332,7 +342,7 @@ def test_clone_stage_memory_is_bounded_per_window():
     seqs = {"long": clone_row(long_ids)}
     for k in range(30):
         seqs[f"short{k:02d}"] = clone_row([rng.randrange(10**6) for _ in range(1_000)])
-    seqs["short00"].ids[100:300] = long_ids[5_000:5_200]
+    seqs["short00"].ids[100:300] = array("i", long_ids[5_000:5_200])
     windows = sum(len(r) - 50 + 1 for r in seqs.values())
     assert windows >= 50_000
     tracemalloc.start()
@@ -506,11 +516,13 @@ if given is not None:
            min_tokens=st.integers(3, 6), data=st.data())
     def test_reports_do_not_depend_on_which_ids_the_rows_hold(rows, min_tokens, data):
         # the per-file stage's workers give a project other ids than one
-        # process does: any bijection of the ids onto non-negative ints must
-        # leave blocks, ratios and counts as they are
+        # process does: any bijection of the ids onto the non-negative ints
+        # an array('i') holds must leave blocks, ratios and counts as they
+        # are; project ids count up from 0, one per distinct token, so they
+        # never leave that range
         sequences = {f"f{i}": _clone_row(tokens) for i, tokens in enumerate(rows)}
         distinct = sorted({token for seq in sequences.values() for token in seq.ids})
-        targets = data.draw(st.lists(st.integers(0, 2**62), min_size=len(distinct),
+        targets = data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(distinct),
                                      max_size=len(distinct), unique=True))
         relabel = dict(zip(distinct, targets))
         relabeled = {

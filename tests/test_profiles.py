@@ -93,9 +93,12 @@ def test_profile_from_dict_requires_mandatory_keys():
 
 
 def test_profile_rejects_bad_verbosity():
-    with pytest.raises(InvalidProfileConfig):
-        profile_from_dict({"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block",
-                           "verbosity_factor": 0})
+    # NaN and infinity, which JSON input may hold, used to end in a traceback
+    # when the rule thresholds were scaled
+    for factor in (0, -1.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidProfileConfig, match="verbosity_factor must be a finite number > 0"):
+            profile_from_dict({"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block",
+                               "verbosity_factor": factor})
 
 
 def test_load_profiles_file_and_override(tmp_path, registry):
@@ -265,11 +268,32 @@ def test_profile_rejects_a_non_string_list_entry(key):
     ("string_delimiters", ['"', '"'], 3),
     ("nesting_keywords", ["IF", "END-IF", "X"], 2),
     ("block_comment_delimiters", "/*", 2),
+    ("string_delimiters", ['"', '"', 0], 3),
+    ("nesting_keywords", ["IF", None], 2),
 ])
 def test_profile_rejects_an_entry_of_the_wrong_arity(key, entry, arity):
     with pytest.raises(InvalidProfileConfig,
                        match=rf"^profile key '{key}' entries must have {arity} strings$"):
         profile_from_dict(_definition(**{key: [entry]}))
+
+
+# each key has the type docs/profile-schema.json gives it: nothing is
+# coerced, so case_sensitive "no" is not true and a null naming_pattern is
+# not the pattern "None"
+@pytest.mark.parametrize("key, value, what", [
+    ("id", 5, "a string"),
+    ("identifier_pattern", 5, "a string"),
+    ("naming_pattern", None, "a string"),
+    ("case_sensitive", "no", "true or false"),
+    ("case_sensitive", 1, "true or false"),
+    ("verbosity_factor", "big", "a number"),
+    ("verbosity_factor", True, "a number"),
+    ("nesting_keywords", 7, "a list"),
+    ("string_delimiters", "'", "a list"),
+])
+def test_profile_rejects_a_value_of_the_wrong_type(key, value, what):
+    with pytest.raises(InvalidProfileConfig, match=rf"^profile key '{key}' must be {what}$"):
+        profile_from_dict(_definition(**{key: value}))
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "bad-json", "not-utf8"])
