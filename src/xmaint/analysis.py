@@ -17,6 +17,19 @@ are sorted by a key that holds no id. One share is used whenever
 ``os.fork`` is missing, the process may use one core, or another thread is
 alive, since a forked child holds only the thread that forked it.
 
+Each process analyzes each distinct file content of a project once. A file
+whose profile and bytes equal those of a file it analyzed earlier for the
+same project gets that file's result under its own path: the file
+analysis's path, each unit's file and each diagnostic's file are renamed,
+and the clone row, whose ids come from the same table, is shared. The memo
+key is the profile id, the size and ``hash`` of the bytes; on a key hit the
+earlier file is read again and the bytes compared, so a collision or a file
+changed between the reads is analyzed afresh, and no source bytes are
+kept. A ``hashlib`` digest would load OpenSSL's libcrypto into every run.
+The memo goes with the project's id table, and each worker keeps its own;
+equal-size copies go to the shares in turn, so k copies cost one analysis
+per share.
+
 ``analyze_projects``, which ``compare`` runs, discovers every project
 first and runs one per-file stage over the files of all of them, each
 project with an id table of its own in every process, so a large project's
@@ -174,11 +187,11 @@ def discover_files(
     return selected
 
 
-def read_source(abs_path: Path) -> str:
+def read_source(abs_path: Path, data: bytes | None = None) -> str:
     """A file's text under the one line-break model: "\r\n" and a lone "\r"
-    end a line like "\n"; no other character does. Raises OSError or
-    UnicodeDecodeError."""
-    text = abs_path.read_bytes().decode("utf-8-sig")
+    end a line like "\n"; no other character does. ``data`` is the file's
+    bytes when they are already read. Raises OSError or UnicodeDecodeError."""
+    text = (abs_path.read_bytes() if data is None else data).decode("utf-8-sig")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -189,15 +202,17 @@ def analyze_file(
     ids: duplication.TokenIds,
     dup_mode: str = duplication.EXACT,
     file_scope: bool = False,
+    data: bytes | None = None,
 ) -> tuple[FileAnalysis, duplication.CloneRow]:
     """Everything the project stages need of one file, and its clone row;
     its tokens are dropped on return. The row's ids come from ``ids``, the
     project's table or a worker share's. ``file_scope`` keeps the file's
-    Halstead volume and McCabe count for file-level MI."""
+    Halstead volume and McCabe count for file-level MI. ``data`` is the
+    file's bytes when they are already read."""
     tokens = TokenStream()
     unit_metrics = ()
     try:
-        text = read_source(abs_path)
+        text = read_source(abs_path, data)
     except OSError as exc:
         lines = classify_lines(tokens, 0)
         diagnostics = [Diagnostic("unreadable-file", str(exc), file=rel)]
@@ -221,6 +236,42 @@ def analyze_file(
     ), duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids)
 
 
+def _analyze_or_reuse(
+    item: tuple[Path, str, LanguageProfile],
+    ids: duplication.TokenIds,
+    memo: dict,
+    dup_mode: str,
+    file_scope: bool,
+) -> tuple[FileAnalysis, duplication.CloneRow]:
+    """``analyze_file`` of ``item``, or, when ``memo`` holds a file of the
+    same profile and bytes, that file's result under ``item``'s path, its
+    clone row shared. ``memo`` maps ``(profile id, size, hash(bytes))`` to
+    the last file analyzed with that key, with ids from ``ids``, and its
+    result. A key hit counts only if that file, read again, holds the same
+    bytes; the bytes themselves are never kept."""
+    abs_path, rel, profile = item
+    try:
+        data = abs_path.read_bytes()
+    except OSError:  # analyze_file reports it
+        return analyze_file(abs_path, rel, profile, ids, dup_mode, file_scope)
+    key = profile.id, len(data), hash(data)
+    if key in memo:
+        earlier, (fa, row) = memo[key]
+        try:
+            same = earlier.read_bytes() == data
+        except OSError:
+            same = False
+        if same:
+            return fa._replace(
+                path=rel,
+                unit_metrics=tuple(m._replace(unit=m.unit._replace(file=rel)) for m in fa.unit_metrics),
+                diagnostics=tuple(d._replace(file=rel) for d in fa.diagnostics),
+            ), row
+    result = analyze_file(abs_path, rel, profile, ids, dup_mode, file_scope, data)
+    memo[key] = abs_path, result
+    return result
+
+
 def _analyze_files(
     projects: list[list[tuple[Path, str, LanguageProfile]]],
     dup_mode: str,
@@ -233,7 +284,10 @@ def _analyze_files(
     analyses, sorted by path, and its rows by path. Returns what ``finish``
     returned for each project before the first that fails, in project order,
     and that failure, or None. This process runs the first share, and one
-    forked worker each later share, each started on its own CPU.
+    forked worker each later share, each started on its own CPU. Within a
+    share, a file whose profile and bytes equal an earlier file's of the
+    same project reuses its result (``_analyze_or_reuse``), from a memo that
+    goes with the project's id table.
 
     A share yields ``(file index, result)`` pairs in discovery order: one per
     file of a project split over shares, and for a project it holds whole,
@@ -261,17 +315,18 @@ def _analyze_files(
     def run(share, tables):
         """The share's pairs, the last one its failure if it fails."""
         whole = []  # the current whole project's files
+        memos = defaultdict(dict)  # project -> its results here by content, beside its table
         for index in share:
             if os.getpid() != parent and os.getppid() != parent:  # nobody reads this share
                 os._exit(1)
             project, item = items[index]
             try:
-                result = analyze_file(*item, tables[project], dup_mode, file_scope)
+                result = _analyze_or_reuse(item, tables[project], memos[project], dup_mode, file_scope)
                 if project not in split:
                     whole.append(result)
                     if index + 1 < ends[project]:
                         continue
-                    del tables[project]
+                    del tables[project], memos[project]
                     result, whole = finish(project, *_by_path(whole)), []
             except Exception as exc:
                 yield index, exc

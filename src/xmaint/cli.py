@@ -7,6 +7,7 @@ Exit codes: 0 clean success, 2 success with diagnostics, 1 fatal error
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -49,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _finite_float(text: str) -> float:
+    """A number flag's value, finite like every number of a config file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="xmaint",
@@ -62,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="config file (or XMAINT_CONFIG env var)")
         p.add_argument("--min-tokens", type=int, default=None, help="clone detection threshold")
         p.add_argument("--dup-mode", default=None, choices=DUPLICATION_MODES)
-        p.add_argument("--cost-per-line", type=float, default=None,
+        p.add_argument("--cost-per-line", type=_finite_float, default=None,
                        help="production effort estimate, minutes per LOC")
-        p.add_argument("--coverage", type=float, default=None,
+        p.add_argument("--coverage", type=_finite_float, default=None,
                        help="externally measured test coverage in [0,1]")
         p.add_argument("--include", action="append", default=[], metavar="GLOB")
         p.add_argument("--exclude", action="append", default=[], metavar="GLOB")

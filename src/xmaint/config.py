@@ -93,6 +93,12 @@ def _check_keys(data: dict, defaults: dict, prefix: str = "") -> None:
                 _check_keys(value, defaults[key], dotted + ".")
 
 
+def _no_constant(name: str):
+    """JSON has no NaN or infinity (RFC 8259), and no measured value may
+    rest on one; Python's reader would otherwise accept them."""
+    raise ValueError(f"{name} is not a number JSON allows")
+
+
 def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_mode=None,
                 cost_per_line=None, coverage=None) -> dict:
     """Read a config file, merge it over the defaults, let the CLI flags given
@@ -107,7 +113,7 @@ def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_m
     data = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise InvalidConfig(f"cannot load config {path}: {exc}") from exc
         if not isinstance(data, dict):

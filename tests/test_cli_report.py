@@ -409,6 +409,46 @@ def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": NaN}}}'),
+    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": Infinity}}}'),
+    ("--config", '{"rules": {"complexity-threshold": {"threshold": NaN}}}'),
+    ("--config", '{"composite": {"indicators": {"tdr": {"low": NaN}}}}'),
+    ("--cost-per-line", "nan"),
+    ("--cost-per-line", "inf"),
+    ("--coverage", "nan"),
+], ids=["cost-per-line-nan", "cost-per-line-infinity", "rule-threshold-nan", "composite-low-nan",
+        "cost-per-line-flag-nan", "cost-per-line-flag-inf", "coverage-flag-nan"])
+def test_non_finite_numbers_end_in_one_error_line(tmp_path, capsys, argv):
+    # JSON has no NaN or infinity, and a report measured with one is no
+    # report: a config file's or a flag's non-finite number is an error
+    flag, value = argv
+    if flag == "--config":
+        (tmp_path / "bad.json").write_text(value)
+        value = str(tmp_path / "bad.json")
+    try:
+        code = main(["analyze", str(FIXTURES / "parity"), flag, value])
+    except SystemExit as exc:  # a flag's value is a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error: " in line] == [
+        captured.err.splitlines()[-1]]
+    assert "Traceback" not in captured.err
+    assert ("is not a number JSON allows" if flag == "--config" else "must be a finite number") in captured.err
+
+
+def test_finite_flag_numbers_keep_the_config_hash(capsys):
+    # the finite-number check reads a flag as float() did; the hash is the
+    # one these flags gave before the check
+    _, out, _ = run(capsys, "analyze", str(FIXTURES / "parity"), "--cost-per-line", "1e1",
+                    "--coverage", "0.5")
+    report = json.loads(out)
+    models = report["effective_config"]["config"]["models"]
+    assert (models["sqale"]["cost_per_line_minutes"], models["sig"]["coverage"]) == (10.0, 0.5)
+    assert report["config_hash"] == "276f666faa955a16f13d8f0de9d7a413552f77c6138d8acfb46e06f5fdb0da17"
+
+
 # a change here makes every stored snapshot incomparable: change it on purpose only
 DEFAULT_CONFIG_HASH = "ac8b504d5cecb2251f3900b8c4820d371a16de49436c2b5935329127dd8efc77"
 
