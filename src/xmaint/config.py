@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-from pathlib import Path
 
 # The interpreter's builtin SHA-256 gives the same digests as hashlib's, but
 # hashlib loads OpenSSL's libcrypto, which every run would pay for at start-up.
@@ -28,6 +27,7 @@ from . import debt_models
 from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
 from .duplication import DUPLICATION_MODES
 from .errors import InvalidConfig, SingleCountingViolation
+from .profiles import read_json
 from .rules import COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS, _is_number, check_rule_config
 
 ENV_CONFIG = "XMAINT_CONFIG"
@@ -93,12 +93,6 @@ def _check_keys(data: dict, defaults: dict, prefix: str = "") -> None:
                 _check_keys(value, defaults[key], dotted + ".")
 
 
-def _no_constant(name: str):
-    """JSON has no NaN or infinity (RFC 8259), and no measured value may
-    rest on one; Python's reader would otherwise accept them."""
-    raise ValueError(f"{name} is not a number JSON allows")
-
-
 def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_mode=None,
                 cost_per_line=None, coverage=None) -> dict:
     """Read a config file, merge it over the defaults, let the CLI flags given
@@ -113,8 +107,8 @@ def load_config(path: str | os.PathLike | None = None, *, min_tokens=None, dup_m
     data = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            data = read_json(path)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, NaN or bad UTF-8
             raise InvalidConfig(f"cannot load config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidConfig("config root must be a JSON object")

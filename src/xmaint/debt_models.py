@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ZeroProductionEffort
+from .errors import NonFiniteEffort, ZeroProductionEffort
 from .rules import Violation
 
 # grade -> inclusive upper bound on the ratio; E is everything above D
@@ -98,11 +98,19 @@ def tdr_grade(tdr: float) -> str:
 
 
 def technical_debt_ratio(violations: list[Violation], production_minutes: float) -> TdrResult:
-    """Sum of remediation efforts over the production-effort estimate."""
+    """Sum of remediation efforts over the production-effort estimate. Both
+    efforts and the ratio must be finite: the report writes them as integers
+    and JSON numbers."""
     if production_minutes <= 0:
         raise ZeroProductionEffort("cannot compute a debt ratio for zero production effort")
     remediation = float(sum(v.effort_minutes for v in violations))
     tdr = remediation / production_minutes
+    if not all(map(math.isfinite, (production_minutes, remediation, tdr))):
+        raise NonFiniteEffort(
+            f"debt ratio is not finite: remediation {remediation:g} minutes over production "
+            f"{production_minutes:g} minutes; the rules' effort_minutes or "
+            "models.sqale.cost_per_line_minutes are out of range"
+        )
     return TdrResult(
         remediation_minutes=remediation,
         production_minutes=float(production_minutes),

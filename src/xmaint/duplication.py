@@ -15,26 +15,37 @@ local id gets its project id once, and the code tokens' id column is mapped
 through that table, so no token outlives its file's analysis.
 
 Detection groups the windows of ``min_tokens`` tokens into classes of equal
-content (after Kamiya, Kusumoto & Inoue's CCFinder). Each window is hashed
-once, into an array of 8-byte keys. A table of one byte per key bucket rules
-out every key that lands alone in its bucket (Bloom's hash coding with
-allowable errors); only the few keys it cannot rule out are counted exactly.
-Inside a class, two members start a maximal block only if the tokens before
-them differ (or one of them starts its file); members are grouped by that
-predecessor token, and only pairs drawn from different groups are expanded.
-So a key whose windows all follow one token starts no block, and classes are
-built only for left-diverse keys, whose windows follow two or more different
-tokens (Gusfield's left-diverse repeats): the pass that finds each file's
+content (after Kamiya, Kusumoto & Inoue's CCFinder). It first groups the
+rows of equal ids into one content, however the copies were made: one
+shared row, equal rows from different workers, files that differ only in
+comments or layout, or renamed copies under identifier-blind. A row is
+keyed by its length and the hash of its ids' bytes, and a key hit is
+settled by comparing the ids, so a collision never merges two rows. Each
+content's windows are hashed once, into an array of 8-byte keys, and
+counted and scanned once; a content that two or more files hold is counted
+twice, so each of its windows repeats. Each file keeps only its first
+window's entry and its class members, and occurrences read its own line
+columns. A table of one byte per key bucket rules out every key that lands
+alone in its bucket (Bloom's hash coding with allowable errors); only the
+few keys it cannot rule out are counted exactly. Inside a class, two
+members start a maximal block only if the tokens before them differ (or one
+of them starts its file); members are grouped by that predecessor token,
+and only pairs drawn from different groups are expanded. So a key whose
+windows all follow one token starts no block, and classes are built only
+for left-diverse keys, whose windows follow two or more different tokens
+(Gusfield's left-diverse repeats): the pass that finds each content's
 repeated windows keeps their positions, 4 bytes each, and the distinct
 (key, preceding token) pairs, and only the windows of left-diverse keys are
 compared exactly, keyed by their content, so a hash collision never joins
-two different windows. The stage holds 8 bytes per window plus a table of 8
-to 16 bytes per window, not a count per distinct key or a class entry per
-repeated window: its tracemalloc peak is 22.5 bytes per window on 30
-copies of one file, where every window repeats, and 25.2 on a sample of the
-standard library, where few do. Each left-maximal pair is extended to its
-full match length by galloping over array-slice comparisons. The cost is
-linear in the number of windows plus the number of blocks emitted, and two
+two different windows. The stage holds 8 bytes per distinct window plus a
+table of 8 to 16 bytes per distinct window, not a count per distinct key or
+a class entry per repeated window: its tracemalloc peak is 7.8 bytes per
+window on 30 copies of one file, over half of it the C(30, 2) blocks it
+returns (22.4 when every copy's windows were hashed and counted), and 25.1
+on a sample of the standard library, where few windows repeat. Each left-
+maximal pair is extended to its full match length by galloping over array-
+slice comparisons. The cost is linear in the number of distinct windows
+plus each file's class members plus the number of blocks emitted, and two
 terms of that output are quadratic: k copies of one file emit C(k, 2) pair
 blocks, and a periodic run of n tokens inside one file (a table of n equal
 entries, say) is split at its period into about n**2 / 4 blocks, all held
@@ -240,49 +251,85 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     files = sorted(sequences)
     rows = [sequences[name].ids for name in files]
 
-    # every window's key, hashed once; starts[i] indexes row i's first key
+    # rows of equal ids hold one content, numbered in the order of their
+    # first files; a (length, hash) key hit is settled by comparing the ids
+    contents: list[array] = []
+    content_of: list[int] = []  # per row
+    same_key: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for row in rows:
+        candidates = same_key[len(row), hash(row.tobytes())]
+        c_idx = next((c for c in candidates if contents[c] == row), len(contents))
+        if c_idx == len(contents):
+            candidates.append(c_idx)
+            contents.append(row)
+        content_of.append(c_idx)
+    del same_key
+
+    # every distinct window's key, hashed once; starts[c] indexes content
+    # c's first key
     keys = array("q")
     starts = [0]
-    for row in rows:
+    for content in contents:
         # a segment at a time, so a long file's sub-window keys are never
         # all held at once; its ids go in as a list, which iterates faster
         # than an array, and its keys come out as one, which converts into
         # the array faster than an iterator does
-        for start in range(0, len(row) - min_tokens + 1, _KEY_SEGMENT):
+        for start in range(0, len(content) - min_tokens + 1, _KEY_SEGMENT):
             end = start + _KEY_SEGMENT + min_tokens - 1
-            keys.fromlist(list(_window_keys(row[start:end].tolist(), min_tokens)))
+            keys.fromlist(list(_window_keys(content[start:end].tolist(), min_tokens)))
         starts.append(len(keys))
+    # a content two or more files hold is counted twice, so each of its
+    # windows repeats
+    windows = len(keys)
+    for c_idx, n in Counter(content_of).items():
+        if n > 1:
+            keys.extend(keys[starts[c_idx] : starts[c_idx + 1]])
     repeated = _repeated_keys(keys)
+    del keys[windows:]
     if not repeated:
         return []  # no two windows are equal
     # Only pairs across predecessor groups start a block (see below), so a
     # key whose windows all follow one token holds no pair to expand: only
     # left-diverse keys, whose windows follow two or more different tokens
-    # (Gusfield), get classes. The one pass over each file's keys records
+    # (Gusfield), get classes. The one pass over each content's keys records
     # where its repeated windows are and each distinct (key, token before).
-    where: list[array] = []  # per row, the positions of its repeated windows
+    # A first window follows no token but its file's start, a group of its
+    # own under a negative key no token id takes, as in the grouping below.
+    where: list[array] = []  # per content, the positions of its repeated windows
+    heads: list[int | None] = []  # per content, its first window's key if that repeats
     pairs: set[tuple[int, int]] = set()
-    for f_idx, row in enumerate(rows):
-        file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
-        positions = list(compress(count(), map(repeated.__contains__, file_keys)))
-        before = list(map(row.__getitem__, map((-1).__add__, positions)))
-        if positions and positions[0] == 0:
-            before[0] = -1 - f_idx  # as in the grouping below
-        pairs.update(zip(map(file_keys.__getitem__, positions), before))
+    for c_idx, content in enumerate(contents):
+        content_keys = keys[starts[c_idx] : starts[c_idx + 1]]
+        positions = list(compress(count(), map(repeated.__contains__, content_keys)))
+        before = map(content.__getitem__, map((-1).__add__, positions))
+        head = 1 if positions[:1] == [0] else 0
+        heads.append(content_keys[0] if head else None)
+        pairs.update(islice(zip(map(content_keys.__getitem__, positions), before), head, None))
         where.append(array("i", positions))
     del repeated
+    pairs.update((heads[c_idx], -1 - f_idx) for f_idx, c_idx in enumerate(content_of)
+                 if heads[c_idx] is not None)
+    del heads
     diverse = {key for key, n in Counter(map(itemgetter(0), pairs)).items() if n > 1}
     del pairs
-    # keyed by window content, its ids' bytes, so windows whose keys merely
-    # collide land in different classes
+    # Keyed by window content, its ids' bytes, so windows whose keys merely
+    # collide land in different classes. Contents come in the order of
+    # their first files, so classes do too; then each file joins its
+    # content's classes, in file order.
     classes: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
-    for f_idx, row in enumerate(rows):
-        file_keys = keys[starts[f_idx] : starts[f_idx + 1]]
-        positions = where[f_idx]
-        kept = map(diverse.__contains__, map(file_keys.__getitem__, positions))
-        for pos in compress(positions, kept):
-            classes[row[pos : pos + min_tokens].tobytes()].append((f_idx, pos))
-    del keys, where, diverse
+    joins = []  # per content, its left-diverse windows' positions and classes
+    for c_idx, content in enumerate(contents):
+        content_keys = keys[starts[c_idx] : starts[c_idx + 1]]
+        positions = where[c_idx]
+        diverse_at = map(diverse.__contains__, map(content_keys.__getitem__, positions))
+        kept = array("i", compress(positions, diverse_at))
+        joins.append((kept, [classes[content[pos : pos + min_tokens].tobytes()] for pos in kept]))
+    del keys, where, diverse, contents
+    for f_idx, c_idx in enumerate(content_of):
+        kept, members = joins[c_idx]
+        for pos, class_members in zip(kept, members):
+            class_members.append((f_idx, pos))
+    del joins
 
     blocks: list[CloneBlock] = []
 

@@ -21,6 +21,10 @@ class ZeroProductionEffort(XmaintError):
     pass
 
 
+class NonFiniteEffort(XmaintError):
+    """An effort in minutes, or the debt ratio, overflows a float."""
+
+
 class InvalidRuleConfig(XmaintError):
     pass
 

@@ -354,11 +354,23 @@ def profile_from_dict(data: dict) -> LanguageProfile:
     )
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number JSON allows")
+
+
+def read_json(path):
+    """The value a config or profile file holds. JSON has no NaN or infinity
+    (RFC 8259), and no measured value may rest on one; Python's reader would
+    otherwise accept them, so here they raise ValueError, as bad JSON and
+    bad UTF-8 do."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+
 def load_profiles_file(path) -> list[LanguageProfile]:
     """Load profile definitions from a JSON file (one object or a list of them)."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raw = read_json(path)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, NaN or bad UTF-8
         raise InvalidProfileConfig(f"cannot load profile file {path}: {exc}") from exc
     items = raw if isinstance(raw, list) else [raw]
     return [profile_from_dict(item) for item in items]

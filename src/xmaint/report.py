@@ -186,12 +186,13 @@ def build_report(
     return report
 
 
-_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
 
 
 def render_json(report: dict) -> str:
     """The report as ``json.dumps(report, sort_keys=True, indent=2,
-    ensure_ascii=False)`` writes it, plus a newline.
+    ensure_ascii=False, allow_nan=False)`` writes it, plus a newline: a NaN
+    or infinity, which JSON has no number for, raises ValueError.
 
     ``json.dumps`` keeps every small piece the encoder yields, several times
     the output's size, until one final join. The pieces are joined here 4,096

@@ -438,6 +438,37 @@ def test_non_finite_numbers_end_in_one_error_line(tmp_path, capsys, argv):
     assert ("is not a number JSON allows" if flag == "--config" else "must be a finite number") in captured.err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("--cost-per-line", "1e308"),
+    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": 1e308}}}'),
+    ("--config", '{"rules": {"complexity-threshold": {"threshold": 1, "effort_minutes": 1e308}}}'),
+], ids=["cost-per-line-flag", "cost-per-line-config", "rule-effort-minutes"])
+def test_efforts_that_overflow_end_in_one_error_line(tmp_path, capsys, argv):
+    # finite numbers whose product (production effort) or sum (remediation
+    # effort) is infinite used to end in an OverflowError traceback
+    flag, value = argv
+    if flag == "--config":
+        (tmp_path / "big.json").write_text(value)
+        value = str(tmp_path / "big.json")
+    code, out, err = run(capsys, "analyze", str(FIXTURES / "parity"), flag, value)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: debt ratio is not finite: ")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_profile_file_numbers_end_in_one_error_line(tmp_path, capsys, constant):
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text('{"id": "shell-like", "file_extensions": [".sh"], "unit_detection": "brace-block", '
+                        f'"verbosity_factor": {constant}}}')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"profiles": {"files": [str(profiles)]}}))
+    code, out, err = run(capsys, "analyze", str(FIXTURES / "parity"), "--config", str(config))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot load profile file {profiles}: {constant} is not a number JSON allows"]
+
 def test_finite_flag_numbers_keep_the_config_hash(capsys):
     # the finite-number check reads a flag as float() did; the hash is the
     # one these flags gave before the check
@@ -1038,6 +1069,13 @@ def test_render_json_writes_what_json_dumps_writes():
     assert render_json(report) == _dumps(report)
     assert render_json({}) == _dumps({}) == "{}\n"
 
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_render_json_refuses_non_finite_numbers(value):
+    # JSON has no NaN or infinity; json.dumps would write NaN or Infinity
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_json({"project": {"ratios": [0.5, value]}})
 
 def test_render_json_holds_about_twice_its_output():
     # json.dumps holds several times its output while it encodes

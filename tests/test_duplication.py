@@ -360,7 +360,9 @@ def test_clone_stage_memory_is_bounded_per_window_when_every_window_repeats():
     """30 copies of one row: every window repeats, but only each file's first
     window follows two different tokens (none, in each file), so only its key
     gets a class. A class entry per repeated window, with a content tuple per
-    class, costs over 100 bytes per window."""
+    class, costs over 100 bytes per window. The copies are equal rows, so
+    their windows are hashed, counted and scanned as one content's; hashing
+    and counting every copy's windows costs 24 bytes per window."""
     rng = random.Random(15)
     ids = [rng.randrange(10**6) for _ in range(800)]
     lines = array("i", range(1, len(ids) + 1))
@@ -374,7 +376,7 @@ def test_clone_stage_memory_is_bounded_per_window_when_every_window_repeats():
         tracemalloc.stop()
     assert len(blocks) == comb(30, 2)
     assert {(b.norm_start_a, b.norm_start_b, b.length_tokens) for b in blocks} == {(0, 0, 800)}
-    assert peak / windows <= 32
+    assert peak / windows <= 12
 
 
 def _repeats_and_left_diverse(seqs, width):
@@ -447,6 +449,110 @@ def test_oracle_equivalence_multi_file_injected_clones():
         seqs = {name: row(ident_stream(t)) for name, t in texts.items()}
         fast = as_keys(find_clone_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+
+
+def _copied_rows(rng, min_tokens):
+    """Clone rows of a few random contents, each held by several files: by
+    one shared row, by equal but separate rows, and by rows of equal ids
+    whose tokens sit on other lines. Holders of one content are spread
+    among the other files, and some files hold a content of their own."""
+    contents = []
+    for _ in range(rng.choice([1, 2, 3])):
+        ids = [rng.randrange(rng.choice([3, 8, 64])) for _ in range(rng.randrange(0, 60))]
+        if ids and rng.random() < 0.5:  # a repeat inside the content too
+            at = rng.randrange(len(ids))
+            ids[at:at] = ids[: rng.randrange(min_tokens, 2 * min_tokens)]
+        contents.append(ids)
+    shared = [_clone_row((t, 1, 0) for t in ids) for ids in contents]
+    seqs = {}
+    for k in range(rng.randrange(2, 9)):
+        name = f"f{rng.randrange(100):02d}-{k}"
+        c_idx = rng.randrange(len(contents))
+        how = rng.choice(["shared", "separate", "other lines", "own"])
+        if how == "shared":
+            seqs[name] = shared[c_idx]
+        elif how == "separate":
+            seqs[name] = _clone_row((t, 1, 0) for t in contents[c_idx])
+        elif how == "other lines":
+            seqs[name] = _clone_row((t, rng.randrange(3), rng.randrange(2)) for t in contents[c_idx])
+        else:
+            seqs[name] = _clone_row((rng.randrange(64), 1, 0) for _ in range(rng.randrange(0, 40)))
+    return seqs
+
+
+def test_oracle_equivalence_over_rows_that_hold_copies():
+    """Rows of equal ids are one content to the clone stage, however they
+    were made; each block still reads its lines from its own file's row."""
+    rng = random.Random(2718)
+    kinds = Counter()
+    for trial in range(80):
+        min_tokens = rng.choice([3, 4, 6])
+        seqs = _copied_rows(rng, min_tokens)
+        blocks = find_clone_blocks(seqs, min_tokens)
+        assert as_keys(blocks) == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+        for b in blocks:
+            for name, start, line, span in ((b.file_a, b.norm_start_a, b.start_line_a, b.length_lines_a),
+                                            (b.file_b, b.norm_start_b, b.start_line_b, b.length_lines_b)):
+                r = seqs[name]
+                assert line == r.lines[start], f"trial {trial}"
+                assert span == r.end_lines[start + b.length_tokens - 1] - line + 1, f"trial {trial}"
+        by_ids = defaultdict(list)
+        for r in seqs.values():
+            by_ids[r.ids.tobytes()].append(r)
+        for held in by_ids.values():
+            kinds["one object"] += len({id(r) for r in held}) < len(held)
+            kinds["separate rows"] += len({id(r.ids) for r in held}) > 1
+            kinds["other lines"] += len({r.lines.tobytes() for r in held}) > 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_copies_hash_one_contents_windows(monkeypatch):
+    calls = []
+    window_keys = duplication._window_keys
+
+    def counted(row, width):
+        calls.append(len(row) - width + 1)  # the windows of this call
+        return window_keys(row, width)
+
+    monkeypatch.setattr(duplication, "_window_keys", counted)
+    copy = row(ident_stream([f"c{i}" for i in range(30)]))
+    other = row(ident_stream([f"d{i}" for i in range(20)]))
+    one_object = {f"copy{k}": copy for k in range(6)}
+    separate = {f"copy{k}": duplication.CloneRow(list(copy.ids), copy.lines, copy.end_lines)
+                for k in range(6)}
+    for seqs in (one_object, separate):
+        seqs["other"] = other
+        calls.clear()
+        blocks = find_clone_blocks(seqs, 5)
+        assert calls == [26, 16]  # each content's windows, once
+        assert len(blocks) == comb(6, 2)
+        assert {(b.norm_start_a, b.norm_start_b, b.length_tokens) for b in blocks} == {(0, 0, 30)}
+
+
+def test_oracle_equivalence_when_every_row_key_collides(monkeypatch):
+    """Every row's ids hash alike, so rows of one length share a grouping
+    key, and only comparing their ids can keep unequal rows apart."""
+    hashed = []
+
+    def colliding(value):
+        if isinstance(value, bytes):
+            hashed.append(len(value))
+            return 0
+        return hash(value)
+
+    monkeypatch.setattr(duplication, "hash", colliding, raising=False)
+    rng = random.Random(1618)
+    for trial in range(30):
+        min_tokens = rng.choice([3, 4, 6])
+        length = rng.randrange(min_tokens, 40)
+        contents = [[rng.randrange(rng.choice([2, 4, 16])) for _ in range(length)]
+                    for _ in range(rng.choice([2, 3, 4]))]
+        seqs = {f"f{k}": _clone_row((t, 1, 0) for t in rng.choice(contents))
+                for k in range(rng.randrange(2, 7))}
+        hashed.clear()
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+        assert hashed == [4 * length] * len(seqs)
 
 
 def test_k_identical_copies_pair_up_in_full():
