@@ -346,7 +346,7 @@ def cmd_trend(args) -> int:
     }
     if args.format == "json":
         import json
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.format == "md":
         lines = [f"# Trend: {args.metric} for {args.project_id}", ""]
         lines.append("| timestamp | value | comparable |")

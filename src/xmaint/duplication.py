@@ -20,36 +20,44 @@ rows of equal ids into one content, however the copies were made: one
 shared row, equal rows from different workers, files that differ only in
 comments or layout, or renamed copies under identifier-blind. A row is
 keyed by its length and the hash of its ids' bytes, and a key hit is
-settled by comparing the ids, so a collision never merges two rows. Each
-content's windows are hashed once, into an array of 8-byte keys, and
-counted and scanned once; a content that two or more files hold is counted
-twice, so each of its windows repeats. Each file keeps only its first
-window's entry and its class members, and occurrences read its own line
-columns. A table of one byte per key bucket rules out every key that lands
-alone in its bucket (Bloom's hash coding with allowable errors); only the
-few keys it cannot rule out are counted exactly. Inside a class, two
-members start a maximal block only if the tokens before them differ (or one
-of them starts its file); members are grouped by that predecessor token,
-and only pairs drawn from different groups are expanded. So a key whose
-windows all follow one token starts no block, and classes are built only
-for left-diverse keys, whose windows follow two or more different tokens
-(Gusfield's left-diverse repeats): the pass that finds each content's
-repeated windows keeps their positions, 4 bytes each, and the distinct
-(key, preceding token) pairs, and only the windows of left-diverse keys are
-compared exactly, keyed by their content, so a hash collision never joins
-two different windows. The stage holds 8 bytes per distinct window plus a
-table of 8 to 16 bytes per distinct window, not a count per distinct key or
-a class entry per repeated window: its tracemalloc peak is 7.8 bytes per
-window on 30 copies of one file, over half of it the C(30, 2) blocks it
-returns (22.4 when every copy's windows were hashed and counted), and 25.1
-on a sample of the standard library, where few windows repeat. Each left-
-maximal pair is extended to its full match length by galloping over array-
-slice comparisons. The cost is linear in the number of distinct windows
-plus each file's class members plus the number of blocks emitted, and two
-terms of that output are quadratic: k copies of one file emit C(k, 2) pair
-blocks, and a periodic run of n tokens inside one file (a table of n equal
-entries, say) is split at its period into about n**2 / 4 blocks, all held
-at once.
+settled by comparing the ids, so a collision never merges two rows. Then
+each token id is counted over the contents in a table of one byte per
+bucket (0 unseen, 1 once, 2 more), as large as the power of two at or above
+the contents' tokens, so that each project id has a bucket of its own; a
+content that two or more files hold counts twice. A window that holds a
+token occurring once equals no other window (the q = 1 case of Ukkonen's
+q-gram filter), so only the windows lying wholly between once-only tokens
+are hashed, each into an 8-byte key with its 4-byte position beside it, and
+counted and scanned once: 31.9% of the 77,646 windows of a seed-1 sample of
+the standard library, 47.2% of the 1.09M of the whole of it, and none of
+the bench's files of 1,200 small functions, each with its own name and
+constants. Each file keeps only its first window's entry and its class
+members, and occurrences read its own line columns. A table of one byte per
+key bucket rules out every key that lands alone in its bucket (Bloom's hash
+coding with allowable errors); only the few keys it cannot rule out are
+counted exactly. Inside a class, two members start a maximal block only if
+the tokens before them differ (or one of them starts its file); members are
+grouped by that predecessor token, and only pairs drawn from different
+groups are expanded. So a key whose windows all follow one token starts no
+block, and classes are built only for left-diverse keys, whose windows
+follow two or more different tokens (Gusfield's left-diverse repeats): the
+pass that finds each content's repeated windows keeps their positions and
+keys and the distinct (key, preceding token) pairs, and only the windows of
+left-diverse keys are compared exactly, keyed by their content, so a hash
+collision never joins two different windows. The stage holds a byte or two
+per token for the count table, and 12 bytes per kept window plus a table of
+8 to 16 bytes per kept window, not a count per distinct key or a class
+entry per repeated window: its tracemalloc peak is 7.9 bytes per window on
+30 copies of one file, over half of it the C(30, 2) blocks it returns, 10.1
+on the sample of the standard library (25.1 when every window was hashed
+and counted) and 4.2 on the C file of small functions (25.0). Each
+left-maximal pair is extended to its full match length by galloping over
+array-slice comparisons. The cost is linear in the number of tokens plus
+the windows free of once-only tokens plus each file's class members plus
+the number of blocks emitted, and two terms of that output are quadratic: k
+copies of one file emit C(k, 2) pair blocks, and a periodic run of n tokens
+inside one file (a table of n equal entries, say) is split at its period
+into about n**2 / 4 blocks, all held at once.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token
@@ -58,6 +66,7 @@ once however many blocks cover it, and comment-only lines between covered
 tokens do not count.
 """
 
+import re
 from array import array
 from collections import Counter, defaultdict
 from itertools import combinations, compress, count, islice, product
@@ -78,7 +87,7 @@ _SUB_WINDOW = 10  # tokens per sub-window hash in _window_keys
 # one-byte slots per window, so at most about one window in 16 finds its
 # bucket already taken
 _FILTER_SLOTS_PER_WINDOW = 8
-_KEY_SEGMENT = 4096  # windows hashed per _window_keys call
+_KEY_SEGMENT = 4096  # windows hashed per _window_keys call, tokens per count lookup
 
 TokenIds = dict[tuple[str, str], int]
 
@@ -218,6 +227,31 @@ def _repeated_keys(keys: array) -> set[int]:
     return {key for key, n in counts.items() if n > 1}
 
 
+def _token_counts(rows: list[array], copies: list[int]) -> tuple[bytearray, list[array]]:
+    """How often each token occurs over ``copies[i]`` copies of each
+    ``rows[i]``, as a table of one byte per bucket: 0 for a bucket no token
+    lands in, 1 for a token that occurs once, 2 for more; and each row's
+    buckets. The table has at least as many buckets as the rows have tokens.
+    Project ids count up from 0, one per distinct token, so each is a
+    bucket of its own; larger ids (relabeled rows, say) land in bucket
+    ``id & (size - 1)``, where a bucket that two ids share can only read 2.
+    """
+    size = 1 << (sum(map(len, rows)) - 1).bit_length()
+
+    def count(buckets: list[array]) -> tuple[bytearray, list[array]]:
+        seen = bytearray(size)
+        for row, n in zip(buckets, copies):
+            for _ in range(n):
+                for bucket in row:
+                    seen[bucket] = 2 if seen[bucket] else 1
+        return seen, buckets
+
+    try:
+        return count(rows)
+    except IndexError:  # an id beyond the table
+        return count([array("i", map((size - 1).__and__, row)) for row in rows])
+
+
 def _common_length(row_a: array, pa: int, row_b: array, pb: int, known: int) -> int:
     """Length of the longest common run of row_a[pa:] and row_b[pb:], given
     that its first ``known`` tokens match: gallop, then bisect."""
@@ -265,23 +299,41 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
         content_of.append(c_idx)
     del same_key
 
-    # every distinct window's key, hashed once; starts[c] indexes content
-    # c's first key
+    # How often each token occurs (see _token_counts); a content two or
+    # more files hold counts twice, so each of its tokens, and windows,
+    # repeats.
+    held = Counter(content_of)
+    seen, buckets = _token_counts(contents, [min(held[c_idx], 2) for c_idx in range(len(contents))])
+    # A window that holds a once-only token equals no other window (the
+    # q-gram filter with q = 1), so only the windows of runs of at least
+    # ``min_tokens`` repeated tokens are hashed, each key beside its
+    # window's position; starts[c] indexes content c's first key.
+    repeated_run = re.compile(b"\x02{%d,}" % min_tokens)
     keys = array("q")
+    where = array("i")
     starts = [0]
-    for content in contents:
-        # a segment at a time, so a long file's sub-window keys are never
-        # all held at once; its ids go in as a list, which iterates faster
-        # than an array, and its keys come out as one, which converts into
-        # the array faster than an iterator does
-        for start in range(0, len(content) - min_tokens + 1, _KEY_SEGMENT):
-            end = start + _KEY_SEGMENT + min_tokens - 1
-            keys.fromlist(list(_window_keys(content[start:end].tolist(), min_tokens)))
+    for content, content_buckets in zip(contents, buckets):
+        # each token's count, a segment at a time; a leading 0 makes
+        # itemgetter return a tuple even for one bucket
+        counts = bytearray()
+        for start in range(0, len(content), _KEY_SEGMENT):
+            counts.extend(itemgetter(0, *content_buckets[start : start + _KEY_SEGMENT])(seen)[1:])
+        for run in repeated_run.finditer(counts):
+            first, stop = run.start(), run.end() - min_tokens + 1  # its windows
+            # a segment at a time, so a long run's sub-window keys are never
+            # all held at once; its ids go in as a list, which iterates
+            # faster than an array, and its keys come out as one, which
+            # converts into the array faster than an iterator does
+            for start in range(first, stop, _KEY_SEGMENT):
+                end = min(start + _KEY_SEGMENT, stop) + min_tokens - 1
+                keys.fromlist(list(_window_keys(content[start:end].tolist(), min_tokens)))
+            where.extend(range(first, stop))
         starts.append(len(keys))
+    del seen, buckets
     # a content two or more files hold is counted twice, so each of its
     # windows repeats
     windows = len(keys)
-    for c_idx, n in Counter(content_of).items():
+    for c_idx, n in held.items():
         if n > 1:
             keys.extend(keys[starts[c_idx] : starts[c_idx + 1]])
     repeated = _repeated_keys(keys)
@@ -292,21 +344,24 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     # key whose windows all follow one token holds no pair to expand: only
     # left-diverse keys, whose windows follow two or more different tokens
     # (Gusfield), get classes. The one pass over each content's keys records
-    # where its repeated windows are and each distinct (key, token before).
-    # A first window follows no token but its file's start, a group of its
-    # own under a negative key no token id takes, as in the grouping below.
-    where: list[array] = []  # per content, the positions of its repeated windows
+    # where its repeated windows are, their keys, and each distinct (key,
+    # token before). A first window follows no token but its file's start,
+    # a group of its own under a negative key no token id takes, as in the
+    # grouping below.
+    found: list[tuple[array, array]] = []  # per content, its repeated windows' positions and keys
     heads: list[int | None] = []  # per content, its first window's key if that repeats
     pairs: set[tuple[int, int]] = set()
     for c_idx, content in enumerate(contents):
-        content_keys = keys[starts[c_idx] : starts[c_idx + 1]]
-        positions = list(compress(count(), map(repeated.__contains__, content_keys)))
-        before = map(content.__getitem__, map((-1).__add__, positions))
-        head = 1 if positions[:1] == [0] else 0
+        lo, hi = starts[c_idx], starts[c_idx + 1]
+        is_repeated = list(map(repeated.__contains__, keys[lo:hi]))
+        positions = array("i", compress(where[lo:hi], is_repeated))
+        content_keys = array("q", compress(keys[lo:hi], is_repeated))
+        head = 1 if positions and positions[0] == 0 else 0
         heads.append(content_keys[0] if head else None)
-        pairs.update(islice(zip(map(content_keys.__getitem__, positions), before), head, None))
-        where.append(array("i", positions))
-    del repeated
+        before = map(content.__getitem__, map((-1).__add__, positions))
+        pairs.update(islice(zip(content_keys, before), head, None))
+        found.append((positions, content_keys))
+    del keys, where, repeated
     pairs.update((heads[c_idx], -1 - f_idx) for f_idx, c_idx in enumerate(content_of)
                  if heads[c_idx] is not None)
     del heads
@@ -318,13 +373,10 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     # content's classes, in file order.
     classes: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
     joins = []  # per content, its left-diverse windows' positions and classes
-    for c_idx, content in enumerate(contents):
-        content_keys = keys[starts[c_idx] : starts[c_idx + 1]]
-        positions = where[c_idx]
-        diverse_at = map(diverse.__contains__, map(content_keys.__getitem__, positions))
-        kept = array("i", compress(positions, diverse_at))
+    for content, (positions, content_keys) in zip(contents, found):
+        kept = array("i", compress(positions, map(diverse.__contains__, content_keys)))
         joins.append((kept, [classes[content[pos : pos + min_tokens].tobytes()] for pos in kept]))
-    del keys, where, diverse, contents
+    del found, diverse, contents
     for f_idx, c_idx in enumerate(content_of):
         kept, members = joins[c_idx]
         for pos, class_members in zip(kept, members):

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .config import canonical_digest
 from .errors import NoSnapshots, StoreUnwritable, UnknownMetricKey, XmaintError
+from .profiles import read_json
 
 _LOCK_TIMEOUT_S = 10.0
 _RECORD_KEYS = ("project_id", "snapshot_id", "timestamp_utc", "config_hash", "label")
@@ -66,7 +67,8 @@ class SnapshotStore:
             path = project_dir / f"{snapshot_id}.json"
             try:
                 tmp = path.with_suffix(".json.tmp")
-                tmp.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+                tmp.write_text(json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                               encoding="utf-8")
                 tmp.rename(path)
             except OSError as exc:
                 raise StoreUnwritable(f"cannot write snapshot {path}: {exc}") from exc
@@ -115,14 +117,14 @@ class SnapshotStore:
 
 def _read_records(project_dir: Path):
     """The snapshot records of one project directory, in file name order.
-    A file is skipped if it cannot be read, is not UTF-8 JSON or is not a
-    JSON object, if one of the record keys is missing or not a string, or if
+    A file is skipped if it cannot be read, is not UTF-8 JSON (a NaN or an
+    infinity is not JSON either) or is not a JSON object, if one of the record keys is missing or not a string, or if
     its metrics summary is not an object: every record yielded can be listed
     and read for a trend."""
     for path in sorted(project_dir.glob("*.json")):
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            record = read_json(path)
+        except (OSError, ValueError):  # ValueError: bad JSON, NaN or bad UTF-8
             continue
         if (
             isinstance(record, dict)

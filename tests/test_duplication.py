@@ -1,9 +1,11 @@
+import importlib
 import pickle
 import random
 import tracemalloc
 from array import array
 from collections import Counter, defaultdict
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -248,28 +250,85 @@ def test_window_keys_give_equal_windows_equal_keys(width):
     assert list(duplication._window_keys(row[: width - 1], width)) == []
 
 
-def test_each_window_is_hashed_once(monkeypatch):
+def _hashed_windows(monkeypatch):
+    """Patch _window_keys to log each call's window count into the list it
+    returns, and to fail on a row that holds a token occurring once over
+    the rows of the last find_clone_blocks call: such a window equals no
+    other, so it must never be hashed."""
     calls = []
     window_keys = duplication._window_keys
+    find = duplication.find_clone_blocks
+    once = set()
 
     def counted(row, width):
+        assert once.isdisjoint(row), "a window holding a once-only token was hashed"
         calls.append(len(row) - width + 1)  # the windows of this call
         return window_keys(row, width)
 
+    def finding(seqs, min_tokens):
+        counts = Counter(token for r in seqs.values() for token in r.ids)
+        once.clear()
+        once.update(token for token, n in counts.items() if n == 1)
+        return find(seqs, min_tokens)
+
     monkeypatch.setattr(duplication, "_window_keys", counted)
-    seqs = {"a": row(ident_stream([f"a{i}" for i in range(30)])),
-            "b": row(ident_stream([f"b{i}" for i in range(20)]))}
-    assert find_clone_blocks(seqs, 5) == []
+    monkeypatch.setattr(duplication, "find_clone_blocks", finding)
+    return calls
+
+
+def _there_and_back(prefix, n):
+    """2 * n tokens, each occurring twice, with no two equal windows of
+    three or more tokens."""
+    texts = [f"{prefix}{i}" for i in range(n)]
+    return texts + texts[::-1]
+
+
+def test_each_window_is_hashed_once(monkeypatch):
+    calls = _hashed_windows(monkeypatch)
+    seqs = {"a": row(ident_stream(_there_and_back("a", 15))),
+            "b": row(ident_stream(_there_and_back("b", 10)))}
+    assert duplication.find_clone_blocks(seqs, 5) == []
     assert calls == [26, 16]
     seqs["c"] = row(ident_stream([f"a{i}" for i in range(5)]))
     calls.clear()
-    assert len(find_clone_blocks(seqs, 5)) == 1
+    assert len(duplication.find_clone_blocks(seqs, 5)) == 1
     assert calls == [26, 16, 1]  # no second pass over the windows of any file
     # a long file is hashed a segment at a time, each window in one segment
-    seqs = {"long": row(ident_stream([f"t{i % 9000}" for i in range(10_000)]))}
+    seqs = {"long": row(ident_stream([f"t{i % 5000}" for i in range(10_000)]))}
     calls.clear()
-    assert len(find_clone_blocks(seqs, 5)) == 1
+    assert len(duplication.find_clone_blocks(seqs, 5)) == 1
     assert calls == [4096, 4096, 1804]
+    # a once-only token cuts its row: only the windows on either side of it
+    # are hashed, and none of a row of once-only tokens
+    seqs = {"a": row(ident_stream(_there_and_back("a", 15)[:15] + ["once"]
+                                  + _there_and_back("a", 15)[15:])),
+            "b": row(ident_stream([f"only{i}" for i in range(20)]))}
+    calls.clear()
+    assert duplication.find_clone_blocks(seqs, 5) == []
+    assert calls == [11, 11]
+
+
+@pytest.mark.parametrize("project", ["c_family", "python", "cobol_like"])
+def test_unit_dense_file_hashes_no_window(monkeypatch, tmp_path, project):
+    """Every unit of the benchmark's unit-dense files carries its own name
+    and constants, tokens that occur once, fewer than min_tokens apart: no
+    window is free of them, so none is hashed or counted."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")  # read only
+    workloads.prepare_unit_dense_compare(tmp_path, 1)
+    calls = _hashed_windows(monkeypatch)
+    counted_keys = []
+    repeated_keys = duplication._repeated_keys
+
+    def counting(keys):
+        counted_keys.append(len(keys))
+        return repeated_keys(keys)
+
+    monkeypatch.setattr(duplication, "_repeated_keys", counting)
+    result = analyze_project(tmp_path / project, load_config(), ProfileRegistry())
+    assert result.duplication.total_tokens > 20_000
+    assert result.duplication.blocks == ()
+    assert sum(calls) == 0 and sum(counted_keys) == 0
 
 
 def test_repeated_keys_are_exact():
@@ -507,26 +566,107 @@ def test_oracle_equivalence_over_rows_that_hold_copies():
 
 
 def test_copies_hash_one_contents_windows(monkeypatch):
-    calls = []
-    window_keys = duplication._window_keys
-
-    def counted(row, width):
-        calls.append(len(row) - width + 1)  # the windows of this call
-        return window_keys(row, width)
-
-    monkeypatch.setattr(duplication, "_window_keys", counted)
+    calls = _hashed_windows(monkeypatch)
     copy = row(ident_stream([f"c{i}" for i in range(30)]))
-    other = row(ident_stream([f"d{i}" for i in range(20)]))
+    other = row(ident_stream(_there_and_back("d", 10)))
     one_object = {f"copy{k}": copy for k in range(6)}
     separate = {f"copy{k}": duplication.CloneRow(list(copy.ids), copy.lines, copy.end_lines)
                 for k in range(6)}
     for seqs in (one_object, separate):
         seqs["other"] = other
         calls.clear()
-        blocks = find_clone_blocks(seqs, 5)
+        blocks = duplication.find_clone_blocks(seqs, 5)
         assert calls == [26, 16]  # each content's windows, once
         assert len(blocks) == comb(6, 2)
         assert {(b.norm_start_a, b.norm_start_b, b.length_tokens) for b in blocks} == {(0, 0, 30)}
+
+
+def _rows_of_mostly_once_only_tokens(rng, min_tokens):
+    """Rows over a large alphabet, so most tokens occur once, with runs
+    copied across files and inside one file, some shorter than
+    ``min_tokens``, and periodic runs inside one file; their ids come from
+    one table of their own, as a project's do."""
+    texts = {f"f{k}": [f"t{rng.randrange(10_000)}" for _ in range(rng.randrange(0, 200))]
+             for k in range(rng.choice([1, 2, 3, 4]))}
+    names = sorted(texts)
+    for _ in range(rng.randrange(6)):
+        src, dst = rng.choice(names), rng.choice(names)  # dst == src: same-file clone
+        length = rng.randrange(min_tokens - 1, 3 * min_tokens)
+        if min(len(texts[src]), len(texts[dst])) <= length:
+            continue
+        at = rng.randrange(len(texts[src]) - length)
+        to = rng.randrange(len(texts[dst]) - length)
+        texts[dst][to : to + length] = texts[src][at : at + length]
+    for _ in range(rng.randrange(3)):
+        name = rng.choice(names)
+        period = [f"p{rng.randrange(10_000)}" for _ in range(rng.randrange(1, 4))]
+        at = rng.randrange(len(texts[name]) + 1)
+        texts[name][at:at] = period * rng.randrange(2, 3 * min_tokens)
+    ids = token_ids()
+    return {name: normalize_tokens(ident_stream(t), EXACT, True, ids) for name, t in texts.items()}
+
+
+def _windows(seqs, min_tokens):
+    """The windows of the distinct contents of ``seqs``."""
+    contents = {r.ids.tobytes(): len(r) for r in seqs.values()}
+    return sum(max(0, n - min_tokens + 1) for n in contents.values())
+
+
+def test_oracle_equivalence_over_rows_of_once_only_tokens(monkeypatch):
+    """Most windows hold a token that occurs once and are never hashed; the
+    clones and periodic runs among them are still found in full."""
+    calls = _hashed_windows(monkeypatch)
+    rng = random.Random(1992)
+    windows = 0
+    for trial in range(60):
+        min_tokens = rng.choice([3, 5, 8])
+        seqs = _rows_of_mostly_once_only_tokens(rng, min_tokens)
+        fast = as_keys(duplication.find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+        windows += _windows(seqs, min_tokens)
+    assert 0 < sum(calls) < windows / 4
+
+
+def test_oracle_equivalence_over_once_only_tokens_in_one_bucket(monkeypatch):
+    """Every token lands in one bucket of the count table, which then reads
+    2 for all of them, so the filter rules out no window and every window
+    is hashed and counted."""
+    calls = []
+    window_keys = duplication._window_keys
+    token_counts = duplication._token_counts
+
+    def counted(row, width):
+        calls.append(len(row) - width + 1)
+        return window_keys(row, width)
+
+    monkeypatch.setattr(duplication, "_window_keys", counted)
+    monkeypatch.setattr(duplication, "_token_counts", lambda rows, copies: token_counts(
+        [array("i", bytes(4 * len(r))) for r in rows], copies))
+    rng = random.Random(1992)
+    for trial in range(60):
+        min_tokens = rng.choice([3, 5, 8])
+        seqs = _rows_of_mostly_once_only_tokens(rng, min_tokens)
+        calls.clear()
+        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
+        assert sum(calls) == _windows(seqs, min_tokens), f"trial {trial}"
+
+
+def test_token_counts_read_each_tokens_count_up_to_two():
+    def counts(rows, copies):
+        seen, buckets = duplication._token_counts([array("i", r) for r in rows], copies)
+        return bytes(seen), [list(b) for b in buckets]
+
+    assert counts([], []) == (b"\0\0", [])
+    assert counts([[]], [1]) == (b"\0\0", [[]])
+    # project ids index the table as they are: one bucket per token
+    assert counts([[0, 1, 2], [1, 3]], [1, 1]) == (b"\1\2\1\1\0\0\0\0", [[0, 1, 2], [1, 3]])
+    # a row held twice counts each of its tokens twice
+    assert counts([[0, 1, 2], [1, 3]], [2, 1]) == (b"\2\2\2\1\0\0\0\0", [[0, 1, 2], [1, 3]])
+    # ids beyond the table fold into it by their low bits; a bucket two ids
+    # share reads 2, as a repeated token's does
+    seen, buckets = counts([[5, 2**31 - 1, 13]], [1])
+    assert (seen, buckets) == (b"\0\2\0\1", [[1, 3, 1]])
 
 
 def test_oracle_equivalence_when_every_row_key_collides(monkeypatch):

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from xmaint import snapshots
 from xmaint.errors import NoSnapshots, StoreUnwritable, UnknownMetricKey, XmaintError
 from xmaint.cli import main, utc_now_iso
 from xmaint.snapshots import SnapshotStore
+from conftest import FIXTURES
 
 fcntl = pytest.importorskip("fcntl")  # the store lock is POSIX flock
 
@@ -260,6 +262,44 @@ def test_trend_skips_a_record_whose_metrics_summary_is_not_an_object(tmp_path, c
     assert main(["trend", "proj", "--store", str(tmp_path / "store"), "--metric", "tdr"]) == 0
     series = json.loads(capsys.readouterr().out)["series"]
     assert [(point["snapshot_id"], point["value"]) for point in series] == [(saved, 0.4)]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_trend_leaves_out_a_snapshot_whose_metric_is_not_a_number(tmp_path, capsys, constant):
+    """JSON has no NaN or infinity: a snapshot file that holds one is
+    skipped like any malformed record, so no trend prints it."""
+    store = tmp_path / "store"
+    fixtures = str(FIXTURES / "parity")
+    for _ in range(2):
+        assert main(["snapshot", "save", fixtures, "--store", str(store)]) in (0, 2)
+    capsys.readouterr()
+    first, second = sorted((store / "parity").glob("*.json"))
+    text = first.read_text(encoding="utf-8")
+    tdr = json.loads(text)["metrics_summary"]["tdr"]
+    saved = f'"tdr": {json.dumps(tdr)},'
+    assert saved in text
+    first.write_text(text.replace(saved, f'"tdr": {constant},'), encoding="utf-8")
+    outputs = {}
+    for fmt in ("json", "md", "csv"):
+        trend = ["trend", "parity", "--store", str(store), "--metric", "tdr", "--format", fmt]
+        assert main(trend) == 0
+        outputs[fmt] = capsys.readouterr().out
+        assert not {"NaN", "Infinity", "nan", "inf"} & set(re.findall(r"[A-Za-z]+", outputs[fmt]))
+    series = json.loads(outputs["json"])["series"]
+    assert [(point["snapshot_id"], point["value"]) for point in series] == [(second.stem, tdr)]
+    assert len(outputs["md"].splitlines()) == 5  # title, blank line, head, rule, one point
+    csv_ids = [line.split(",")[-1] for line in outputs["csv"].splitlines()]
+    assert csv_ids == ["snapshot_id", second.stem]
+    assert main(["snapshot", "list", "--store", str(store)]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1] for line in listed] == [second.stem]
+
+
+def test_save_refuses_a_metric_that_is_not_a_number(tmp_path):
+    store = SnapshotStore(tmp_path / "store")
+    with pytest.raises(ValueError):
+        store.save(snapshot(tdr=float("nan")))
+    assert not list((tmp_path / "store" / "proj").glob("*.json"))
 
 
 def _try_lock(store_root):
