@@ -134,15 +134,10 @@ def composite_mappings(config: dict) -> list[IndicatorMapping]:
             continue
         entry = indicators[name]
         try:
-            mappings.append(
-                IndicatorMapping(
-                    indicator=name,
-                    shape=str(entry["shape"]),
-                    low=float(entry["low"]),
-                    high=float(entry["high"]),
-                    weight=float(entry["weight"]),
-                )
-            )
+            bounds = [entry[key] for key in ("low", "high", "weight")]
+            if not all(map(_is_number, bounds)):
+                raise ValueError(f"low, high and weight must be numbers, got {bounds!r}")
+            mappings.append(IndicatorMapping(name, str(entry["shape"]), *map(float, bounds)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"composite.indicators.{name}: {exc}") from exc
     return mappings
@@ -150,16 +145,6 @@ def composite_mappings(config: dict) -> list[IndicatorMapping]:
 
 def _rule_enabled(config: dict, canonical_id: str) -> bool:
     return config["rules"].get(canonical_id, {}).get("enabled", _DEFAULTS[canonical_id][2])
-
-
-def _number(config: dict, dotted_key: str) -> float:
-    value = config
-    for key in dotted_key.split("."):
-        value = value[key]
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{dotted_key} must be a number, got {value!r}") from None
 
 
 def _is_integer_text(text) -> bool:
@@ -235,8 +220,9 @@ def validate_config(config: dict) -> None:
         raise InvalidConfig("duplication.min_tokens must be an integer")
     if min_tokens < 3:
         raise InvalidConfig("duplication.min_tokens must be >= 3")
-    if _number(config, "models.sqale.cost_per_line_minutes") <= 0:
-        raise InvalidConfig("models.sqale.cost_per_line_minutes must be > 0")
+    cost = config["models"]["sqale"]["cost_per_line_minutes"]
+    if not (_is_number(cost) and cost > 0):
+        raise InvalidConfig(f"models.sqale.cost_per_line_minutes must be a number > 0, got {cost!r}")
     if config["models"]["mi"]["scope"] not in ("unit", "file"):
         raise InvalidConfig("models.mi.scope must be 'unit' or 'file'")
     _validate_sig(config["models"]["sig"])
@@ -246,8 +232,9 @@ def validate_config(config: dict) -> None:
         raise InvalidConfig(f"report.format must be one of {list(REPORT_FORMATS)}")
     if config["composite"]["duplication_source"] not in ("token", "line"):
         raise InvalidConfig("composite.duplication_source must be 'token' or 'line'")
-    if not 0 < _number(config, "composite.sensitivity.delta_pp") < 100:
-        raise InvalidConfig("composite.sensitivity.delta_pp must be > 0 and < 100")
+    delta = config["composite"]["sensitivity"]["delta_pp"]
+    if not (_is_number(delta) and 0 < delta < 100):
+        raise InvalidConfig(f"composite.sensitivity.delta_pp must be a number > 0 and < 100, got {delta!r}")
 
     weighted = {m.indicator for m in mappings if m.weight > 0}
     conflicts = []

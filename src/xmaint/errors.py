@@ -75,7 +75,8 @@ class NoSnapshots(XmaintError):
 
 
 class Diagnostic(NamedTuple):
-    """Non-fatal problem attached to a run; never aborts the analysis."""
+    """Non-fatal problem attached to a run; never aborts the analysis. A
+    file's own diagnostics carry no file until its project gathers them."""
 
     code: str
     message: str

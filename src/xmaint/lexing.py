@@ -143,10 +143,9 @@ def _compile(profile: LanguageProfile):
     return master, handlers
 
 
-def tokenize(
-    text: str, profile: LanguageProfile, file: str | None = None
-) -> tuple[TokenStream, list[Diagnostic]]:
-    """Lex text into its token columns plus recovery diagnostics.
+def tokenize(text: str, profile: LanguageProfile) -> tuple[TokenStream, list[Diagnostic]]:
+    """Lex text into its token columns plus recovery diagnostics, which
+    carry a line and no file.
 
     Never raises for malformed input: unterminated strings consume the rest
     of the line (rest of file for multi-line literals), unterminated block
@@ -171,8 +170,7 @@ def tokenize(
         kind, diagnostic = handlers[group]
         if diagnostic is not None:
             diagnostics.append(
-                Diagnostic(code=diagnostic, message=f"{diagnostic.replace('-', ' ')} starting here",
-                           file=file, line=line)
+                Diagnostic(code=diagnostic, message=f"{diagnostic.replace('-', ' ')} starting here", line=line)
             )
         table = tables.setdefault(kind, {})
         lid = table.get(raw)

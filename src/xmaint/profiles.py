@@ -7,6 +7,7 @@ docs/profile-schema.json).
 """
 
 import json
+import math
 import re
 from functools import lru_cache
 from pathlib import Path
@@ -358,12 +359,21 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a number JSON allows")
 
 
+def _no_overflow(text: str) -> str:
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text} overflows a double")
+    return text
+
+
 def read_json(path):
-    """The value a config or profile file holds. JSON has no NaN or infinity
-    (RFC 8259), and no measured value may rest on one; Python's reader would
-    otherwise accept them, so here they raise ValueError, as bad JSON and
-    bad UTF-8 do."""
-    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+    """The value a config, profile or snapshot file holds. JSON has no NaN
+    or infinity (RFC 8259), and no measured value may rest on one; Python's
+    reader would otherwise accept them, and read a number beyond a double's
+    range, such as 1e400, as infinity, so here each raises ValueError, as
+    bad JSON and bad UTF-8 do."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant,
+                      parse_float=lambda text: float(_no_overflow(text)),
+                      parse_int=lambda text: int(_no_overflow(text)))
 
 
 def load_profiles_file(path) -> list[LanguageProfile]:

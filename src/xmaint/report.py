@@ -60,10 +60,10 @@ def project_block(pa: ProjectAnalysis) -> dict:
             "aloc": _r4(pa.metrics.aloc),
             "max_cc": pa.metrics.max_cc,
             "unit_size_distribution": [
-                {"file": m.unit.file or "", "name": m.unit.name, "line": m.unit.start_line, "loc": m.loc}
-                for m in sorted(
-                    (m for fa in pa.files for m in fa.unit_metrics),
-                    key=lambda m: (-m.loc, m.unit.file or "", m.unit.start_line, m.unit.name),
+                {"file": path, "name": m.unit.name, "line": m.unit.start_line, "loc": m.loc}
+                for path, m in sorted(
+                    ((fa.path, m) for fa in pa.files for m in fa.unit_metrics),
+                    key=lambda pm: (-pm[1].loc, pm[0], pm[1].unit.start_line, pm[1].unit.name),
                 )
             ],
         },

@@ -45,7 +45,6 @@ _ENTRY_KEYS = frozenset({"threshold", "pattern", "effort_minutes", "enabled"})
 
 class Rule(NamedTuple):
     canonical_id: str
-    profile_id: str
     threshold: float | None
     pattern: str | None
     effort_minutes: float
@@ -63,7 +62,6 @@ class Violation(NamedTuple):
 
 
 class RuleSet(NamedTuple):
-    profile_id: str
     rules: tuple[Rule, ...]
 
     def get(self, canonical_id: str) -> Rule:
@@ -132,36 +130,36 @@ def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
         rules.append(
             Rule(
                 canonical_id=canonical_id,
-                profile_id=profile.id,
                 threshold=threshold,
                 pattern=pattern,
                 effort_minutes=effort,
                 enabled=enabled,
             )
         )
-    return RuleSet(profile_id=profile.id, rules=tuple(rules))
+    return RuleSet(rules=tuple(rules))
 
 
 def check_rules(
     unit_metrics_list: list[UnitMetrics],
     rule_set: RuleSet,
-    file_comment_ratios: dict[str, float] | None = None,
+    file: str = "",
+    comment_ratio: float | None = None,
     clone_blocks=None,
 ) -> list[Violation]:
     """Evaluate every enabled rule; one violation per (rule, unit). The units
-    are all of ``rule_set``'s profile.
+    are all of one file, ``file``, of ``rule_set``'s profile.
 
-    ``file_comment_ratios`` feeds the optional comment-density rule and
+    The file's ``comment_ratio`` feeds the optional comment-density rule and
     ``clone_blocks`` the optional duplication-block rule; both are off by
     default because those attributes are composite indicators.
     """
     violations = []
 
-    def fire(rule, file, line, unit_name, observed, threshold):
+    def fire(rule, path, line, unit_name, observed, threshold):
         violations.append(
             Violation(
                 rule_id=rule.canonical_id,
-                file=file,
+                file=path,
                 line=line,
                 unit_name=unit_name,
                 observed_value=observed,
@@ -172,7 +170,6 @@ def check_rules(
 
     for metrics in unit_metrics_list:
         unit = metrics.unit
-        file = unit.file or ""
         for rule in rule_set.rules:
             if not rule.enabled:
                 continue
@@ -188,10 +185,8 @@ def check_rules(
                 fire(rule, file, unit.start_line, unit.name, unit.name, rule.pattern)
 
     density = rule_set.get(COMMENT_DENSITY)
-    if density.enabled and file_comment_ratios:
-        for file, ratio in sorted(file_comment_ratios.items()):
-            if ratio < density.threshold:
-                fire(density, file, 1, None, round(ratio, 4), density.threshold)
+    if density.enabled and comment_ratio is not None and comment_ratio < density.threshold:
+        fire(density, file, 1, None, round(comment_ratio, 4), density.threshold)
 
     dup_rule = rule_set.get(DUPLICATION_BLOCK)
     if dup_rule.enabled and clone_blocks:

@@ -40,13 +40,11 @@ _BRACKET_STEPS = {**dict.fromkeys(_OPEN_BRACKETS, 1), **dict.fromkeys(_CLOSE_BRA
 
 class Unit(NamedTuple):
     name: str
-    file: str | None
     start_line: int
     end_line: int
     param_count: int
     token_range: tuple[int, int]  # [start, end) into the file token sequence
     nesting_depth_max: int
-    profile_id: str
 
 
 def contained_units(ranges: list[tuple[int, int]]) -> list[list[int]]:
@@ -158,11 +156,10 @@ def _param_count(ids, comments: set[int], open_idx: int, close_idx: int, commas:
     return commas + 1 if has_content else 0
 
 
-def extract_units(
-    tokens: TokenStream, profile: LanguageProfile, file: str | None = None
-) -> tuple[list[Unit], list[Diagnostic]]:
-    """Find all units in one file's token stream; recovery never aborts."""
-    raw, diagnostics = _scan_units(tokens, profile, file)
+def extract_units(tokens: TokenStream, profile: LanguageProfile) -> tuple[list[Unit], list[Diagnostic]]:
+    """Find all units in one file's token stream; recovery never aborts.
+    The diagnostics carry a line and no file."""
+    raw, diagnostics = _scan_units(tokens, profile)
     ranges = [entry["token_range"] for entry in raw]
     nesting = _nesting_steps(tokens, profile) if raw else None
     units = []
@@ -172,20 +169,18 @@ def extract_units(
         units.append(
             Unit(
                 name=entry["name"],
-                file=file,
                 start_line=entry["start_line"],
                 end_line=entry["end_line"],
                 param_count=entry["param_count"],
                 token_range=entry["token_range"],
                 nesting_depth_max=depth,
-                profile_id=profile.id,
             )
         )
     units.sort(key=lambda u: (u.start_line, u.token_range))
     return units, diagnostics
 
 
-def _scan_units(tokens, profile, file):
+def _scan_units(tokens, profile):
     """Raw unit entries and diagnostics: one header walk, one body rule per mode.
 
     Every mode reads a header as unit keyword, name and optional ``(...)``
@@ -227,7 +222,7 @@ def _scan_units(tokens, profile, file):
                 diagnostics.append(Diagnostic(
                     code="unbalanced-delimiters",
                     message=f"unclosed parameter list for '{name}'",
-                    file=file, line=lines[paren_idx]))
+                    line=lines[paren_idx]))
                 resume = paren_idx + 1
             continue
 
@@ -245,7 +240,7 @@ def _scan_units(tokens, profile, file):
                 diagnostics.append(Diagnostic(
                     code="unbalanced-delimiters",
                     message=f"unclosed body for '{name}'",
-                    file=file, line=lines[j]))
+                    line=lines[j]))
                 continue
             entry = {
                 "end_line": end_lines[body],
@@ -298,7 +293,7 @@ def _scan_units(tokens, profile, file):
                 diagnostics.append(Diagnostic(
                     code="unbalanced-delimiters",
                     message=f"missing end keyword for '{name}'",
-                    file=file, line=lines[i]))
+                    line=lines[i]))
                 continue
             close_idx = ends[k]
             resume = close_idx + 1

@@ -107,9 +107,7 @@ def _line_starts(text: str) -> list[int]:
     return starts
 
 
-def tokenize(
-    text: str, profile: LanguageProfile, file: str | None = None
-) -> tuple[list[Token], list[Diagnostic]]:
+def tokenize(text: str, profile: LanguageProfile) -> tuple[list[Token], list[Diagnostic]]:
     """Lex text into ordered tokens plus recovery diagnostics.
 
     Never raises for malformed input: unterminated strings consume the rest
@@ -145,8 +143,7 @@ def tokenize(
             kind = OPERATOR if profile.fold(raw) in folded_operators else PUNCTUATION
         if detail in ("unterminated-string", "unterminated-comment"):
             diagnostics.append(
-                Diagnostic(code=detail, message=f"{detail.replace('-', ' ')} starting here",
-                           file=file, line=line)
+                Diagnostic(code=detail, message=f"{detail.replace('-', ' ')} starting here", line=line)
             )
         tokens.append(Token(kind=kind, text=raw, line=line, column=column))
 

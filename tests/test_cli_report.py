@@ -344,6 +344,13 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("analyze", {"composite": {"duplication_source": "lines"}}, "composite.duplication_source"),
     ("compare", {"composite": {"sensitivity": {"delta_pp": 0}}}, "composite.sensitivity.delta_pp"),
     ("compare", {"composite": {"sensitivity": {"delta_pp": "5pp"}}}, "composite.sensitivity.delta_pp"),
+    ("compare", {"composite": {"sensitivity": {"delta_pp": "5"}}}, "composite.sensitivity.delta_pp"),
+    ("analyze", {"models": {"sqale": {"cost_per_line_minutes": True}}}, "models.sqale.cost_per_line_minutes"),
+    ("analyze", {"models": {"sqale": {"cost_per_line_minutes": "30"}}}, "models.sqale.cost_per_line_minutes"),
+    ("analyze", {"composite": {"indicators": {"tdr": {"low": "0.1"}}}}, "composite.indicators.tdr"),
+    ("analyze", {"composite": {"indicators": {
+        "commentRatio": {"weight": 0}, "duplicationRatio": {"weight": 0}, "volumetry": {"weight": 0},
+        "tdr": {"weight": True}}}}, "composite.indicators.tdr"),
     ("analyze", {"duplication": {"min_tokens": "fifty"}}, "duplication.min_tokens must be an integer"),
     ("analyze", {"duplication": {"min_tokens": 10.7}}, "duplication.min_tokens must be an integer"),
     ("analyze", {"duplication": {"min_tokens": "12"}}, "duplication.min_tokens must be an integer"),
@@ -387,7 +394,9 @@ def test_single_counting_config_rejected(corpus, capsys, tmp_path):
     ("compare", {"profiles": {"definitions": [
         {"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block", "verbosity_factor": "big"}]}},
      "profile key 'verbosity_factor' must be a number"),
-], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "min-tokens-text",
+], ids=["report-format", "duplication-source", "delta-pp", "delta-pp-text", "delta-pp-numeric-text",
+        "cost-per-line-bool", "cost-per-line-numeric-text", "indicator-low-numeric-text", "indicator-weight-bool",
+        "min-tokens-text",
         "min-tokens-fraction", "min-tokens-numeric-text", "min-tokens-bool", "min-tokens-float",
         "duplication-mode", "weighted-means-text", "sig-cc-bands-short", "sig-size-bands-flat",
         "sig-coverage-text", "sig-coverage-per-project", "sig-ladder-step", "sig-caps-key",
@@ -409,20 +418,31 @@ def test_invalid_config_value_rejected(tmp_path, capsys, command, override, key)
     assert "Traceback" not in err
 
 
+_NOT_JSON = "is not a number JSON allows"
+_OVERFLOW = "overflows a double"
+
+
 @pytest.mark.parametrize("argv", [
-    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": NaN}}}'),
-    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": Infinity}}}'),
-    ("--config", '{"rules": {"complexity-threshold": {"threshold": NaN}}}'),
-    ("--config", '{"composite": {"indicators": {"tdr": {"low": NaN}}}}'),
-    ("--cost-per-line", "nan"),
-    ("--cost-per-line", "inf"),
-    ("--coverage", "nan"),
+    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": NaN}}}', _NOT_JSON),
+    ("--config", '{"models": {"sqale": {"cost_per_line_minutes": Infinity}}}', _NOT_JSON),
+    ("--config", '{"rules": {"complexity-threshold": {"threshold": NaN}}}', _NOT_JSON),
+    ("--config", '{"composite": {"indicators": {"tdr": {"low": NaN}}}}', _NOT_JSON),
+    ("--config", '{"rules": {"complexity-threshold": {"threshold": 1e400}}}', _OVERFLOW),
+    ("--config", '{"rules": {"unit-size-threshold": {"threshold": 1e400}}}', _OVERFLOW),
+    ("--config", '{"rules": {"unit-size-threshold": {"threshold": 1' + "0" * 400 + '}}}', _OVERFLOW),
+    ("--config", '{"composite": {"indicators": {"tdr": {"low": -1e400}}}}', _OVERFLOW),
+    ("--config", '{"models": {"sig": {"cc_bands": [10, 20, 1e400]}}}', _OVERFLOW),
+    ("--cost-per-line", "nan", "must be a finite number"),
+    ("--cost-per-line", "inf", "must be a finite number"),
+    ("--coverage", "nan", "must be a finite number"),
 ], ids=["cost-per-line-nan", "cost-per-line-infinity", "rule-threshold-nan", "composite-low-nan",
-        "cost-per-line-flag-nan", "cost-per-line-flag-inf", "coverage-flag-nan"])
+        "rule-threshold-1e400", "unit-size-1e400", "unit-size-401-digits", "composite-low-minus-1e400",
+        "sig-cc-bands-1e400", "cost-per-line-flag-nan", "cost-per-line-flag-inf", "coverage-flag-nan"])
 def test_non_finite_numbers_end_in_one_error_line(tmp_path, capsys, argv):
-    # JSON has no NaN or infinity, and a report measured with one is no
-    # report: a config file's or a flag's non-finite number is an error
-    flag, value = argv
+    # JSON has no NaN or infinity, a number beyond a double's range would
+    # read as one, and a report measured with one is no report: a config
+    # file's or a flag's non-finite number is an error
+    flag, value, message = argv
     if flag == "--config":
         (tmp_path / "bad.json").write_text(value)
         value = str(tmp_path / "bad.json")
@@ -435,7 +455,7 @@ def test_non_finite_numbers_end_in_one_error_line(tmp_path, capsys, argv):
     assert [line for line in captured.err.splitlines() if "error: " in line] == [
         captured.err.splitlines()[-1]]
     assert "Traceback" not in captured.err
-    assert ("is not a number JSON allows" if flag == "--config" else "must be a finite number") in captured.err
+    assert message in captured.err
 
 
 

@@ -1,8 +1,8 @@
 """Each distinct file content is analyzed once per project and process.
 
 A file whose bytes and profile equal those of a file analyzed earlier in
-the same project and process gets that file's result under its own path:
-its unit and diagnostic paths renamed, its clone row shared. The result
+the same project and process gets that file's result under its own path,
+its unit metrics, diagnostics and clone row shared. The result
 must be the one a fresh analysis of the file gives, a hash collision must
 be settled by comparing the bytes, and the work must not grow with the
 number of copies.
@@ -82,7 +82,7 @@ def _calls(log):
     return Counter(log.read_text().split()) if log.exists() else Counter()
 
 
-def test_a_reused_copy_equals_its_fresh_analysis(tmp_path, one_share):
+def test_a_reused_copy_equals_its_fresh_analysis(tmp_path, one_share, default_config):
     root = _copies(tmp_path / "p", 4)
     found, files, rows = _stage(root)
     profile = ProfileRegistry().get("python")
@@ -91,12 +91,15 @@ def test_a_reused_copy_equals_its_fresh_analysis(tmp_path, one_share):
     for fa in copies:
         fresh, fresh_row = analysis.analyze_file(root / fa.path, fa.path, profile, token_ids())
         assert fa == fresh
-        assert [m.unit.file for m in fa.unit_metrics] == [fa.path] * 2
-        assert [(d.code, d.file) for d in fa.diagnostics] == [("unterminated-string", fa.path)]
+        assert fa.unit_metrics is copies[0].unit_metrics  # one tuple, shared
         # the copies come first, so the project's ids are a fresh table's
         assert rows[fa.path] == fresh_row
         assert rows[fa.path] is rows[copies[0].path]  # one row, shared
     assert rows["z_other.py"] is not rows[copies[0].path]
+    # the project names each copy's diagnostic by the copy's path
+    project = analysis.analyze_project(root, default_config, ProfileRegistry())
+    assert [(d.code, d.file) for d in project.diagnostics] == [
+        ("unterminated-string", fa.path) for fa in copies]
 
 
 @pytest.mark.parametrize("shares", ["one_share", "three_shares"])
@@ -236,20 +239,22 @@ def _retained(found):
 
 
 def test_copies_share_one_row_in_the_per_file_output(tmp_path, one_share):
-    # 30 copies of a file of twelve units hold one clone row and 30 file
-    # analyses: 6.1 times what one copy holds, against 29.1 when every copy
-    # had a row of its own; each copy still holds its own units and
-    # unit metrics, which name its path
-    text = "".join(
+    # 30 copies of a file hold one clone row and one tuple of unit metrics
+    # and diagnostics, beside 30 file analyses: 1.3 times what one copy of
+    # the twelve-unit file holds and 1.1 times for the eighty one-line defs,
+    # against 6.1 and 11.5 when each copy held units naming its own path
+    twelve_units = "".join(
         f"def step{i}(items, limit):\n    total = {i}\n    for item in items:\n"
         f"        if item > limit and item % {i + 2} == 0:\n            total = total + item * {i + 3}\n"
         f"        elif item < {i}:\n            total = total - item\n"
         f"    return total, [x for x in items if x != {i}]\n\n"
         for i in range(12))
-    root = tmp_path / "p"
-    root.mkdir()
-    for i in range(30):
-        (root / f"copy{i:02}.py").write_text(text)
-    found = analysis.discover_files(root, ProfileRegistry())
-    one, thirty = _retained(found[:1]), _retained(found)
-    assert thirty <= 8 * one, f"30 copies hold {thirty / one:.1f} times one copy's bytes"
+    eighty_defs = "".join(f"def f{i}(x): return x + {i}\n" for i in range(80))
+    for name, text in (("twelve", twelve_units), ("eighty", eighty_defs)):
+        root = tmp_path / name
+        root.mkdir()
+        for i in range(30):
+            (root / f"copy{i:02}.py").write_text(text)
+        found = analysis.discover_files(root, ProfileRegistry())
+        one, thirty = _retained(found[:1]), _retained(found)
+        assert thirty <= 2 * one, f"30 copies of {name} hold {thirty / one:.1f} times one copy's bytes"

@@ -87,8 +87,8 @@ def _rows(tokens):
 
 
 def _assert_like_oracle(text, profile):
-    tokens, diagnostics = tokenize(text, profile, file="f")
-    expected_tokens, expected_diagnostics = lex_oracle.tokenize(text, profile, file="f")
+    tokens, diagnostics = tokenize(text, profile)
+    expected_tokens, expected_diagnostics = lex_oracle.tokenize(text, profile)
     assert rows(tokens) == _rows(expected_tokens)
     assert diagnostics == expected_diagnostics
 

@@ -19,10 +19,10 @@ from xmaint.profiles import C_FAMILY, PYTHON, ProfileRegistry
 from xmaint.units import extract_units
 
 
-def analyze(src, profile, file="f"):
+def analyze(src, profile):
     tokens, _ = tokenize(src, profile)
     lines = classify_lines(tokens, physical_line_count(src))
-    units, _ = extract_units(tokens, profile, file)
+    units, _ = extract_units(tokens, profile)
     metrics = file_unit_metrics(units, tokens, lines, profile)
     return tokens, lines, units, metrics
 

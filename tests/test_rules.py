@@ -5,12 +5,14 @@ from xmaint.lexing import classify_lines, physical_line_count, tokenize
 from xmaint.metrics import file_unit_metrics
 from xmaint.profiles import BUILTIN_PROFILES, C_FAMILY, COBOL_LIKE, PYTHON, profile_from_dict
 from xmaint.rules import (
+    COMMENT_DENSITY,
     COMPLEXITY,
     DUPLICATION_BLOCK,
     NAMING,
     NESTING_DEPTH,
     TOO_MANY_PARAMS,
     UNIT_SIZE,
+    Violation,
     check_rule_config,
     check_rules,
     intersect_rule_sets,
@@ -19,10 +21,10 @@ from xmaint.rules import (
 from xmaint.units import extract_units
 
 
-def metrics_for(src, profile, file="f"):
+def metrics_for(src, profile):
     tokens, _ = tokenize(src, profile)
     lines = classify_lines(tokens, physical_line_count(src))
-    units, _ = extract_units(tokens, profile, file)
+    units, _ = extract_units(tokens, profile)
     return file_unit_metrics(units, tokens, lines, profile)
 
 
@@ -112,6 +114,21 @@ def test_unit_size_violation_carries_observed_loc():
     violations = check_rules(metrics_for(src, C_FAMILY), rule_set)
     assert [(v.rule_id, v.unit_name, v.line, v.observed_value, v.threshold, v.effort_minutes)
             for v in violations if v.rule_id == UNIT_SIZE] == [(UNIT_SIZE, "tall", 1, 7, 6, 45.0)]
+
+
+def test_violations_name_the_file_given():
+    # units carry no path: every violation of one file names the file passed in
+    src = "int Do_Thing(int a) { return a; }\nint Other_Thing(int b) { return b; }\n"
+    violations = check_rules(metrics_for(src, C_FAMILY), load_rule_set({}, C_FAMILY), "src/a.c")
+    assert [(v.rule_id, v.file, v.line) for v in violations] == [(NAMING, "src/a.c", 1), (NAMING, "src/a.c", 2)]
+
+
+def test_comment_density_rule_reads_the_file_s_one_ratio():
+    rule_set = load_rule_set({COMMENT_DENSITY: {"enabled": True}}, C_FAMILY)
+    assert check_rules([], rule_set, "a.c", 0.05) == [Violation(COMMENT_DENSITY, "a.c", 1, None, 0.05, 0.10, 30.0)]
+    assert check_rules([], rule_set, "a.c", 0.10) == []
+    assert check_rules([], rule_set, "a.c") == []  # no ratio, nothing to check
+    assert check_rules([], load_rule_set({}, C_FAMILY), "a.c", 0.05) == []  # off by default
 
 
 def test_naming_violation_on_mismatched_pattern():

@@ -264,10 +264,11 @@ def test_trend_skips_a_record_whose_metrics_summary_is_not_an_object(tmp_path, c
     assert [(point["snapshot_id"], point["value"]) for point in series] == [(saved, 0.4)]
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_trend_leaves_out_a_snapshot_whose_metric_is_not_a_number(tmp_path, capsys, constant):
-    """JSON has no NaN or infinity: a snapshot file that holds one is
-    skipped like any malformed record, so no trend prints it."""
+    """JSON has no NaN or infinity, and 1e400 overflows a double: a snapshot
+    file that holds one is skipped like any malformed record, so no trend
+    prints it."""
     store = tmp_path / "store"
     fixtures = str(FIXTURES / "parity")
     for _ in range(2):

@@ -99,7 +99,7 @@ def test_index_matches_oracle_on_random_range_families():
         ranges = _random_ranges(rng, n)
         raw = [{"token_range": r} for r in ranges]
         units = [
-            Unit(f"u{i}", "f", tokens[lo].line, tokens[hi - 1].end_line, 0, (lo, hi), 0, "p")
+            Unit(f"u{i}", tokens[lo].line, tokens[hi - 1].end_line, 0, (lo, hi), 0)
             for i, (lo, hi) in enumerate(ranges)
         ]
         index = contained_units(ranges)
@@ -154,8 +154,8 @@ _COBOL_LINES = (
 def _check_against_oracle(src, profile):
     token_stream, _ = tokenize(src, profile)
     tokens = rows(token_stream)
-    units, diagnostics = extract_units(token_stream, profile, "f")
-    assert (units, diagnostics) == oracle_extract_units(tokens, profile, "f")
+    units, diagnostics = extract_units(token_stream, profile)
+    assert (units, diagnostics) == oracle_extract_units(tokens, profile)
     lines = classify_lines(token_stream, physical_line_count(src))
     assert file_unit_metrics(units, token_stream, lines, profile) == [
         oracle_unit_metrics(u, tokens, lines, profile, units) for u in units
@@ -208,11 +208,11 @@ if given is not None:
                     and rng.random() < 0.4)
         ]
         token_stream = stream(tokens)
-        oracle_raw, oracle_diagnostics = _ORACLE_SCANNERS[profile.unit_detection](tokens, profile, "f")
+        oracle_raw, oracle_diagnostics = _ORACLE_SCANNERS[profile.unit_detection](tokens, profile)
         for entry in oracle_raw:
             entry.pop("header_col", None)  # the oracle's indent entries keep a field nothing reads
-        assert units_mod._scan_units(token_stream, profile, "f") == (oracle_raw, oracle_diagnostics)
-        assert extract_units(token_stream, profile, "f") == oracle_extract_units(tokens, profile, "f")
+        assert units_mod._scan_units(token_stream, profile) == (oracle_raw, oracle_diagnostics)
+        assert extract_units(token_stream, profile) == oracle_extract_units(tokens, profile)
 
     @settings(max_examples=300, deadline=None)
     @given(src=_c_sources, rng=st.randoms(use_true_random=False))

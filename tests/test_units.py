@@ -6,9 +6,9 @@ from xmaint.profiles import C_FAMILY, COBOL_LIKE, PYTHON
 from xmaint.units import extract_units
 
 
-def units_of(src, profile, file="f"):
+def units_of(src, profile):
     tokens, _ = tokenize(src, profile)
-    units, diagnostics = extract_units(tokens, profile, file)
+    units, diagnostics = extract_units(tokens, profile)
     return tokens, units, diagnostics
 
 
@@ -208,7 +208,7 @@ def test_cobol_missing_end_keyword_reports_and_continues():
 def test_unbalanced_delimiter_diagnostics(src, profile, units_found, message, line):
     _, units, diagnostics = units_of(src, profile)
     assert [(u.name, u.start_line, u.end_line, u.param_count) for u in units] == units_found
-    assert diagnostics == [Diagnostic("unbalanced-delimiters", message, "f", line)]
+    assert diagnostics == [Diagnostic("unbalanced-delimiters", message, None, line)]
 
 
 def test_cobol_unclosed_parameter_list_counts_zero_without_diagnostic():
@@ -220,7 +220,7 @@ def test_cobol_unclosed_parameter_list_counts_zero_without_diagnostic():
 def test_cross_profile_unit_parity(parity_roots):
     """Paired fixtures: same unit count and per-unit param counts."""
     cfam_root, py_root = parity_roots
-    _, c_units, _ = units_of((cfam_root / "algos.c").read_text(), C_FAMILY, "algos.c")
-    _, p_units, _ = units_of((py_root / "algos.py").read_text(), PYTHON, "algos.py")
+    _, c_units, _ = units_of((cfam_root / "algos.c").read_text(), C_FAMILY)
+    _, p_units, _ = units_of((py_root / "algos.py").read_text(), PYTHON)
     assert len(c_units) == len(p_units) == 5
     assert [u.param_count for u in c_units] == [u.param_count for u in p_units]

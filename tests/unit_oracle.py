@@ -107,7 +107,7 @@ def _param_count(tokens: list[Row], open_idx: int, close_idx: int, commas: int) 
     return commas + 1 if has_content else 0
 
 
-def _extract_brace(tokens, profile, file):
+def _extract_brace(tokens, profile):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     raw = []
     diagnostics = []
@@ -131,7 +131,7 @@ def _extract_brace(tokens, profile, file):
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
                 message=f"unclosed parameter list for '{tokens[name_idx].text}'",
-                file=file, line=tokens[paren_idx].line))
+                line=tokens[paren_idx].line))
             i = paren_idx + 1
             continue
         close_paren, commas = matched
@@ -147,7 +147,7 @@ def _extract_brace(tokens, profile, file):
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
                 message=f"unclosed body for '{tokens[name_idx].text}'",
-                file=file, line=tokens[j].line))
+                line=tokens[j].line))
             i = j + 1
             continue
         raw.append({
@@ -210,7 +210,7 @@ def _line_table(tokens):
     return first_col, first_code_col, code_lines, continuation, max_line
 
 
-def _extract_indent(tokens, profile, file):
+def _extract_indent(tokens, profile):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
     token_lines = [tok.line for tok in tokens]
@@ -233,7 +233,7 @@ def _extract_indent(tokens, profile, file):
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
                 message=f"unclosed parameter list for '{tokens[name_idx].text}'",
-                file=file, line=tokens[paren_idx].line))
+                line=tokens[paren_idx].line))
             continue
         close_paren, commas = matched
         colon_idx = _next_code(tokens, close_paren + 1)
@@ -284,7 +284,7 @@ def _extract_indent(tokens, profile, file):
     return raw, diagnostics
 
 
-def _extract_keyword_pair(tokens, profile, file):
+def _extract_keyword_pair(tokens, profile):
     unit_kw = {profile.fold(k) for k in profile.unit_keywords}
     end_kw = {profile.fold(k) for k in profile.unit_end_keywords}
     raw = []
@@ -316,7 +316,7 @@ def _extract_keyword_pair(tokens, profile, file):
             diagnostics.append(Diagnostic(
                 code="unbalanced-delimiters",
                 message=f"missing end keyword for '{tokens[name_idx].text}'",
-                file=file, line=tok.line))
+                line=tok.line))
             i += 1
             continue
         raw.append({
@@ -351,16 +351,14 @@ def oracle_unit_inner(unit, all_units):
     ]
 
 
-def oracle_extract_units(
-    tokens: list[Row], profile: LanguageProfile, file: str | None = None
-) -> tuple[list[Unit], list[Diagnostic]]:
+def oracle_extract_units(tokens: list[Row], profile: LanguageProfile) -> tuple[list[Unit], list[Diagnostic]]:
     """Find all units in one file's token stream; recovery never aborts."""
     if profile.unit_detection == BRACE_BLOCK:
-        raw, diagnostics = _extract_brace(tokens, profile, file)
+        raw, diagnostics = _extract_brace(tokens, profile)
     elif profile.unit_detection == INDENT_BLOCK:
-        raw, diagnostics = _extract_indent(tokens, profile, file)
+        raw, diagnostics = _extract_indent(tokens, profile)
     else:
-        raw, diagnostics = _extract_keyword_pair(tokens, profile, file)
+        raw, diagnostics = _extract_keyword_pair(tokens, profile)
 
     units = []
     for entry in raw:
@@ -369,13 +367,11 @@ def oracle_extract_units(
         units.append(
             Unit(
                 name=entry["name"],
-                file=file,
                 start_line=entry["start_line"],
                 end_line=entry["end_line"],
                 param_count=entry["param_count"],
                 token_range=entry["token_range"],
                 nesting_depth_max=depth,
-                profile_id=profile.id,
             )
         )
     units.sort(key=lambda u: (u.start_line, u.token_range))
