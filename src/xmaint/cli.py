@@ -371,9 +371,10 @@ def cmd_rules_list(args) -> int:
     config = load_config(args.config)
     registry = _registry(config)
     profiles = [registry.get(args.profile)] if args.profile else registry.profiles()
-    for profile in profiles:
-        rule_set = load_rule_set(config["rules"], profile)
-        sys.stdout.write(f"{profile.id}:\n")
+    # every rule set is loaded before any is listed, so a bad one lists none
+    rule_sets = [(profile.id, load_rule_set(config["rules"], profile)) for profile in profiles]
+    for profile_id, rule_set in rule_sets:
+        sys.stdout.write(f"{profile_id}:\n")
         for rule in rule_set.rules:
             state = "on " if rule.enabled else "off"
             param = rule.pattern if rule.pattern is not None else rule.threshold

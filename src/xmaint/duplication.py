@@ -27,37 +27,39 @@ the contents' tokens, so that each project id has a bucket of its own; a
 content that two or more files hold counts twice. A window that holds a
 token occurring once equals no other window (the q = 1 case of Ukkonen's
 q-gram filter), so only the windows lying wholly between once-only tokens
-are hashed, each into an 8-byte key with its 4-byte position beside it, and
-counted and scanned once: 31.9% of the 77,646 windows of a seed-1 sample of
-the standard library, 47.2% of the 1.09M of the whole of it, and none of
-the bench's files of 1,200 small functions, each with its own name and
-constants. Each file keeps only its first window's entry and its class
-members, and occurrences read its own line columns. A table of one byte per
-key bucket rules out every key that lands alone in its bucket (Bloom's hash
-coding with allowable errors); only the few keys it cannot rule out are
-counted exactly. Inside a class, two members start a maximal block only if
-the tokens before them differ (or one of them starts its file); members are
-grouped by that predecessor token, and only pairs drawn from different
-groups are expanded. So a key whose windows all follow one token starts no
-block, and classes are built only for left-diverse keys, whose windows
-follow two or more different tokens (Gusfield's left-diverse repeats): the
-pass that finds each content's repeated windows keeps their positions and
-keys and the distinct (key, preceding token) pairs, and only the windows of
-left-diverse keys are compared exactly, keyed by their content, so a hash
-collision never joins two different windows. The stage holds a byte or two
-per token for the count table, and 12 bytes per kept window plus a table of
-8 to 16 bytes per kept window, not a count per distinct key or a class
-entry per repeated window: its tracemalloc peak is 7.9 bytes per window on
-30 copies of one file, over half of it the C(30, 2) blocks it returns, 10.1
-on the sample of the standard library (25.1 when every window was hashed
-and counted) and 4.2 on the C file of small functions (25.0). Each
-left-maximal pair is extended to its full match length by galloping over
-array-slice comparisons. The cost is linear in the number of tokens plus
-the windows free of once-only tokens plus each file's class members plus
-the number of blocks emitted, and two terms of that output are quadratic: k
-copies of one file emit C(k, 2) pair blocks, and a periodic run of n tokens
-inside one file (a table of n equal entries, say) is split at its period
-into about n**2 / 4 blocks, all held at once.
+are hashed, each into an 8-byte key, the ``hash`` of its ids' bytes, with
+its 4-byte position beside it, and counted and scanned once: 31.9% of the
+77,646 windows of a seed-1 sample of the standard library, 47.2% of the
+1.09M of the whole of it, and none of the bench's files of 1,200 small
+functions, each with its own name and constants. A ``min_tokens`` longer
+than every file leaves no window and so no block. Each file keeps only its
+first window's entry and its class members, and occurrences read its own
+line columns. A table of one byte per key bucket rules out every key that
+lands alone in its bucket (Bloom's hash coding with allowable errors); only
+the few keys it cannot rule out are counted exactly. Inside a class, two
+members start a maximal block only if the tokens before them differ (or one
+of them starts its file); members are grouped by that predecessor token,
+and only pairs drawn from different groups are expanded. So a key whose
+windows all follow one token starts no block, and classes are built only
+for left-diverse keys, whose windows follow two or more different tokens
+(Gusfield's left-diverse repeats): the pass that finds each content's
+repeated windows keeps their positions and keys and the distinct (key,
+preceding token) pairs, and only the windows of left-diverse keys are
+compared exactly, keyed by their content, so a hash collision never joins
+two different windows. The stage holds a byte or two per token for the
+count table, and 12 bytes per kept window plus a table of 8 to 16 bytes per
+kept window, not a count per distinct key or a class entry per repeated
+window: its tracemalloc peak is 7.9 bytes per window on 30 copies of one
+file, over half of it the C(30, 2) blocks it returns, 10.1 on the sample of
+the standard library (25.1 when every window was hashed and counted) and
+4.2 on the C file of small functions (25.0). Each left-maximal pair is
+extended to its full match length by galloping over array-slice
+comparisons. The cost is linear in the number of tokens plus the windows
+free of once-only tokens plus each file's class members plus the number of
+blocks emitted, and two terms of that output are quadratic: k copies of one
+file emit C(k, 2) pair blocks, and a periodic run of n tokens inside one
+file (a table of n equal entries, say) is split at its period into about
+n**2 / 4 blocks, all held at once.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token
@@ -71,7 +73,7 @@ from array import array
 from collections import Counter, defaultdict
 from itertools import combinations, compress, count, islice, product
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, TokenStream
 
@@ -82,7 +84,6 @@ DUPLICATION_MODES = (EXACT, IDENTIFIER_BLIND)
 _ID_PLACEHOLDER = "\x00id"
 
 
-_SUB_WINDOW = 10  # tokens per sub-window hash in _window_keys
 # _repeated_keys' bucket table: the power of two at or above this many
 # one-byte slots per window, so at most about one window in 16 finds its
 # bucket already taken
@@ -177,27 +178,12 @@ def normalize_tokens(
     )
 
 
-def _window_keys(row: list[int], width: int) -> Iterator[int]:
-    """A hash of every width-sized window of ``row``; equal windows get equal
-    keys, unequal windows may collide. A window's key combines the hashes of
-    sub-windows that tile it, the last one flush with its end, so each token
-    goes through about _SUB_WINDOW + width / _SUB_WINDOW tuple slots, not
-    width."""
-    sub = min(width, _SUB_WINDOW)
-    sub_keys = list(map(hash, zip(*_shifted(row, range(sub)))))
-    offsets = [*range(0, width - sub, sub), width - sub]
-    return map(hash, zip(*_shifted(sub_keys, offsets)))
-
-
-def _shifted(items: list[int], offsets) -> list[Iterator[int]]:
-    """An iterator over ``items`` per offset, started that many items in. A
-    plain list iterator yields faster than an islice over the list."""
-    iterators = []
-    for offset in offsets:
-        iterator = iter(items)
-        next(islice(iterator, offset, offset), None)
-        iterators.append(iterator)
-    return iterators
+def _window_keys(row: array, width: int) -> list[int]:
+    """A hash of the ids' bytes of every width-sized window of ``row``;
+    equal windows get equal keys, unequal windows may collide."""
+    data, step = row.tobytes(), row.itemsize
+    size = step * width
+    return [hash(data[start : start + size]) for start in range(0, len(data) - size + 1, step)]
 
 
 def _repeated_keys(keys: array) -> set[int]:
@@ -284,6 +270,8 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     """
     files = sorted(sequences)
     rows = [sequences[name].ids for name in files]
+    if max(map(len, rows), default=0) < min_tokens:
+        return []  # no file holds a window, and re cannot compile so long a repeat
 
     # rows of equal ids hold one content, numbered in the order of their
     # first files; a (length, hash) key hit is settled by comparing the ids
@@ -320,13 +308,11 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
             counts.extend(itemgetter(0, *content_buckets[start : start + _KEY_SEGMENT])(seen)[1:])
         for run in repeated_run.finditer(counts):
             first, stop = run.start(), run.end() - min_tokens + 1  # its windows
-            # a segment at a time, so a long run's sub-window keys are never
-            # all held at once; its ids go in as a list, which iterates
-            # faster than an array, and its keys come out as one, which
-            # converts into the array faster than an iterator does
+            # a segment at a time, so a long run's keys are never all held
+            # at once
             for start in range(first, stop, _KEY_SEGMENT):
                 end = min(start + _KEY_SEGMENT, stop) + min_tokens - 1
-                keys.fromlist(list(_window_keys(content[start:end].tolist(), min_tokens)))
+                keys.fromlist(_window_keys(content[start:end], min_tokens))
             where.extend(range(first, stop))
         starts.append(len(keys))
     del seen, buckets

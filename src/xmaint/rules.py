@@ -5,6 +5,7 @@ compared: intersecting finds the ids enabled for every language, while
 each language keeps its own thresholds and patterns.
 """
 
+import math
 import re
 from typing import NamedTuple
 
@@ -126,7 +127,13 @@ def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
         effort = float(entry.get("effort_minutes", effort))
         enabled = entry.get("enabled", enabled)
         if canonical_id == UNIT_SIZE and threshold is not None:
-            threshold = int(round(threshold * profile.verbosity_factor))
+            scaled = threshold * profile.verbosity_factor
+            if not math.isfinite(scaled):
+                raise InvalidRuleConfig(
+                    f"rules.{UNIT_SIZE}.threshold {threshold!r} times profile '{profile.id}' "
+                    f"verbosity_factor {profile.verbosity_factor!r} overflows a double"
+                )
+            threshold = round(scaled)
         rules.append(
             Rule(
                 canonical_id=canonical_id,

@@ -477,6 +477,43 @@ def test_efforts_that_overflow_end_in_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: debt ratio is not finite: ")
 
 
+_FACTOR_PROFILE = {"id": "shell-like", "file_extensions": [".sh"], "unit_detection": "brace-block",
+                   "verbosity_factor": 1e308}
+
+
+@pytest.mark.parametrize("command", [["analyze", str(FIXTURES / "parity")], ["rules", "list"]],
+                         ids=["analyze", "rules-list"])
+@pytest.mark.parametrize("config, message", [
+    ({"rules": {"unit-size-threshold": {"threshold": 1e308}}},
+     "rules.unit-size-threshold.threshold 1e+308 times profile 'cobol-like' verbosity_factor 2.0"),
+    ({"profiles": {"definitions": [_FACTOR_PROFILE]}},
+     "rules.unit-size-threshold.threshold 60 times profile 'shell-like' verbosity_factor 1e+308"),
+], ids=["threshold-1e308", "verbosity-factor-1e308"])
+def test_unit_size_threshold_that_overflows_when_scaled_is_one_error_line(tmp_path, capsys, command,
+                                                                           config, message):
+    # a finite threshold times a finite verbosity factor can overflow a
+    # double, which used to end in an OverflowError traceback
+    (tmp_path / "big.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, *command, "--config", str(tmp_path / "big.json"))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message} overflows a double"]
+
+
+@pytest.mark.parametrize("flag", ["--min-tokens", "--config"])
+def test_min_tokens_longer_than_every_file_finds_no_blocks(tmp_path, capsys, flag):
+    # beyond re's repeat limit, too, where compiling the run pattern used
+    # to end in an OverflowError traceback
+    value = "5000000000"
+    if flag == "--config":
+        (tmp_path / "long.json").write_text('{"duplication": {"min_tokens": 5000000000}}')
+        value = str(tmp_path / "long.json")
+    code, out, err = run(capsys, "analyze", str(FIXTURES / "parity"), flag, value)
+    assert code in (0, 2) and "Traceback" not in err
+    (project,) = json.loads(out)["projects"]
+    assert project["duplication"]["block_count"] == 0
+    assert json.loads(out)["effective_config"]["config"]["duplication"]["min_tokens"] == 5_000_000_000
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_profile_file_numbers_end_in_one_error_line(tmp_path, capsys, constant):
     profiles = tmp_path / "profiles.json"

@@ -1,0 +1,92 @@
+"""Every config leaf, rule key and profile key given each hostile value ends
+in a report that strict JSON reading accepts or in one ``error:`` line."""
+
+import copy
+import json
+
+import pytest
+
+from conftest import FIXTURES
+from xmaint.cli import main
+from xmaint.config import DEFAULT_CONFIG
+from xmaint.profiles import PYTHON
+
+# JSON texts: json.dumps writes NaN and the infinities as these constants
+_VALUES = ["NaN", "Infinity", "-Infinity", '"30"', "true", "null", "[]", "{}", "-1", "0", "1e308",
+           "5000000000"]
+_MISSING = None
+# a profile key is also dropped, emptied, or given a list of one empty string
+_PROFILE_VALUES = [*_VALUES, _MISSING, '""', '[""]']
+
+
+def _leaves(value, path=()):
+    """The path of every value in ``value`` that holds no other: each
+    scalar and each empty list or object, down through objects and lists."""
+    items = list(value.items() if isinstance(value, dict) else enumerate(value)
+                 if isinstance(value, list) else ())
+    if not items:
+        yield path
+    for key, item in items:
+        yield from _leaves(item, (*path, key))
+
+
+def _placed(data, path, text):
+    """A copy of ``data`` as JSON text, with the value at ``path`` replaced
+    by the JSON text ``text`` or, for _MISSING, dropped."""
+    data = copy.deepcopy(data)
+    marker = "\x00fuzz\x00"
+    *parents, last = path
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    if text is _MISSING:
+        del holder[last]
+        return json.dumps(data)
+    holder[last] = marker
+    return json.dumps(data).replace(json.dumps(marker), text)
+
+
+_RULE = {"threshold": 60, "pattern": "^x$", "effort_minutes": 45.0, "enabled": True}
+# the builtin python profile under its own id, so it replaces the builtin
+# and lexes the parity fixture's Python file
+_PROFILE = PYTHON.as_dict()
+_TARGETS = [
+    (DEFAULT_CONFIG, list(_leaves(DEFAULT_CONFIG)), _VALUES),
+    ({"rules": {"unit-size-threshold": _RULE}}, [("rules", "unit-size-threshold", key) for key in _RULE],
+     _VALUES),
+    ({"profiles": {"definitions": [_PROFILE]}}, [("profiles", "definitions", 0, key) for key in _PROFILE],
+     _PROFILE_VALUES),
+]
+_CASES = [(_placed(config, path, text), ".".join(map(str, path)), text)
+          for config, paths, values in _TARGETS for path in paths for text in values]
+
+
+def _strict(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("cases", [_CASES], ids=[f"{len(_CASES)}-cases"])
+def test_config_fuzz_ends_in_a_report_or_one_error_line(tmp_path, capsys, cases):
+    config = tmp_path / "config.json"
+    failures = []
+    for text, where, value in cases:
+        config.write_text(text, encoding="utf-8")
+        try:
+            code = main(["analyze", str(FIXTURES / "parity"), "--config", str(config)])
+        except Exception as exc:  # a traceback, as a user would see it
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        if code in (0, 2):
+            try:
+                _strict(out)
+            except ValueError as exc:
+                failures.append((where, value, f"exit {code}, report not strict JSON: {exc}"))
+        elif code == 1:
+            if not (out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")):
+                failures.append((where, value, f"exit 1, stderr {err!r}"))
+        else:
+            failures.append((where, value, code))
+    assert failures == []

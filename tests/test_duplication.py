@@ -234,20 +234,22 @@ def test_oracle_equivalence_randomized():
         assert fast == slow, f"trial {trial}: alphabet={alphabet} min={min_tokens}"
 
 
-@pytest.mark.parametrize("width", [3, 9, 10, 11, 15, 20, 23, 50])
+@pytest.mark.parametrize("width", [3, 9, 10, 11, 15, 20, 23, 50, 200, 500])
 def test_window_keys_give_equal_windows_equal_keys(width):
-    # a key combines sub-window hashes, the last one overlapping its
-    # neighbour unless the width is a multiple of the sub-window
     rng = random.Random(width)
-    copy = [rng.randrange(3) for _ in range(60)]
-    row = copy + [5] + copy + [6] + copy  # equal windows, unequal neighbours
-    keys = list(duplication._window_keys(row, width))
+    copy = [rng.randrange(3) for _ in range(width + 60)]
+    row = array("i", copy + [5] + copy + [6] + copy)  # equal windows, unequal neighbours
+    keys = duplication._window_keys(row, width)
     assert len(keys) == len(row) - width + 1
     by_window = {}
     for pos, key in enumerate(keys):
         assert by_window.setdefault(tuple(row[pos : pos + width]), key) == key
     assert len(by_window) < len(keys)
-    assert list(duplication._window_keys(row[: width - 1], width)) == []
+    assert duplication._window_keys(row[: width - 1], width) == []
+    # a segment's windows get the keys they get in the whole row
+    for start in (0, 1, width + 7):
+        segment = row[start : start + width + 40]
+        assert duplication._window_keys(segment, width) == keys[start : start + 41]
 
 
 def _hashed_windows(monkeypatch):
@@ -671,16 +673,29 @@ def test_token_counts_read_each_tokens_count_up_to_two():
 
 def test_oracle_equivalence_when_every_row_key_collides(monkeypatch):
     """Every row's ids hash alike, so rows of one length share a grouping
-    key, and only comparing their ids can keep unequal rows apart."""
+    key, and only comparing their ids can keep unequal rows apart. Window
+    keys hash bytes too, and collide as well; only the hashes made outside
+    _window_keys are counted as row keys, one per row."""
     hashed = []
+    windows = []
+    window_keys = duplication._window_keys
 
     def colliding(value):
         if isinstance(value, bytes):
-            hashed.append(len(value))
+            if not windows:  # a row's key, not a window's
+                hashed.append(len(value))
             return 0
         return hash(value)
 
+    def keying(row, width):
+        windows.append(len(row))
+        try:
+            return window_keys(row, width)
+        finally:
+            windows.pop()
+
     monkeypatch.setattr(duplication, "hash", colliding, raising=False)
+    monkeypatch.setattr(duplication, "_window_keys", keying)
     rng = random.Random(1618)
     for trial in range(30):
         min_tokens = rng.choice([3, 4, 6])
