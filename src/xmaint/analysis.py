@@ -230,14 +230,15 @@ def analyze_file(
         units, unit_diags = extract_units(tokens, profile)
         diagnostics.extend(unit_diags)
         unit_metrics = metrics.file_unit_metrics(units, tokens, lines, profile)
+    cyclomatic, counts = metrics.file_counts(tokens, profile) if file_scope else (None, None)
     return FileAnalysis(
         path=rel,
         profile_id=profile.id,
         lines=lines._replace(classes=()),  # the unit metrics have read them
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
-        halstead_volume=metrics.halstead(tokens, profile).volume if file_scope else None,
-        cyclomatic=metrics.cyclomatic_complexity(tokens, profile) if file_scope else None,
+        halstead_volume=counts.volume if file_scope else None,
+        cyclomatic=cyclomatic,
     ), duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids)
 
 
@@ -671,8 +672,9 @@ def _project_analysis(
         weighted=bool(config["metrics"]["weighted_unit_means"]),
     )
 
+    limit = None if rules.DUPLICATION_BLOCK in shared_rule_ids else duplication.MAX_BLOCKS  # fires per block
     dup_report = duplication.build_report(
-        rows, dup_cfg["min_tokens"], dup_cfg["mode"], project_metrics.total_loc
+        rows, dup_cfg["min_tokens"], dup_cfg["mode"], project_metrics.total_loc, limit
     )
 
     cost_per_line = float(config["models"]["sqale"]["cost_per_line_minutes"])
@@ -714,18 +716,3 @@ def _project_analysis(
         coverage=coverage,
         diagnostics=tuple(diagnostics),
     )
-
-
-def shared_rules(analyses: list[ProjectAnalysis]) -> tuple[list[str], Diagnostic | None]:
-    """The rule ids enabled for every profile of two or more compared
-    projects, plus a warning when there are none. Rule enablement is
-    config-wide, so these are the run's ids, which every project holds and
-    was billed against."""
-    shared = list(analyses[0].shared_rule_ids)
-    warning = None
-    if not shared:
-        warning = Diagnostic(
-            "empty-intersection",
-            "no coding rule is enabled for every compared language; debt ratios compare only rule-free attributes",
-        )
-    return shared, warning

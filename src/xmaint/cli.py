@@ -14,11 +14,11 @@ import time
 from pathlib import Path
 
 from . import __version__, report as report_mod
-from .analysis import analyze_project, analyze_projects, shared_rules
+from .analysis import analyze_project, analyze_projects
 from .composite import composite_score, sensitivity_analysis
 from .config import REPORT_FORMATS, composite_mappings, config_hash, load_config
 from .duplication import DUPLICATION_MODES
-from .errors import XmaintError
+from .errors import Diagnostic, XmaintError
 from .profiles import build_registry
 from .rules import load_rule_set
 
@@ -263,7 +263,7 @@ def cmd_compare(args) -> int:
         includes=tuple(args.include),
         excludes=tuple(args.exclude),
     )
-    shared, warning = shared_rules(analyses)
+    shared = list(analyses[0].shared_rule_ids)  # rule enablement is config-wide: the run's ids
 
     mappings = composite_mappings(config)
     dup_source = config["composite"]["duplication_source"]
@@ -285,7 +285,10 @@ def cmd_compare(args) -> int:
         composite=scores,
         sensitivity=sensitivity,
         shared_rules=shared,
-        extra_diagnostics=[warning] if warning else [],
+        extra_diagnostics=[] if shared else [Diagnostic(
+            "empty-intersection",
+            "no coding rule is enabled for every compared language; debt ratios compare only rule-free attributes",
+        )],
     )
     _emit(report_mod.render(report, _fmt(args, config)), args.out)
     return 2 if report["diagnostics"] else 0

@@ -5,7 +5,8 @@ Blocks are maximal: extending either end by one token would break the
 element-wise equality or, for two occurrences inside one file, make them
 overlap. Self-overlapping repeats are therefore capped at their period,
 which splits a periodic run into non-overlapping blocks greedily from the
-left.
+left. The stage holds one match per left-maximal pair, at its full length;
+``split_blocks`` splits a periodic one only where a reader lists blocks.
 
 The clone stage reads each file as a ``CloneRow``: three array('i')
 columns, 4 bytes a token each, of the normalized tokens' ids, equal ids for
@@ -56,23 +57,24 @@ the standard library (25.1 when every window was hashed and counted) and
 extended to its full match length by galloping over array-slice
 comparisons. The cost is linear in the number of tokens plus the windows
 free of once-only tokens plus each file's class members plus the number of
-blocks emitted, and two terms of that output are quadratic: k copies of one
-file emit C(k, 2) pair blocks, and a periodic run of n tokens inside one
-file (a table of n equal entries, say) is split at its period into about
-n**2 / 4 blocks, all held at once.
+matches, so k copies of one file cost C(k, 2) pair matches. A periodic run
+of n tokens in one file (n equal table entries, say) is about n**2 / 4
+blocks but fewer than n matches, one per period shift: a report counts the
+blocks and builds the MAX_BLOCKS it lists, or all of them for an enabled
+duplication-block rule, whose run then costs its output.
 
 Both a token ratio and a line ratio are reported so the lines-vs-tokens
 verbosity bias stays visible. Coverage is the union of the blocks' token
-intervals per file: each token and each line a covered token spans counts
-once however many blocks cover it, and comment-only lines between covered
-tokens do not count.
+intervals per file, equal to the union of the matches' own: each token and
+each line a covered token spans counts once however many blocks cover it,
+and comment-only lines between covered tokens do not count.
 """
 
 import re
 from array import array
 from collections import Counter, defaultdict
-from itertools import combinations, compress, count, islice, product
-from operator import itemgetter, ne
+from itertools import chain, combinations, compress, count, islice, product
+from operator import attrgetter, itemgetter, ne
 from typing import Iterable, NamedTuple
 
 from .lexing import COMMENT, IDENTIFIER, TokenStream
@@ -89,6 +91,9 @@ _ID_PLACEHOLDER = "\x00id"
 # bucket already taken
 _FILTER_SLOTS_PER_WINDOW = 8
 _KEY_SEGMENT = 4096  # windows hashed per _window_keys call, tokens per count lookup
+
+MAX_BLOCKS = 50  # clone blocks a report lists per project; the ratios and block_count cover all
+_ORDER = attrgetter("file_a", "norm_start_a", "file_b", "norm_start_b")
 
 TokenIds = dict[tuple[str, str], int]
 
@@ -137,7 +142,8 @@ class CloneBlock(NamedTuple):
 
 
 class DuplicationReport(NamedTuple):
-    blocks: tuple[CloneBlock, ...]
+    blocks: tuple[CloneBlock, ...]  # the first MAX_BLOCKS, or all for an enabled duplication-block rule
+    block_count: int  # every block, a periodic run's splits included
     duplicated_token_ratio: float
     duplicated_line_ratio: float
     min_tokens: int
@@ -262,7 +268,8 @@ def _common_length(row_a: array, pa: int, row_b: array, pb: int, known: int) -> 
 
 
 def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[CloneBlock]:
-    """All maximal clone blocks of at least ``min_tokens`` normalized tokens.
+    """All maximal matches of at least ``min_tokens`` normalized tokens, at
+    full length: each is one clone block or a periodic run (``split_blocks``).
 
     Output is sorted by (file_a, start_a, file_b, start_b); the pair of
     occurrences is oriented so the first one comes earlier in that order.
@@ -370,28 +377,6 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
     del joins
 
     blocks: list[CloneBlock] = []
-
-    def occurrence(f_idx: int, pos: int, length: int) -> tuple[str, int, int]:
-        name = files[f_idx]
-        row = sequences[name]
-        # end lines never decrease along a row: the last token ends last
-        return name, row.lines[pos], row.end_lines[pos + length - 1] - row.lines[pos] + 1
-
-    def add_block(fa: int, pa: int, fb: int, pb: int, length: int) -> None:
-        name_a, line_a, span_a = occurrence(fa, pa, length)
-        name_b, line_b, span_b = occurrence(fb, pb, length)
-        blocks.append(CloneBlock(
-            file_a=name_a,
-            start_line_a=line_a,
-            file_b=name_b,
-            start_line_b=line_b,
-            length_tokens=length,
-            length_lines_a=span_a,
-            length_lines_b=span_b,
-            norm_start_a=pa,
-            norm_start_b=pb,
-        ))
-
     for members in classes.values():
         # A pair extends one token to the left exactly when both members
         # share their predecessor token, so only pairs across predecessor
@@ -403,19 +388,44 @@ def find_clone_blocks(sequences: dict[str, CloneRow], min_tokens: int) -> list[C
         for group_a, group_b in combinations(groups.values(), 2):
             for first, second in product(group_a, group_b):
                 (fa, pa), (fb, pb) = sorted((first, second))
-                delta = pb - pa
-                if fa == fb and delta < min_tokens:
+                if fa == fb and pb - pa < min_tokens:
                     continue  # overlapping occurrences, no period to split at
                 match_len = _common_length(rows[fa], pa, rows[fb], pb, min_tokens)
-                if fa != fb or match_len <= delta:
-                    add_block(fa, pa, fb, pb, match_len)
-                else:
-                    # self-overlapping repeat: greedy split at the period
-                    for t in range(0, match_len - delta + 1):
-                        add_block(fa, pa + t, fb, pb + t, delta)
+                blocks.append(_clone_block(sequences, files[fa], pa, files[fb], pb, match_len))
 
-    blocks.sort(key=lambda b: (b.file_a, b.norm_start_a, b.file_b, b.norm_start_b))
+    blocks.sort(key=_ORDER)
     return blocks
+
+
+def _clone_block(sequences: dict[str, CloneRow], name_a: str, pa: int, name_b: str, pb: int, length: int):
+    row_a, row_b = sequences[name_a], sequences[name_b]
+    # end lines never decrease along a row: the last token ends last
+    return CloneBlock(name_a, row_a.lines[pa], name_b, row_b.lines[pb], length,
+                      row_a.end_lines[pa + length - 1] - row_a.lines[pa] + 1,
+                      row_b.end_lines[pb + length - 1] - row_b.lines[pb] + 1, pa, pb)
+
+
+def _period(match: CloneBlock) -> int:
+    """The length of each block a match stands for, less than its own if it is periodic."""
+    apart = match.norm_start_b - match.norm_start_a if match.file_a == match.file_b else match.length_tokens
+    return min(match.length_tokens, apart)
+
+
+def split_blocks(
+    sequences: dict[str, CloneRow], matches: list[CloneBlock], limit: int | None = None
+) -> list[CloneBlock]:
+    """The clone blocks of ``matches``, ``find_clone_blocks``' output, in
+    its order: a match of length L whose occurrences lie d < L tokens apart
+    in one file is split greedily at its period into L - d + 1 blocks of d
+    tokens. The first ``limit`` blocks lie among the first ``limit`` shifts
+    of the first ``limit`` matches: a match's first split starts with it."""
+
+    def splits(m: CloneBlock) -> Iterable[CloneBlock]:
+        period = _period(m)
+        return (_clone_block(sequences, m.file_a, m.norm_start_a + t, m.file_b, m.norm_start_b + t, period)
+                for t in islice(range(m.length_tokens - period + 1), limit))
+
+    return sorted(chain.from_iterable(map(splits, islice(matches, limit))), key=_ORDER)[:limit]
 
 
 def duplication_ratios(
@@ -456,14 +466,17 @@ def duplication_ratios(
 
 
 def build_report(
-    sequences: dict[str, CloneRow], min_tokens: int, mode: str, total_code_lines: int
+    sequences: dict[str, CloneRow], min_tokens: int, mode: str, total_code_lines: int,
+    limit: int | None = MAX_BLOCKS,
 ) -> DuplicationReport:
-    blocks = find_clone_blocks(sequences, min_tokens)
+    """Counts and ratios over every clone block, and the first ``limit`` blocks (all if None)."""
+    matches = find_clone_blocks(sequences, min_tokens)
     token_ratio, line_ratio, dup_tokens, dup_lines, total_tokens = duplication_ratios(
-        blocks, sequences, total_code_lines
+        matches, sequences, total_code_lines
     )
     return DuplicationReport(
-        blocks=tuple(blocks),
+        blocks=tuple(split_blocks(sequences, matches, limit)),
+        block_count=sum(match.length_tokens - _period(match) + 1 for match in matches),
         duplicated_token_ratio=token_ratio,
         duplicated_line_ratio=line_ratio,
         min_tokens=min_tokens,

@@ -129,15 +129,12 @@ def _count(ids, classes: IdClasses) -> tuple[int, HalsteadCounts]:
     )
 
 
-def cyclomatic_complexity(tokens: TokenStream, profile: LanguageProfile) -> int:
-    """1 + number of decision tokens (branch/loop/guard keywords, short-circuit ops)."""
-    return _count(tokens.ids, id_classes(tokens, profile))[0]
-
-
-def halstead(tokens: TokenStream, profile: LanguageProfile) -> HalsteadCounts:
-    """Count operators/operands; distinctness is by (kind, text), case-folded
-    when the profile is case-insensitive."""
-    return _count(tokens.ids, id_classes(tokens, profile))[1]
+def file_counts(tokens: TokenStream, profile: LanguageProfile) -> tuple[int, HalsteadCounts]:
+    """McCabe's count of a whole stream, 1 + its decision tokens
+    (branch/loop/guard keywords, short-circuit ops), and its Halstead
+    counts, whose distinctness is by (kind, text), case-folded when the
+    profile is case-insensitive."""
+    return _count(tokens.ids, id_classes(tokens, profile))
 
 
 def comment_ratio(lines: LineClassification) -> float:

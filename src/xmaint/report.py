@@ -15,8 +15,7 @@ from itertools import islice
 
 from .analysis import ProjectAnalysis
 from .composite import CompositeScore, SensitivityReport
-
-MAX_BLOCKS = 50  # clone blocks listed per project; the duplication ratios count all of them
+from .duplication import MAX_BLOCKS
 
 
 def _r4(value):
@@ -72,7 +71,7 @@ def project_block(pa: ProjectAnalysis) -> dict:
             "line_ratio": _r4(pa.duplication.duplicated_line_ratio),
             "min_tokens": pa.duplication.min_tokens,
             "mode": pa.duplication.normalization_mode,
-            "block_count": len(pa.duplication.blocks),
+            "block_count": pa.duplication.block_count,
             "duplicated_tokens": pa.duplication.duplicated_tokens,
             "total_tokens": pa.duplication.total_tokens,
             "duplicated_lines": pa.duplication.duplicated_lines,

@@ -19,7 +19,7 @@ from xmaint.cli import main
 from xmaint.composite import composite_score, sensitivity_analysis, ProjectIndicators
 from xmaint.config import load_config
 from xmaint.debt_models import maintainability_index, tdr_grade
-from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, token_ids
+from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, split_blocks, token_ids
 from xmaint.errors import SingleCountingViolation
 from xmaint.lexing import TokenStream
 from xmaint.profiles import ProfileRegistry
@@ -104,7 +104,7 @@ def test_criterion_4_clone_oracle_equivalence():
             tokens = stream(("identifier", t, i + 1, 1) for i, t in enumerate(texts))
             seqs[f"f{k}"] = normalize_tokens(tokens, EXACT, True, ids)
         fast = {(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
-                for b in find_clone_blocks(seqs, min_tokens)}
+                for b in split_blocks(seqs, find_clone_blocks(seqs, min_tokens))}
         slow = oracle_blocks(seqs, min_tokens)
         assert fast == slow, f"trial {trial} diverged (alphabet={alphabet}, min={min_tokens})"
         checked += 1

@@ -1,4 +1,5 @@
 import importlib
+import json
 import pickle
 import random
 import tracemalloc
@@ -16,11 +17,13 @@ from xmaint import duplication
 from xmaint.duplication import (
     EXACT,
     IDENTIFIER_BLIND,
+    MAX_BLOCKS,
     CloneBlock,
     build_report,
     duplication_ratios,
     find_clone_blocks,
     normalize_tokens,
+    split_blocks,
     token_ids,
 )
 from xmaint.analysis import analyze_project
@@ -49,6 +52,12 @@ def row(tokens):
 
 def as_keys(blocks):
     return {(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens) for b in blocks}
+
+
+def all_blocks(seqs, min_tokens):
+    """Every clone block, as the oracle lists them: the matches the detector
+    finds, with each periodic run split at its period."""
+    return split_blocks(seqs, duplication.find_clone_blocks(seqs, min_tokens))
 
 
 # --- normalization ---
@@ -229,7 +238,7 @@ def test_oracle_equivalence_randomized():
             f"f{k}": random_stream(rng, rng.randrange(0, 260), alphabet)
             for k in range(n_files)
         }
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         slow = oracle_blocks(seqs, min_tokens)
         assert fast == slow, f"trial {trial}: alphabet={alphabet} min={min_tokens}"
 
@@ -362,7 +371,7 @@ def test_oracle_equivalence_when_every_window_collides(monkeypatch):
             f"f{k}": random_stream(rng, rng.randrange(0, 120), alphabet)
             for k in range(rng.choice([1, 2, 3]))
         }
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
 
 
@@ -383,7 +392,7 @@ def test_oracle_equivalence_when_every_key_shares_one_bucket(monkeypatch):
             f"f{k}": random_stream(rng, rng.randrange(0, 120), alphabet)
             for k in range(rng.choice([1, 2, 3]))
         }
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
 
 
@@ -478,7 +487,7 @@ def test_oracle_equivalence_over_mutated_copies():
                 copy[at:at] = period * rng.randrange(2, 6)
             texts[f"f{k}"] = copy
         seqs = {name: row(ident_stream(t)) for name, t in texts.items()}
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
         windows += sum(max(0, len(r) - min_tokens + 1) for r in seqs.values())
         stats = _repeats_and_left_diverse(seqs, min_tokens)
@@ -508,7 +517,7 @@ def test_oracle_equivalence_multi_file_injected_clones():
             to = rng.randrange(0, len(texts[dst]) - length)
             texts[dst][to : to + length] = texts[src][at : at + length]
         seqs = {name: row(ident_stream(t)) for name, t in texts.items()}
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
 
 
@@ -549,7 +558,7 @@ def test_oracle_equivalence_over_rows_that_hold_copies():
     for trial in range(80):
         min_tokens = rng.choice([3, 4, 6])
         seqs = _copied_rows(rng, min_tokens)
-        blocks = find_clone_blocks(seqs, min_tokens)
+        blocks = all_blocks(seqs, min_tokens)
         assert as_keys(blocks) == oracle_blocks(seqs, min_tokens), f"trial {trial}"
         for b in blocks:
             for name, start, line, span in ((b.file_a, b.norm_start_a, b.start_line_a, b.length_lines_a),
@@ -623,7 +632,7 @@ def test_oracle_equivalence_over_rows_of_once_only_tokens(monkeypatch):
     for trial in range(60):
         min_tokens = rng.choice([3, 5, 8])
         seqs = _rows_of_mostly_once_only_tokens(rng, min_tokens)
-        fast = as_keys(duplication.find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
         windows += _windows(seqs, min_tokens)
     assert 0 < sum(calls) < windows / 4
@@ -649,7 +658,7 @@ def test_oracle_equivalence_over_once_only_tokens_in_one_bucket(monkeypatch):
         min_tokens = rng.choice([3, 5, 8])
         seqs = _rows_of_mostly_once_only_tokens(rng, min_tokens)
         calls.clear()
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
         assert sum(calls) == _windows(seqs, min_tokens), f"trial {trial}"
 
@@ -705,7 +714,7 @@ def test_oracle_equivalence_when_every_row_key_collides(monkeypatch):
         seqs = {f"f{k}": _clone_row((t, 1, 0) for t in rng.choice(contents))
                 for k in range(rng.randrange(2, 7))}
         hashed.clear()
-        fast = as_keys(find_clone_blocks(seqs, min_tokens))
+        fast = as_keys(all_blocks(seqs, min_tokens))
         assert fast == oracle_blocks(seqs, min_tokens), f"trial {trial}"
         assert hashed == [4 * length] * len(seqs)
 
@@ -715,10 +724,93 @@ def test_k_identical_copies_pair_up_in_full():
     stream = [f"t{i}" for i in range(40)]
     seqs = {f"f{i:02d}": row(ident_stream(stream)) for i in range(k)}
     report = build_report(seqs, 10, EXACT, k * len(stream))
-    assert len(report.blocks) == comb(k, 2)
+    assert report.block_count == comb(k, 2)
     assert all(b.length_tokens == len(stream) for b in report.blocks)
     assert {(b.norm_start_a, b.norm_start_b) for b in report.blocks} == {(0, 0)}
     assert report.duplicated_token_ratio == report.duplicated_line_ratio == 1.0
+
+
+# --- periodic runs: about n**2 / 4 blocks, held as n matches ---
+
+
+def _zeros(n):
+    return "int a[] = {" + ", ".join(["0"] * n) + "};\n"
+
+
+def _nested_ifs(n):
+    return "void f(int x) {\n" + "if (x) {\n" * n + "}\n" * n + "}\n"
+
+
+def _long_sum(n):
+    return "int y = " + " + ".join(["x"] * n) + ";\n"
+
+
+def _c_rows(source):
+    tokens, _ = tokenize(source, C_FAMILY)
+    return {"f.c": normalize_tokens(tokens, EXACT, True, token_ids())}
+
+
+_PERIODIC = [(_zeros, 60, 5), (_nested_ifs, 16, 6), (_long_sum, 60, 3), (_long_sum, 45, 8)]
+_PERIODIC_IDS = [f"{shape.__name__[1:]}-{n}-min{m}" for shape, n, m in _PERIODIC]
+
+
+@pytest.mark.parametrize("shape, n, min_tokens", _PERIODIC, ids=_PERIODIC_IDS)
+def test_periodic_run_report_equals_oracle(shape, n, min_tokens):
+    seqs = _c_rows(shape(n))
+    expected = sorted(oracle_blocks(seqs, min_tokens))
+    assert len(expected) > MAX_BLOCKS  # the listed blocks are a cut
+    report = build_report(seqs, min_tokens, EXACT, shape(n).count("\n"))
+    assert report.block_count == len(expected)
+    assert [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
+            for b in report.blocks] == expected[:MAX_BLOCKS]
+    # at most one match per token, each standing for its period splits
+    assert len(find_clone_blocks(seqs, min_tokens)) <= len(seqs["f.c"]) < len(expected)
+    covering = [CloneBlock(fa, 0, fb, 0, length, 0, 0, pa, pb) for fa, pa, fb, pb, length in expected]
+    assert (report.duplicated_tokens, report.duplicated_lines) == oracle_coverage(covering, seqs)
+
+
+def _block_rule_config(tmp_path, min_tokens):
+    """A config that enables the duplication-block rule, which the composite
+    then may not weight: duplicationRatio's weight moves to tdr."""
+    weights = {name: ind["weight"] for name, ind in load_config()["composite"]["indicators"].items()}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "rules": {"duplication-block": {"enabled": True}},
+        "duplication": {"min_tokens": min_tokens},
+        "composite": {"indicators": {
+            "duplicationRatio": {"weight": 0.0},
+            "tdr": {"weight": weights["tdr"] + weights["duplicationRatio"]},
+        }},
+    }))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("shape, n, min_tokens", _PERIODIC, ids=_PERIODIC_IDS)
+def test_enabled_block_rule_reads_every_block(tmp_path, shape, n, min_tokens):
+    root = write_tree(tmp_path / "project", {"f.c": shape(n)})
+    result = analyze_project(root, _block_rule_config(tmp_path, min_tokens), ProfileRegistry())
+    dup = result.duplication
+    assert dup == build_report(_c_rows(shape(n)), min_tokens, EXACT, dup.total_code_lines, None)
+    assert len(dup.blocks) == dup.block_count > MAX_BLOCKS
+    fired = [(v.line, v.observed_value) for v in result.violations if v.rule_id == "duplication-block"]
+    assert sorted(fired) == sorted((b.start_line_a, b.length_tokens) for b in dup.blocks)
+
+
+def test_periodic_run_report_memory_stays_linear():
+    """n zeros in one array hold about n**2 / 2 blocks, which a report
+    counts and lists 50 of; it holds one match per period shift."""
+    peaks = []
+    for n, blocks in ((2_000, 1_904_175), (4_000, 7_807_175)):
+        seqs = _c_rows(_zeros(n))
+        tracemalloc.start()
+        try:
+            report = build_report(seqs, 50, EXACT, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.block_count == blocks and len(report.blocks) == MAX_BLOCKS
+    assert peaks[1] < 4 * 2**20
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 def test_symmetry_under_file_relabeling():
@@ -820,7 +912,10 @@ def test_ratios_equal_coverage_oracle():
             for k in range(rng.choice([1, 2, 3]))
         }
         names = sorted(seqs)
-        blocks = find_clone_blocks(seqs, rng.choice([3, 4, 6]))
+        matches = find_clone_blocks(seqs, rng.choice([3, 4, 6]))
+        blocks = split_blocks(seqs, matches)
+        # a periodic match covers exactly what its splits cover
+        assert duplication_ratios(matches, seqs, 1) == duplication_ratios(blocks, seqs, 1)
         # plus arbitrary, freely overlapping spans: coverage must not depend
         # on the blocks being maximal
         for _ in range(rng.randrange(0, 6)):

@@ -11,12 +11,19 @@ from xmaint.metrics import (
     HalsteadCounts,
     aggregate_project,
     comment_ratio,
-    cyclomatic_complexity,
+    file_counts,
     file_unit_metrics,
-    halstead,
 )
 from xmaint.profiles import C_FAMILY, PYTHON, ProfileRegistry
 from xmaint.units import extract_units
+
+
+def cyclomatic_complexity(tokens, profile):
+    return file_counts(tokens, profile)[0]
+
+
+def halstead(tokens, profile):
+    return file_counts(tokens, profile)[1]
 
 
 def analyze(src, profile):
