@@ -237,7 +237,7 @@ def analyze_file(
         lines=lines._replace(classes=()),  # the unit metrics have read them
         unit_metrics=tuple(unit_metrics),
         diagnostics=tuple(diagnostics),
-        halstead_volume=counts.volume if file_scope else None,
+        halstead_volume=counts and counts.volume,
         cyclomatic=cyclomatic,
     ), duplication.normalize_tokens(tokens, dup_mode, profile.case_sensitive, ids)
 

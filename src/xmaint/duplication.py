@@ -467,7 +467,7 @@ def duplication_ratios(
 
 def build_report(
     sequences: dict[str, CloneRow], min_tokens: int, mode: str, total_code_lines: int,
-    limit: int | None = MAX_BLOCKS,
+    limit: int | None,
 ) -> DuplicationReport:
     """Counts and ratios over every clone block, and the first ``limit`` blocks (all if None)."""
     matches = find_clone_blocks(sequences, min_tokens)

@@ -723,8 +723,8 @@ def test_k_identical_copies_pair_up_in_full():
     k = 12
     stream = [f"t{i}" for i in range(40)]
     seqs = {f"f{i:02d}": row(ident_stream(stream)) for i in range(k)}
-    report = build_report(seqs, 10, EXACT, k * len(stream))
-    assert report.block_count == comb(k, 2)
+    report = build_report(seqs, 10, EXACT, k * len(stream), None)
+    assert len(report.blocks) == report.block_count == comb(k, 2)
     assert all(b.length_tokens == len(stream) for b in report.blocks)
     assert {(b.norm_start_a, b.norm_start_b) for b in report.blocks} == {(0, 0)}
     assert report.duplicated_token_ratio == report.duplicated_line_ratio == 1.0
@@ -759,7 +759,7 @@ def test_periodic_run_report_equals_oracle(shape, n, min_tokens):
     seqs = _c_rows(shape(n))
     expected = sorted(oracle_blocks(seqs, min_tokens))
     assert len(expected) > MAX_BLOCKS  # the listed blocks are a cut
-    report = build_report(seqs, min_tokens, EXACT, shape(n).count("\n"))
+    report = build_report(seqs, min_tokens, EXACT, shape(n).count("\n"), MAX_BLOCKS)
     assert report.block_count == len(expected)
     assert [(b.file_a, b.norm_start_a, b.file_b, b.norm_start_b, b.length_tokens)
             for b in report.blocks] == expected[:MAX_BLOCKS]
@@ -804,7 +804,7 @@ def test_periodic_run_report_memory_stays_linear():
         seqs = _c_rows(_zeros(n))
         tracemalloc.start()
         try:
-            report = build_report(seqs, 50, EXACT, 1)
+            report = build_report(seqs, 50, EXACT, 1, MAX_BLOCKS)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -883,8 +883,8 @@ if given is not None:
             for name, seq in sequences.items()
         }
         code_lines = sum(seq.end_lines[-1] for seq in sequences.values() if seq)
-        expected = build_report(sequences, min_tokens, EXACT, code_lines)
-        assert build_report(relabeled, min_tokens, EXACT, code_lines) == expected
+        expected = build_report(sequences, min_tokens, EXACT, code_lines, None)
+        assert build_report(relabeled, min_tokens, EXACT, code_lines, None) == expected
 
 
 def gapped_stream(rng, n, alphabet):
@@ -954,7 +954,7 @@ def test_ratios_in_unit_interval():
     rng = random.Random(5)
     for _ in range(20):
         seq = random_stream(rng, rng.randrange(0, 150), 2)
-        report = build_report({"f": seq}, 3, EXACT, len(seq))
+        report = build_report({"f": seq}, 3, EXACT, len(seq), None)
         assert 0.0 <= report.duplicated_token_ratio <= 1.0
         assert 0.0 <= report.duplicated_line_ratio <= 1.0
 
