@@ -136,11 +136,13 @@ def discover_files(
     includes: tuple[str, ...] = (),
     excludes: tuple[str, ...] = (),
 ) -> list[tuple[Path, str, LanguageProfile]]:
-    """Recursive walk (symlinks not followed) yielding (abs, rel, profile).
+    """(abs, rel, profile) of each file under ``root``, sorted by path.
 
-    Files are kept when their extension belongs to a registered profile,
-    or, under a forced profile, to that profile; explicit include globs
-    widen the forced net to any matching file.
+    ``os.walk`` follows no symlinked directory, skips one it cannot read and
+    enters none that ``DEFAULT_EXCLUDES`` names. A regular file that is no
+    symlink is kept when its extension belongs to a registered profile, or,
+    under a forced profile, to that profile; explicit include globs widen
+    the forced net to any matching file.
     """
     if not root.exists():
         raise EmptyProject(f"path does not exist: {root}")
@@ -150,22 +152,10 @@ def discover_files(
     else:
         base = root
         candidates = []
-        stack = [root]
-        while stack:
-            directory = stack.pop()
-            try:
-                entries = sorted(directory.iterdir())
-            except OSError:
-                continue
-            for entry in entries:
-                if entry.is_symlink():
-                    continue
-                if entry.is_dir():
-                    if entry.name in DEFAULT_EXCLUDES:
-                        continue
-                    stack.append(entry)
-                elif entry.is_file():
-                    candidates.append(entry)
+        for directory, dirnames, filenames in os.walk(root):
+            dirnames[:] = [name for name in dirnames if name not in DEFAULT_EXCLUDES]
+            paths = (Path(directory, name) for name in filenames)
+            candidates.extend(path for path in paths if not path.is_symlink() and path.is_file())
 
     exclude_patterns = tuple(excludes)
     include_patterns = tuple(includes)
@@ -303,9 +293,10 @@ def _analyze_files(
     with an XmaintError at the first file of its share after its last pair.
     The failure at the lowest index is the one a lone process would meet; each
     split project before it is finished here once the id tables have gone,
-    so it reuses their memory. No worker or pipe outlives the call, and a
-    worker whose parent is gone exits before its next file, so after the
-    project-level stages of a project whose last file it has just analyzed."""
+    so it reuses their memory. A failing ``os.pipe`` or ``os.fork`` raises an
+    XmaintError. No worker or pipe outlives the call, and a worker whose
+    parent is gone exits before its next file, so after the project-level
+    stages of a project whose last file it has just analyzed."""
     items = [(project, item) for project, found in enumerate(projects) for item in found]
     ends = list(itertools.accumulate(map(len, projects)))  # one past each project's last file
     shares, cpus = _shares([item for _, item in items])
@@ -363,13 +354,15 @@ def _analyze_files(
         _start_on(cpus[0], cpus)
     try:
         for worker, share in enumerate(shares[1:], 1):
-            read_fd, write_fd = os.pipe()
+            fds = ()
             try:
+                fds = read_fd, write_fd = os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            except OSError as exc:
+                for fd in fds:
+                    os.close(fd)
+                call = "os.fork" if fds else "os.pipe"
+                raise XmaintError(f"cannot start a per-file worker: {call} failed: {exc}") from None
             if pid == 0:  # the worker: never returns into the caller's code
                 status = 1
                 try:
@@ -488,16 +481,6 @@ def _balanced_shares(sizes: list[int], count: int) -> list[list[int]]:
         shares[lightest].append(index)
         loads[lightest] += sizes[index]
     return [share for share in shares if share]
-
-
-def _file_level_means(files: list[FileAnalysis]):
-    """aHV/aCC/aLOC with module = file instead of unit (config variant), over
-    the one or more files of a project."""
-    count = len(files)
-    volumes = sum(fa.halstead_volume for fa in files)
-    ccs = sum(fa.cyclomatic for fa in files)
-    locs = sum(fa.lines.code + fa.lines.mixed for fa in files)
-    return volumes / count, ccs / count, locs / count
 
 
 def _evaluate_sig(
@@ -683,13 +666,12 @@ def _project_analysis(
     )
     diagnostics.extend(debt_diags)
 
-    mi_result: MiResult | None = None
-    if file_scope:
-        ahv, acc, aloc = _file_level_means(files)
+    if file_scope:  # module = file: one row per file of the project
+        ahv, acc, aloc = metrics.means([(fa.halstead_volume, fa.cyclomatic, fa.lines.code + fa.lines.mixed)
+                                        for fa in files])
     else:
         ahv, acc, aloc = project_metrics.ahv, project_metrics.acc, project_metrics.aloc
-    if ahv is not None:
-        mi_result = debt_models.maintainability_index(ahv, acc, aloc)
+    mi_result = None if ahv is None else debt_models.maintainability_index(ahv, acc, aloc)
 
     coverage = _project_coverage(config["models"]["sig"], project_id)
     sig_result = _evaluate_sig(

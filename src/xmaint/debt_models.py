@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import NonFiniteEffort, ZeroProductionEffort
@@ -123,18 +124,9 @@ def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: tuple[float
     """Share of code volume per risk band; band upper bounds are inclusive."""
     if not values_and_loc:
         raise ValueError("risk profile needs at least one unit")
-    low, moderate, high = bands  # increasing, as config._validate_sig holds them
     totals = dict.fromkeys(RISK_BANDS, 0)
-    for value, loc in values_and_loc:
-        if value <= low:
-            band = "low"
-        elif value <= moderate:
-            band = "moderate"
-        elif value <= high:
-            band = "high"
-        else:
-            band = "veryHigh"
-        totals[band] += loc
+    for value, loc in values_and_loc:  # bands increase, as config._validate_sig holds them
+        totals[RISK_BANDS[bisect_left(bands, value)]] += loc
     overall = sum(totals.values())
     return {band: totals[band] / overall for band in RISK_BANDS}
 

@@ -204,6 +204,15 @@ def file_unit_metrics(
     ]
 
 
+def means(rows: Sequence[tuple[float, int, int]], weights: Sequence[int] | None = None) -> tuple[float, ...]:
+    """MI's aHV, aCC and aLOC: the mean of each column of one or more
+    (volume, cc, loc) rows, one per module, weighted by ``weights`` if given."""
+    if weights is None:
+        return tuple(sum(column) / len(rows) for column in zip(*rows))
+    total = sum(weights)
+    return tuple(sum(value * weight for value, weight in zip(column, weights)) / total for column in zip(*rows))
+
+
 def aggregate_project(
     file_lines: list[LineClassification],
     all_unit_metrics: list[UnitMetrics],
@@ -227,16 +236,8 @@ def aggregate_project(
     assert total_code + total_comment + total_mixed + total_blank == physical
 
     if all_unit_metrics:
-        if weighted:
-            loc_sum = sum(m.loc for m in all_unit_metrics)
-            ahv = sum(m.halstead.volume * m.loc for m in all_unit_metrics) / loc_sum
-            acc = sum(m.cc * m.loc for m in all_unit_metrics) / loc_sum
-            aloc = sum(m.loc * m.loc for m in all_unit_metrics) / loc_sum
-        else:
-            count = len(all_unit_metrics)
-            ahv = sum(m.halstead.volume for m in all_unit_metrics) / count
-            acc = sum(m.cc for m in all_unit_metrics) / count
-            aloc = sum(m.loc for m in all_unit_metrics) / count
+        rows = [(m.halstead.volume, m.cc, m.loc) for m in all_unit_metrics]
+        ahv, acc, aloc = means(rows, [m.loc for m in all_unit_metrics] if weighted else None)
         max_cc = max(m.cc for m in all_unit_metrics)
     else:
         ahv = acc = aloc = max_cc = None

@@ -324,24 +324,22 @@ def render(report: dict, fmt: str) -> str:
 
 
 def metrics_summary(pa: ProjectAnalysis, composite_total: float) -> dict:
-    """The flat key set snapshots persist and trends select from."""
+    """The flat key set snapshots persist and trends select from: each
+    value as ``project_block`` rounds it for the report."""
+    block = project_block(pa)
+    metrics, dup, models = block["metrics"], block["duplication"], block["models"]
+    tdr = models["tdr"] or {}
     return {
-        "total_loc": pa.metrics.total_loc,
-        "physical_lines": pa.metrics.physical_lines,
-        "comment_ratio": _r4(pa.metrics.comment_ratio),
-        "unit_count": pa.metrics.unit_count,
-        "ahv": _r4(pa.metrics.ahv),
-        "acc": _r4(pa.metrics.acc),
-        "aloc": _r4(pa.metrics.aloc),
-        "max_cc": pa.metrics.max_cc,
-        "duplicated_token_ratio": _r4(pa.duplication.duplicated_token_ratio),
-        "duplicated_line_ratio": _r4(pa.duplication.duplicated_line_ratio),
-        "violation_count": len(pa.violations),
-        "remediation_minutes": None if pa.tdr is None else _minutes(pa.tdr.remediation_minutes),
-        "production_minutes": None if pa.tdr is None else _minutes(pa.tdr.production_minutes),
-        "tdr": None if pa.tdr is None else _r4(pa.tdr.tdr),
-        "tdr_grade": None if pa.tdr is None else pa.tdr.grade,
-        "mi": None if pa.mi is None else _r2(pa.mi.mi),
-        "sig_overall": _r2(pa.sig.overall),
+        **{key: metrics[key] for key in (
+            "total_loc", "physical_lines", "comment_ratio", "unit_count", "ahv", "acc", "aloc", "max_cc")},
+        "duplicated_token_ratio": dup["token_ratio"],
+        "duplicated_line_ratio": dup["line_ratio"],
+        "violation_count": block["violations"]["total"],
+        "remediation_minutes": tdr.get("remediation_minutes"),
+        "production_minutes": tdr.get("production_minutes"),
+        "tdr": tdr.get("tdr"),
+        "tdr_grade": tdr.get("grade"),
+        "mi": models["mi"] and models["mi"]["mi"],
+        "sig_overall": models["sig"]["overall"],
         "composite_total": _r2(composite_total),
     }

@@ -74,7 +74,9 @@ class RuleSet(NamedTuple):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, float):  # an int is never converted, so a large one cannot overflow
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_rule_config(config: dict) -> None:

@@ -195,7 +195,7 @@ def _scan_units(tokens, profile):
     identifiers = _kind_ids(keys, IDENTIFIER)
     params, bodies = _bracket_partners(tokens)
     if mode == INDENT_BLOCK:
-        first_col, first_code_col, code_lines, continuation, max_line = _line_table(tokens)
+        first_code_col, code_lines, continuation, max_line = _line_table(tokens)
     elif mode == KEYWORD_PAIR:
         ends = _positions(ids, _keyword_ids(keys, profile, profile.unit_end_keywords))
     raw = []
@@ -257,7 +257,10 @@ def _scan_units(tokens, profile):
             if colon_idx >= n:
                 continue
             header_line = lines[i]
-            header_col = first_col[header_line]
+            start_idx = i
+            while start_idx > 0 and lines[start_idx - 1] == header_line:
+                start_idx -= 1  # pull in 'async' etc. on the header line
+            header_col = tokens.columns[start_idx]
             header_end_line = end_lines[colon_idx]
 
             end_line = header_end_line  # inline bodies keep the unit on the header line
@@ -278,9 +281,6 @@ def _scan_units(tokens, profile):
                     continue
                 break
 
-            start_idx = i
-            while start_idx > 0 and lines[start_idx - 1] == header_line:
-                start_idx -= 1  # pull in 'async' etc. on the header line
             entry = {
                 "end_line": end_line,
                 "token_range": (start_idx, bisect_right(lines, end_line, i)),
@@ -309,10 +309,11 @@ def _scan_units(tokens, profile):
 def _line_table(tokens):
     """Per-line lexical facts used by indent-block extraction.
 
-    Returns (first_col, first_code_col, code_lines, continuation) where
-    continuation marks lines starting inside brackets or inside a
-    multi-line token. Token lines never decrease, so a token starts a line
-    exactly when its line differs from the token before it.
+    Returns (first_code_col, code_lines, continuation, max_line):
+    the column of each line's first code token, the lines that hold code,
+    the lines that start inside brackets or inside a multi-line token, and
+    the last line a token ends on. Token lines never decrease, so a token
+    starts a line exactly when its line differs from the token before it.
     """
     # per local id: None for a one-line code token that is no bracket (most
     # tokens), else (is comment, line breaks in the text, bracket depth step)
@@ -321,7 +322,6 @@ def _line_table(tokens):
         else (kind == COMMENT, text.count("\n"), _BRACKET_STEPS.get(text, 0))
         for kind, text in tokens.keys
     ]
-    first_col = {}
     first_code_col = {}
     code_lines = set()
     continuation = set()
@@ -330,7 +330,6 @@ def _line_table(tokens):
     for lid, line, column in zip(tokens.ids, tokens.lines, tokens.columns):
         if line != last_line:
             last_line = line
-            first_col[line] = column
             if depth > 0:
                 continuation.add(line)
         facts = special[lid]
@@ -347,7 +346,7 @@ def _line_table(tokens):
         if facts[2]:
             depth = max(0, depth + facts[2])
     max_line = tokens.end_lines[-1] if len(tokens) else 0  # end lines never decrease either
-    return first_col, first_code_col, code_lines, continuation, max_line
+    return first_code_col, code_lines, continuation, max_line
 
 
 def _nesting_steps(tokens, profile):

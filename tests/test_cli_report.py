@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -435,9 +436,12 @@ _OVERFLOW = "overflows a double"
     ("--cost-per-line", "nan", "must be a finite number"),
     ("--cost-per-line", "inf", "must be a finite number"),
     ("--coverage", "nan", "must be a finite number"),
+    ("--cost-per-line", "abc", "must be a finite number, got 'abc'"),
+    ("--coverage", "abc", "must be a finite number, got 'abc'"),
 ], ids=["cost-per-line-nan", "cost-per-line-infinity", "rule-threshold-nan", "composite-low-nan",
         "rule-threshold-1e400", "unit-size-1e400", "unit-size-401-digits", "composite-low-minus-1e400",
-        "sig-cc-bands-1e400", "cost-per-line-flag-nan", "cost-per-line-flag-inf", "coverage-flag-nan"])
+        "sig-cc-bands-1e400", "cost-per-line-flag-nan", "cost-per-line-flag-inf", "coverage-flag-nan",
+        "cost-per-line-flag-text", "coverage-flag-text"])
 def test_non_finite_numbers_end_in_one_error_line(tmp_path, capsys, argv):
     # JSON has no NaN or infinity, a number beyond a double's range would
     # read as one, and a report measured with one is no report: a config
@@ -647,16 +651,16 @@ def test_discovery_skips_a_symlinked_directory(tmp_path, registry):
 
 
 def test_discovery_skips_an_unreadable_directory(tmp_path, registry, monkeypatch):
-    # tests run as root, which chmod cannot lock out, so iterdir fails on purpose
+    # tests run as root, which chmod cannot lock out, so scandir fails on purpose
     root = write_tree(tmp_path / "proj", {"a.c": C_FILE, "locked/b.c": C_FILE, "open/c.py": PY_FILE})
-    iterdir = Path.iterdir
+    scandir = os.scandir
 
-    def guarded(self):
-        if self.name == "locked":
-            raise PermissionError(13, "Permission denied", str(self))
-        return iterdir(self)
+    def guarded(path):
+        if os.path.basename(path) == "locked":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
 
-    monkeypatch.setattr(Path, "iterdir", guarded)
+    monkeypatch.setattr(os, "scandir", guarded)
     assert _selected(root, registry) == [("a.c", "c-family"), ("open/c.py", "python")]
 
 

@@ -1,10 +1,12 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from xmaint.config import DEFAULT_CONFIG, load_config
-from xmaint.errors import InvalidConfig
+from xmaint.config import DEFAULT_CONFIG, load_config, validate_config
+from xmaint.errors import InvalidConfig, InvalidRuleConfig
 from xmaint.profiles import BUILTIN_PROFILES
 from xmaint.rules import load_rule_set
 
@@ -64,3 +66,35 @@ def test_profiles_section_holds_lists(tmp_path, profiles, message):
     path.write_text(json.dumps({"profiles": profiles}))
     with pytest.raises(InvalidConfig, match=rf"^{message}$"):
         load_config(path)
+
+
+def _with(path, value):
+    """A copy of DEFAULT_CONFIG with ``value`` at ``path``."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    *parents, last = path
+    holder = config
+    for key in parents:
+        holder = holder[key] if isinstance(holder, list) else holder.setdefault(key, {})
+    holder[last] = value
+    return config
+
+
+_THRESHOLD = ("rules", "complexity-threshold", "threshold")
+
+
+@pytest.mark.parametrize("path, value", [
+    (_THRESHOLD, math.nan),
+    (_THRESHOLD, math.inf),
+    (("models", "sig", "volume_ladder", 0, 0), math.nan),
+    (("models", "sig", "profile_caps", "4", 1), math.nan),
+    (("composite", "indicators", "tdr", "low"), math.nan),
+], ids=["rule-threshold-nan", "rule-threshold-inf", "sig-ladder-bound-nan", "profile-cap-nan", "composite-low-nan"])
+def test_validate_config_refuses_a_non_finite_number(path, value):
+    # files and flags refuse these already; a library caller's dict must too
+    with pytest.raises((InvalidConfig, InvalidRuleConfig)):
+        validate_config(_with(path, value))
+
+
+def test_validate_config_takes_an_int_beyond_a_double_s_range():
+    # an int is compared, never converted, so it cannot overflow the check
+    validate_config(_with(_THRESHOLD, 10 ** 400))

@@ -1,5 +1,7 @@
 """Every config leaf, rule key and profile key given each hostile value ends
-in a report that strict JSON reading accepts or in one ``error:`` line."""
+in one ``error:`` line, or in output that strict JSON reading accepts: the
+report of ``analyze`` and ``compare --sensitivity``, the snapshot that
+``snapshot save`` writes; ``rules list`` lists the rules."""
 
 import copy
 import json
@@ -7,7 +9,7 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from xmaint.cli import main
+from xmaint import cli
 from xmaint.config import DEFAULT_CONFIG
 from xmaint.profiles import PYTHON
 
@@ -68,25 +70,57 @@ def _strict(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("cases", [_CASES], ids=[f"{len(_CASES)}-cases"])
-def test_config_fuzz_ends_in_a_report_or_one_error_line(tmp_path, capsys, cases):
+def _fuzz(tmp_path, capsys, monkeypatch, cases, argv, check):
+    """The (where, value, fault) of each case whose run of ``main(argv(n)
+    + ["--config", file])``, the case's text in that file and ``n`` its
+    number, ends neither in exit 0 or 2 with ``check(n, out)`` passing nor
+    in one ``error:`` line. The runs share one parser, which reads no
+    config: building it takes most of a failing run's time."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     config = tmp_path / "config.json"
     failures = []
-    for text, where, value in cases:
+    for n, (text, where, value) in enumerate(cases):
         config.write_text(text, encoding="utf-8")
         try:
-            code = main(["analyze", str(FIXTURES / "parity"), "--config", str(config)])
+            code = cli.main([*argv(n), "--config", str(config)])
         except Exception as exc:  # a traceback, as a user would see it
             code = repr(exc)
         out, err = capsys.readouterr()
         if code in (0, 2):
             try:
-                _strict(out)
+                check(n, out)
             except ValueError as exc:
-                failures.append((where, value, f"exit {code}, report not strict JSON: {exc}"))
+                failures.append((where, value, f"exit {code}, output refused: {exc}"))
         elif code == 1:
             if not (out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")):
                 failures.append((where, value, f"exit 1, stderr {err!r}"))
         else:
             failures.append((where, value, code))
-    assert failures == []
+    return failures
+
+
+@pytest.mark.parametrize("cases", [_CASES], ids=[f"{len(_CASES)}-cases"])
+def test_config_fuzz_ends_in_a_report_or_one_error_line(tmp_path, capsys, monkeypatch, cases):
+    argv = ["analyze", str(FIXTURES / "parity")]
+    assert _fuzz(tmp_path, capsys, monkeypatch, cases, lambda n: argv, lambda n, out: _strict(out)) == []
+
+
+def _saved(store):
+    """The one snapshot file in ``store``, read as strict JSON."""
+    [path] = store.glob("*/*.json")
+    return _strict(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", ["compare", "snapshot-save", "rules-list"])
+def test_config_fuzz_ends_in_output_or_one_error_line_in_every_command(tmp_path, capsys, monkeypatch, command):
+    parity = FIXTURES / "parity"
+    argv, check = {
+        "compare": (lambda n: ["compare", str(parity / "py"), str(parity / "cfam"), "--sensitivity"],
+                    lambda n, out: _strict(out)),
+        # each case saves into a store of its own, which holds its one snapshot
+        "snapshot-save": (lambda n: ["snapshot", "save", str(parity), "--store", str(tmp_path / f"store{n}")],
+                          lambda n, out: _saved(tmp_path / f"store{n}")),
+        "rules-list": (lambda n: ["rules", "list"], lambda n, out: None),
+    }[command]
+    assert _fuzz(tmp_path, capsys, monkeypatch, _CASES, argv, check) == []

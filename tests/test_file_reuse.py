@@ -13,6 +13,7 @@ import json
 import os
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,30 @@ def test_a_copy_changed_since_its_key_was_taken_is_analyzed_afresh(tmp_path, one
     _, files, _ = _stage(root)
     assert sum(_calls(log).values()) == 3
     assert [m.unit.name for m in files[1].unit_metrics] == ["f", "g"]
+
+
+def test_a_copy_whose_earlier_file_cannot_be_read_again_is_analyzed_afresh(
+        tmp_path, one_share, monkeypatch, default_config):
+    # each run reads copy000.py for itself, then again for copy001.py's key hit
+    root = _copies(tmp_path / "p", 2)
+    expected = _stage(root)[1:], analysis.analyze_project(root, default_config, ProfileRegistry())
+    reads = Counter()
+    real = Path.read_bytes
+
+    def failing_reread(path):
+        reads[path.name] += 1
+        if path.name == "copy000.py" and reads[path.name] % 2 == 0:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_reread)
+    log = tmp_path / "calls.log"
+    _counted_tokenize(monkeypatch, log)
+    _, files, rows = _stage(root)
+    assert sum(_calls(log).values()) == 3
+    assert rows["copy000.py"] is not rows["copy001.py"]
+    assert ((files, rows), analysis.analyze_project(root, default_config, ProfileRegistry())) == expected
+    assert reads["copy000.py"] == 4
 
 
 def test_equal_bytes_under_two_profiles_are_analyzed_once_each(tmp_path, one_share, monkeypatch):

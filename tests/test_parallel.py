@@ -11,6 +11,7 @@ raise it, no worker may outlive the call, and no more processes may run
 than there are CPUs.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -219,6 +220,34 @@ def test_a_worker_that_stops_after_its_keys_is_an_error(mixed, forks, monkeypatc
     _no_child_left()
 
 
+@pytest.mark.parametrize("call, failing", [("pipe", 2), ("fork", 1)],
+                         ids=["pipe-at-the-second-worker", "fork-at-the-first-worker"])
+def test_a_worker_that_cannot_start_is_one_error_line(mixed, forks, monkeypatch, capsys, call, failing):
+    # the mixed corpus makes three shares, so two workers; when the second
+    # cannot start, the first is running and is killed
+    from xmaint.cli import main
+
+    real = getattr(os, call)
+    calls = []
+
+    def starting():
+        calls.append(call)
+        if len(calls) == failing:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real()
+
+    monkeypatch.setattr(os, call, starting)
+    fds = os.listdir("/dev/fd")
+    assert main(["analyze", str(mixed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: cannot start a per-file worker: os.{call} failed: [Errno {errno.EMFILE}] "
+        f"{os.strerror(errno.EMFILE)}\n")
+    assert len(calls) == failing
+    assert os.listdir("/dev/fd") == fds  # no pipe left open
+    _no_child_left()
+
+
 _ORPHANED_RUN = """
 import os, sys, time
 from xmaint import analysis
@@ -334,6 +363,62 @@ def test_a_project_below_two_shares_keeps_the_loop(tmp_path, monkeypatch):
     assert len(analysis._shares(analysis.discover_files(copies, registry))[0]) == 2
     single = analysis.discover_files(copies / "rest.py", registry)
     assert len(analysis._shares(single)[0]) == 1
+
+
+def _three_files(tmp_path):
+    """The discovered files of a project of three files of 300, 200 and 100 bytes."""
+    root = tmp_path / "p"
+    root.mkdir()
+    for name, size in (("a.py", 300), ("b.py", 200), ("c.py", 100)):
+        (root / name).write_text("#" * (size - 1) + "\n")
+    return analysis.discover_files(root, ProfileRegistry())
+
+
+def test_a_file_whose_size_cannot_be_read_counts_as_empty(tmp_path, forks, monkeypatch):
+    # analyze_file reports the file; its share is sized as if it were empty
+    found = _three_files(tmp_path)
+    assert analysis._shares(found) == ([[0], [1, 2]], [0, 1, 2])
+    real = Path.stat
+
+    def stat(path, **kwargs):
+        if path.name == "a.py":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real(path, **kwargs)
+
+    monkeypatch.setattr(Path, "stat", stat)
+    assert analysis._shares(found) == ([[1], [0, 2]], [0, 1, 2])
+
+
+@pytest.mark.parametrize("affinity, expected", [
+    (None, ([[0], [1, 2]], [0, 1, 2])),
+    ({5}, ([[0, 1, 2]], [])),
+], ids=["no-affinity-api", "one-cpu"])
+def test_shares_read_the_cpus_the_process_may_use(tmp_path, monkeypatch, affinity, expected):
+    # three cores: without an affinity call each counts; one CPU keeps one share
+    monkeypatch.setattr(analysis, "_MIN_SHARE_BYTES", 1)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert analysis._shares(_three_files(tmp_path)) == expected
+
+
+def test_start_on_without_an_affinity_call_stays_put(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    analysis._start_on(1, [0, 1])
+
+
+def test_start_on_a_cpu_that_has_left_the_set_stays_put(monkeypatch):
+    calls = []
+
+    def setaffinity(pid, cpus):
+        calls.append(set(cpus))
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+    analysis._start_on(1, [0, 1])
+    assert calls == [{1}]
 
 
 def test_balanced_shares_take_the_largest_file_first():

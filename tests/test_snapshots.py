@@ -27,6 +27,14 @@ def snapshot(project="proj", tdr=0.3, config_hash="cafe" * 16, label=""):
     }
 
 
+def test_the_package_imports_snapshot_store_on_first_use():
+    import xmaint
+
+    assert xmaint.SnapshotStore is SnapshotStore
+    with pytest.raises(AttributeError, match="^module 'xmaint' has no attribute 'Missing'$"):
+        xmaint.Missing
+
+
 def test_first_save_creates_one_snapshot(tmp_path):
     store = SnapshotStore(tmp_path / "store")
     store.save(snapshot())
