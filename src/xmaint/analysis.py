@@ -491,21 +491,14 @@ def _evaluate_sig(
     sig_cfg: dict,
     registry: ProfileRegistry,
 ) -> SigResult:
-    cc_bands = tuple(sig_cfg["cc_bands"])
-    size_bands = tuple(sig_cfg["unit_size_bands"])
-    caps = {int(k): tuple(v) for k, v in sig_cfg["profile_caps"].items()}
-    matrix = {k: tuple(v) for k, v in sig_cfg["matrix"].items()}
+    caps = {int(rating): shares for rating, shares in sig_cfg["profile_caps"].items()}  # JSON keys are text
 
     ratings: dict[str, int | None] = {}
-    ratings["volume"] = debt_models.sig_rate_scalar(
-        project_metrics.total_loc, [tuple(x) for x in sig_cfg["volume_ladder"]]
-    )
-    ratings["duplication"] = debt_models.sig_rate_scalar(
-        dup_token_ratio, [tuple(x) for x in sig_cfg["duplication_ladder"]]
-    )
+    ratings["volume"] = debt_models.sig_rate_scalar(project_metrics.total_loc, sig_cfg["volume_ladder"])
+    ratings["duplication"] = debt_models.sig_rate_scalar(dup_token_ratio, sig_cfg["duplication_ladder"])
     if project_metrics.unit_count:
         cc_profile = debt_models.sig_risk_profile(
-            [(m.cc, m.loc) for fa in files for m in fa.unit_metrics], cc_bands
+            [(m.cc, m.loc) for fa in files for m in fa.unit_metrics], sig_cfg["cc_bands"]
         )
         ratings["complexity"] = debt_models.sig_rate_risk_profile(cc_profile, caps)
         # unit size is compared verbosity-normalized so 'long' is language-fair
@@ -513,26 +506,21 @@ def _evaluate_sig(
         for fa in files:
             verbosity = registry.get(fa.profile_id).verbosity_factor
             sizes.extend((m.loc / verbosity, m.loc) for m in fa.unit_metrics)
-        size_profile = debt_models.sig_risk_profile(sizes, size_bands)
+        size_profile = debt_models.sig_risk_profile(sizes, sig_cfg["unit_size_bands"])
         ratings["unitSize"] = debt_models.sig_rate_risk_profile(size_profile, caps)
     else:
         ratings["complexity"] = None
         ratings["unitSize"] = None
-    if coverage is not None:
-        ratings["unitTesting"] = debt_models.sig_rate_scalar(
-            coverage, [tuple(x) for x in sig_cfg["coverage_ladder"]], ascending=True
-        )
-    else:
-        ratings["unitTesting"] = None
-    return debt_models.sig_characteristics(ratings, matrix)
+    ratings["unitTesting"] = (None if coverage is None
+                              else debt_models.sig_rate_scalar(coverage, sig_cfg["coverage_ladder"], ascending=True))
+    return debt_models.sig_characteristics(ratings, sig_cfg["matrix"])
 
 
 def _project_coverage(sig_cfg: dict, project_id: str) -> float | None:
-    coverage = sig_cfg.get("coverage")
-    if isinstance(coverage, dict):
-        value = coverage.get(project_id)
-        return float(value) if value is not None else None
-    return float(coverage) if coverage is not None else None
+    coverage = sig_cfg["coverage"]
+    if isinstance(coverage, dict):  # keyed by project id
+        coverage = coverage.get(project_id)
+    return None if coverage is None else float(coverage)
 
 
 def evaluate_debt(
@@ -542,18 +530,22 @@ def evaluate_debt(
     cost_per_line: float,
     total_loc: int,
 ) -> tuple[tuple[Violation, ...], TdrResult | None, list[Diagnostic]]:
-    """Rule evaluation plus the debt ratio: each file's units, comment ratio
-    and clone blocks (those whose first copy it holds) are checked against
-    the rule set of the file's own profile."""
-    blocks_by_file = defaultdict(list)
-    for block in clone_blocks:
-        blocks_by_file[block.file_a].append(block)
+    """Rule evaluation plus the debt ratio: each file's units and comment
+    ratio are checked against the rule set of the file's own profile, and an
+    enabled duplication-block rule fires once per clone block, at its first
+    copy. The violations are sorted by (file, line, rule id); ties keep unit
+    and block order."""
     violations: list[Violation] = []
     for fa in files:
         violations.extend(rules.check_rules(
-            fa.unit_metrics, rule_sets[fa.profile_id], fa.path,
-            metrics.comment_ratio(fa.lines), blocks_by_file[fa.path],
+            fa.unit_metrics, rule_sets[fa.profile_id], fa.path, metrics.comment_ratio(fa.lines)
         ))
+    block_rule = next(iter(rule_sets.values())).get(rules.DUPLICATION_BLOCK)  # the same in every rule set
+    if block_rule.enabled:
+        violations.extend(
+            block_rule.violation(block.file_a, block.start_line_a, None, block.length_tokens, block_rule.threshold)
+            for block in clone_blocks
+        )
     violations.sort(key=lambda v: (v.file, v.line, v.rule_id))
 
     try:

@@ -27,8 +27,8 @@ from . import debt_models
 from .composite import DEFAULT_DELTA_PP, DEFAULT_MAPPINGS, INDICATORS, IndicatorMapping, validate_weights
 from .duplication import DUPLICATION_MODES
 from .errors import InvalidConfig, SingleCountingViolation
-from .profiles import read_json
-from .rules import COMMENT_DENSITY, DUPLICATION_BLOCK, _DEFAULTS, _is_number, check_rule_config
+from .profiles import is_number, read_json
+from .rules import COMMENT_DENSITY, DUPLICATION_BLOCK, check_rule_config, rule_enabled
 
 ENV_CONFIG = "XMAINT_CONFIG"
 
@@ -135,16 +135,12 @@ def composite_mappings(config: dict) -> list[IndicatorMapping]:
         entry = indicators[name]
         try:
             bounds = [entry[key] for key in ("low", "high", "weight")]
-            if not all(map(_is_number, bounds)):
+            if not all(map(is_number, bounds)):
                 raise ValueError(f"low, high and weight must be numbers, got {bounds!r}")
             mappings.append(IndicatorMapping(name, str(entry["shape"]), *map(float, bounds)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidConfig(f"composite.indicators.{name}: {exc}") from exc
     return mappings
-
-
-def _rule_enabled(config: dict, canonical_id: str) -> bool:
-    return config["rules"].get(canonical_id, {}).get("enabled", _DEFAULTS[canonical_id][2])
 
 
 def _is_integer_text(text) -> bool:
@@ -156,7 +152,7 @@ def _is_integer_text(text) -> bool:
 
 
 def _numbers(value, count: int) -> bool:
-    return isinstance(value, list) and len(value) == count and all(map(_is_number, value))
+    return isinstance(value, list) and len(value) == count and all(map(is_number, value))
 
 
 def _validate_sig(sig) -> None:
@@ -187,7 +183,7 @@ def _validate_sig(sig) -> None:
         )
     coverage = sig["coverage"]
     values = coverage.values() if isinstance(coverage, dict) else [coverage]
-    if not all(v is None or (_is_number(v) and 0 <= v <= 1) for v in values):
+    if not all(v is None or (is_number(v) and 0 <= v <= 1) for v in values):
         raise InvalidConfig(
             f"models.sig.coverage must be null, a number in [0, 1] or an object of such "
             f"numbers keyed by project id, got {coverage!r}"
@@ -221,7 +217,7 @@ def validate_config(config: dict) -> None:
     if min_tokens < 3:
         raise InvalidConfig("duplication.min_tokens must be >= 3")
     cost = config["models"]["sqale"]["cost_per_line_minutes"]
-    if not (_is_number(cost) and cost > 0):
+    if not (is_number(cost) and cost > 0):
         raise InvalidConfig(f"models.sqale.cost_per_line_minutes must be a number > 0, got {cost!r}")
     if config["models"]["mi"]["scope"] not in ("unit", "file"):
         raise InvalidConfig("models.mi.scope must be 'unit' or 'file'")
@@ -233,14 +229,14 @@ def validate_config(config: dict) -> None:
     if config["composite"]["duplication_source"] not in ("token", "line"):
         raise InvalidConfig("composite.duplication_source must be 'token' or 'line'")
     delta = config["composite"]["sensitivity"]["delta_pp"]
-    if not (_is_number(delta) and 0 < delta < 100):
+    if not (is_number(delta) and 0 < delta < 100):
         raise InvalidConfig(f"composite.sensitivity.delta_pp must be a number > 0 and < 100, got {delta!r}")
 
     weighted = {m.indicator for m in mappings if m.weight > 0}
     conflicts = []
-    if "duplicationRatio" in weighted and _rule_enabled(config, DUPLICATION_BLOCK):
+    if "duplicationRatio" in weighted and rule_enabled(config["rules"], DUPLICATION_BLOCK):
         conflicts.append(("duplicationRatio", DUPLICATION_BLOCK))
-    if "commentRatio" in weighted and _rule_enabled(config, COMMENT_DENSITY):
+    if "commentRatio" in weighted and rule_enabled(config["rules"], COMMENT_DENSITY):
         conflicts.append(("commentRatio", COMMENT_DENSITY))
     if conflicts:
         raise SingleCountingViolation(conflicts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import NonFiniteEffort, ZeroProductionEffort
@@ -120,7 +121,7 @@ def technical_debt_ratio(violations: list[Violation], production_minutes: float)
     )
 
 
-def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: tuple[float, float, float]) -> dict[str, float]:
+def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: Sequence[float]) -> dict[str, float]:
     """Share of code volume per risk band; band upper bounds are inclusive."""
     if not values_and_loc:
         raise ValueError("risk profile needs at least one unit")
@@ -131,7 +132,7 @@ def sig_risk_profile(values_and_loc: list[tuple[float, int]], bands: tuple[float
     return {band: totals[band] / overall for band in RISK_BANDS}
 
 
-def sig_rate_risk_profile(profile: dict[str, float], caps: dict[int, tuple[float, float, float]] | None = None) -> int:
+def sig_rate_risk_profile(profile: dict[str, float], caps: dict[int, Sequence[float]] | None = None) -> int:
     """Highest rating whose caps on moderate/high/veryHigh shares all hold."""
     caps = caps or DEFAULT_PROFILE_CAPS
     for rating in sorted(caps, reverse=True):
@@ -155,7 +156,7 @@ def sig_rate_scalar(value: float, ladder, ascending: bool = False) -> int:
 
 def sig_characteristics(
     property_ratings: dict[str, int | None],
-    matrix: dict[str, tuple[str, ...]] | None = None,
+    matrix: dict[str, Sequence[str]] | None = None,
 ) -> SigResult:
     """Characteristic = mean of its mapped, present properties.
 

@@ -225,15 +225,15 @@ def aggregate_project(
     """
     if not file_lines:
         raise EmptyProject("no files to aggregate")
-    total_code = sum(lc.code for lc in file_lines)
-    total_comment = sum(lc.comment for lc in file_lines)
-    total_mixed = sum(lc.mixed for lc in file_lines)
-    total_blank = sum(lc.blank for lc in file_lines)
-    physical = sum(lc.physical_lines for lc in file_lines)
-    total_loc = total_code + total_mixed
-    denominator = total_code + total_comment + total_mixed
-    ratio = (total_comment + total_mixed) / denominator if denominator else 0.0
-    assert total_code + total_comment + total_mixed + total_blank == physical
+    totals = LineClassification(
+        classes=(),
+        code=sum(lc.code for lc in file_lines),
+        comment=sum(lc.comment for lc in file_lines),
+        blank=sum(lc.blank for lc in file_lines),
+        mixed=sum(lc.mixed for lc in file_lines),
+        physical_lines=sum(lc.physical_lines for lc in file_lines),
+    )
+    assert totals.code + totals.comment + totals.mixed + totals.blank == totals.physical_lines
 
     if all_unit_metrics:
         rows = [(m.halstead.volume, m.cc, m.loc) for m in all_unit_metrics]
@@ -243,9 +243,9 @@ def aggregate_project(
         ahv = acc = aloc = max_cc = None
 
     return ProjectMetrics(
-        total_loc=total_loc,
-        physical_lines=physical,
-        comment_ratio=ratio,
+        total_loc=totals.code + totals.mixed,
+        physical_lines=totals.physical_lines,
+        comment_ratio=comment_ratio(totals),
         unit_count=len(all_unit_metrics),
         ahv=ahv,
         acc=acc,

@@ -335,6 +335,9 @@ def profile_from_dict(data: dict) -> LanguageProfile:
                 raise InvalidProfileConfig(f"profile key '{key}' entries must have {arity} strings")
         return tuple(map(tuple, value))
 
+    factor = data.get("verbosity_factor", defaults["verbosity_factor"])
+    if not (is_number(factor) or isinstance(factor, float)):  # LanguageProfile refuses NaN and infinity
+        raise InvalidProfileConfig("profile key 'verbosity_factor' must be a number")
     return LanguageProfile(
         id=typed("id", str, "a string"),
         file_extensions=str_tuple("file_extensions"),
@@ -351,8 +354,18 @@ def profile_from_dict(data: dict) -> LanguageProfile:
         identifier_pattern=typed("identifier_pattern", str, "a string"),
         naming_pattern=typed("naming_pattern", str, "a string"),
         case_sensitive=typed("case_sensitive", bool, "true or false"),
-        verbosity_factor=float(typed("verbosity_factor", (int, float), "a number")),
+        verbosity_factor=float(factor),
     )
+
+
+def is_number(value) -> bool:
+    """The one number check of a config or profile value: an int (not a
+    bool) or float that converts to a finite double. ``read_json`` gives no
+    other numbers; a library caller's dict is held to the same."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond a double's range
+        return False
 
 
 def _no_constant(name: str):

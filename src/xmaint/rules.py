@@ -2,16 +2,19 @@
 
 Rules carry canonical ids so rule sets of different languages can be
 compared: intersecting finds the ids enabled for every language, while
-each language keeps its own thresholds and patterns.
+each language keeps its own thresholds and patterns; enablement is keyed
+by id alone (``rule_enabled``). A unit rule compares one measure of each
+unit (``UNIT_MEASURES``) with its threshold; ``analysis.evaluate_debt``
+fires the optional duplication-block rule, once per clone block.
 """
 
-import math
 import re
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InvalidRuleConfig
 from .metrics import UnitMetrics
-from .profiles import LanguageProfile
+from .profiles import LanguageProfile, is_number
 
 COMPLEXITY = "complexity-threshold"
 UNIT_SIZE = "unit-size-threshold"
@@ -43,13 +46,13 @@ _DEFAULTS = {
 }
 _ENTRY_KEYS = frozenset({"threshold", "pattern", "effort_minutes", "enabled"})
 
-
-class Rule(NamedTuple):
-    canonical_id: str
-    threshold: float | None
-    pattern: str | None
-    effort_minutes: float
-    enabled: bool
+# unit rule id -> the measure of a unit's metrics that exceeds the threshold
+UNIT_MEASURES = {
+    COMPLEXITY: attrgetter("cc"),
+    UNIT_SIZE: attrgetter("loc"),
+    TOO_MANY_PARAMS: attrgetter("unit.param_count"),
+    NESTING_DEPTH: attrgetter("unit.nesting_depth_max"),
+}
 
 
 class Violation(NamedTuple):
@@ -60,6 +63,17 @@ class Violation(NamedTuple):
     observed_value: float | str
     threshold: float | str | None
     effort_minutes: float
+
+
+class Rule(NamedTuple):
+    canonical_id: str
+    threshold: float | None
+    pattern: str | None
+    effort_minutes: float
+    enabled: bool
+
+    def violation(self, file: str, line: int, unit_name: str | None, observed, threshold) -> Violation:
+        return Violation(self.canonical_id, file, line, unit_name, observed, threshold, self.effort_minutes)
 
 
 class RuleSet(NamedTuple):
@@ -73,10 +87,9 @@ class RuleSet(NamedTuple):
         return frozenset(r.canonical_id for r in self.rules if r.enabled)
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, float):  # an int is never converted, so a large one cannot overflow
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+def rule_enabled(config: dict, canonical_id: str) -> bool:
+    """Whether a checked ``rules`` config section enables the rule, by its entry or by default."""
+    return config.get(canonical_id, {}).get("enabled", _DEFAULTS[canonical_id][2])
 
 
 def check_rule_config(config: dict) -> None:
@@ -94,10 +107,10 @@ def check_rule_config(config: dict) -> None:
         extra = set(entry) - _ENTRY_KEYS
         if extra:
             raise InvalidRuleConfig(f"{name}: unknown keys {sorted(extra)}")
-        if "threshold" in entry and not _is_number(entry["threshold"]):
+        if "threshold" in entry and not is_number(entry["threshold"]):
             raise InvalidRuleConfig(f"{name}.threshold must be a number, got {entry['threshold']!r}")
         effort = entry.get("effort_minutes", 1)
-        if not (_is_number(effort) and effort > 0):
+        if not (is_number(effort) and effort > 0):
             raise InvalidRuleConfig(f"{name}.effort_minutes must be a number > 0, got {effort!r}")
         if not isinstance(entry.get("enabled", True), bool):
             raise InvalidRuleConfig(f"{name}.enabled must be true or false, got {entry['enabled']!r}")
@@ -121,16 +134,15 @@ def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
 
     rules = []
     for canonical_id in CANONICAL_IDS:
-        threshold, effort, enabled = _DEFAULTS[canonical_id]
+        threshold, effort, _ = _DEFAULTS[canonical_id]
         pattern = profile.naming_pattern if canonical_id == NAMING else None
         entry = config.get(canonical_id, {})
         threshold = entry.get("threshold", threshold)
         pattern = entry.get("pattern", pattern)
         effort = float(entry.get("effort_minutes", effort))
-        enabled = entry.get("enabled", enabled)
         if canonical_id == UNIT_SIZE and threshold is not None:
             scaled = threshold * profile.verbosity_factor
-            if not math.isfinite(scaled):
+            if not is_number(scaled):
                 raise InvalidRuleConfig(
                     f"rules.{UNIT_SIZE}.threshold {threshold!r} times profile '{profile.id}' "
                     f"verbosity_factor {profile.verbosity_factor!r} overflows a double"
@@ -142,7 +154,7 @@ def load_rule_set(config: dict | None, profile: LanguageProfile) -> RuleSet:
                 threshold=threshold,
                 pattern=pattern,
                 effort_minutes=effort,
-                enabled=enabled,
+                enabled=rule_enabled(config, canonical_id),
             )
         )
     return RuleSet(rules=tuple(rules))
@@ -153,63 +165,24 @@ def check_rules(
     rule_set: RuleSet,
     file: str = "",
     comment_ratio: float | None = None,
-    clone_blocks=None,
 ) -> list[Violation]:
-    """Evaluate every enabled rule; one violation per (rule, unit). The units
-    are all of one file, ``file``, of ``rule_set``'s profile.
-
-    The file's ``comment_ratio`` feeds the optional comment-density rule and
-    ``clone_blocks`` the optional duplication-block rule; both are off by
-    default because those attributes are composite indicators.
-    """
+    """The violations of the units of one file, ``file``, of ``rule_set``'s
+    profile: one per (enabled rule, unit), rule by rule, each in unit order,
+    and one of the optional comment-density rule if the file's
+    ``comment_ratio`` is below its threshold. The caller sorts them."""
     violations = []
-
-    def fire(rule, path, line, unit_name, observed, threshold):
-        violations.append(
-            Violation(
-                rule_id=rule.canonical_id,
-                file=path,
-                line=line,
-                unit_name=unit_name,
-                observed_value=observed,
-                threshold=threshold,
-                effort_minutes=rule.effort_minutes,
-            )
-        )
-
-    for metrics in unit_metrics_list:
-        unit = metrics.unit
-        for rule in rule_set.rules:
-            if not rule.enabled:
-                continue
-            if rule.canonical_id == COMPLEXITY and metrics.cc > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, metrics.cc, rule.threshold)
-            elif rule.canonical_id == UNIT_SIZE and metrics.loc > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, metrics.loc, rule.threshold)
-            elif rule.canonical_id == TOO_MANY_PARAMS and unit.param_count > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, unit.param_count, rule.threshold)
-            elif rule.canonical_id == NESTING_DEPTH and unit.nesting_depth_max > rule.threshold:
-                fire(rule, file, unit.start_line, unit.name, unit.nesting_depth_max, rule.threshold)
-            elif rule.canonical_id == NAMING and rule.pattern and not re.fullmatch(rule.pattern, unit.name):
-                fire(rule, file, unit.start_line, unit.name, unit.name, rule.pattern)
-
-    density = rule_set.get(COMMENT_DENSITY)
-    if density.enabled and comment_ratio is not None and comment_ratio < density.threshold:
-        fire(density, file, 1, None, round(comment_ratio, 4), density.threshold)
-
-    dup_rule = rule_set.get(DUPLICATION_BLOCK)
-    if dup_rule.enabled and clone_blocks:
-        for block in clone_blocks:
-            fire(
-                dup_rule,
-                block.file_a,
-                block.start_line_a,
-                None,
-                block.length_tokens,
-                dup_rule.threshold,
-            )
-
-    violations.sort(key=lambda v: (v.file, v.line, v.rule_id))
+    for rule in rule_set.rules:
+        if not rule.enabled:
+            continue
+        measure = UNIT_MEASURES.get(rule.canonical_id)
+        if measure is not None:
+            violations.extend(rule.violation(file, m.unit.start_line, m.unit.name, measure(m), rule.threshold)
+                              for m in unit_metrics_list if measure(m) > rule.threshold)
+        elif rule.canonical_id == NAMING and rule.pattern:
+            violations.extend(rule.violation(file, m.unit.start_line, m.unit.name, m.unit.name, rule.pattern)
+                              for m in unit_metrics_list if not re.fullmatch(rule.pattern, m.unit.name))
+        elif rule.canonical_id == COMMENT_DENSITY and comment_ratio is not None and comment_ratio < rule.threshold:
+            violations.append(rule.violation(file, 1, None, round(comment_ratio, 4), rule.threshold))
     return violations
 
 

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from xmaint.analysis import analyze_project
 from xmaint.config import DEFAULT_CONFIG, load_config, validate_config
-from xmaint.errors import InvalidConfig, InvalidRuleConfig
-from xmaint.profiles import BUILTIN_PROFILES
+from xmaint.errors import InvalidConfig, InvalidProfileConfig, InvalidRuleConfig
+from xmaint.profiles import BUILTIN_PROFILES, ProfileRegistry, profile_from_dict
 from xmaint.rules import load_rule_set
 
 EXAMPLE = Path(__file__).parent.parent / "docs" / "xmaint.example.json"
+PARITY = Path(__file__).parent / "fixtures" / "parity"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,38 @@ def test_validate_config_refuses_a_non_finite_number(path, value):
         validate_config(_with(path, value))
 
 
-def test_validate_config_takes_an_int_beyond_a_double_s_range():
-    # an int is compared, never converted, so it cannot overflow the check
-    validate_config(_with(_THRESHOLD, 10 ** 400))
+def _analyzed_with(path):
+    """Validate DEFAULT_CONFIG with a number at ``path``, then analyze the
+    parity fixture under it, where a value that passed is converted."""
+    def run(number):
+        config = _with(path, number)
+        validate_config(config)
+        analyze_project(PARITY, config, ProfileRegistry())
+    return run
+
+
+def _profile_with_verbosity(number):
+    profile_from_dict({"id": "x", "file_extensions": [".x"], "unit_detection": "brace-block",
+                       "verbosity_factor": number})
+
+
+_INT_CASES = {
+    "complexity-threshold": _analyzed_with(_THRESHOLD),
+    "unit-size-threshold": _analyzed_with(("rules", "unit-size-threshold", "threshold")),
+    "complexity-effort": _analyzed_with(("rules", "complexity-threshold", "effort_minutes")),
+    "composite-low": _analyzed_with(("composite", "indicators", "tdr", "low")),
+    "cost-per-line": _analyzed_with(("models", "sqale", "cost_per_line_minutes")),
+    "verbosity-factor": _profile_with_verbosity,
+}
+
+
+@pytest.mark.parametrize("case", _INT_CASES)
+def test_an_int_beyond_a_double_s_range_is_refused(case):
+    # float() of such an int raises OverflowError, so the config check must refuse it first
+    with pytest.raises((InvalidConfig, InvalidRuleConfig, InvalidProfileConfig)):
+        _INT_CASES[case](10 ** 400)
+
+
+@pytest.mark.parametrize("case", _INT_CASES)
+def test_an_int_within_a_double_s_range_is_taken(case):
+    _INT_CASES[case](10 ** 300)

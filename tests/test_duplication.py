@@ -796,6 +796,35 @@ def test_enabled_block_rule_reads_every_block(tmp_path, shape, n, min_tokens):
     assert sorted(fired) == sorted((b.start_line_a, b.length_tokens) for b in dup.blocks)
 
 
+def test_block_violations_are_the_blocks_of_every_file(tmp_path):
+    # two C files share a function, and so do two Python files
+    c_shared = "int shared(int a, int b) {\n    int c = a + b;\n    if (c > 10) { c = c - a; }\n    return c * b;\n}\n"
+    py_shared = "def shared(a, b):\n    c = a + b\n    if c > 10:\n        c = c - a\n    return c * b\n"
+    root = write_tree(tmp_path / "project", {
+        "a.c": c_shared + "int Only_A(int x) { return x; }\n",
+        "b.c": "// a comment\nint Only_B(int y) { return y + 1; }\n" + c_shared,
+        "a.py": py_shared,
+        "b.py": "def Lonely(z):\n    return z\n" + py_shared,
+    })
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "rules": {"duplication-block": {"enabled": True}, "comment-density": {"enabled": True}},
+        "duplication": {"min_tokens": 10},
+        "composite": {"indicators": {
+            "duplicationRatio": {"weight": 0.0}, "commentRatio": {"weight": 0.0}, "tdr": {"weight": 0.75},
+        }},
+    }))
+    result = analyze_project(root, load_config(path), ProfileRegistry())
+    dup = result.duplication
+    fired = [(v.file, v.line, v.observed_value) for v in result.violations if v.rule_id == "duplication-block"]
+    assert sorted(fired) == sorted((b.file_a, b.start_line_a, b.length_tokens) for b in dup.blocks)
+    assert len(fired) == dup.block_count
+    assert {file for file, _, _ in fired} == {"a.c", "a.py"}
+    assert {v.rule_id for v in result.violations} >= {"comment-density", "duplication-block", "naming-convention"}
+    keys = [(v.file, v.line, v.rule_id) for v in result.violations]
+    assert keys == sorted(keys)
+
+
 def test_periodic_run_report_memory_stays_linear():
     """n zeros in one array hold about n**2 / 2 blocks, which a report
     counts and lists 50 of; it holds one match per period shift."""

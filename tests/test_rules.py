@@ -199,6 +199,7 @@ def test_threshold_monotonicity():
 
 
 def test_duplication_block_rule_fires_when_enabled():
+    from xmaint.analysis import evaluate_debt
     from xmaint.duplication import EXACT, find_clone_blocks, normalize_tokens, token_ids
     from token_rows import stream
 
@@ -207,9 +208,10 @@ def test_duplication_block_rule_fires_when_enabled():
     seq = normalize_tokens(toks, EXACT, True, token_ids())
     blocks = find_clone_blocks({"f": seq}, 5)
     assert blocks
-    rs = load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)
-    violations = check_rules([], rs, clone_blocks=blocks)
+    rule_sets = {C_FAMILY.id: load_rule_set({DUPLICATION_BLOCK: {"enabled": True}}, C_FAMILY)}
+    violations, _, _ = evaluate_debt([], rule_sets, blocks, 30.0, 10)
     assert [v.rule_id for v in violations] == [DUPLICATION_BLOCK] * len(blocks)
+    assert evaluate_debt([], {C_FAMILY.id: load_rule_set({}, C_FAMILY)}, blocks, 30.0, 10)[0] == ()  # off by default
 
 
 # --- intersection ---
